@@ -178,44 +178,9 @@ class ExplorationCache:
                 "flow entries warm-started from the persistent store",
             ).set(self.store.loaded_entries)
 
-    # -- worker shipping (repro.parallel) -------------------------------------
-
-    def flow_snapshot(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        """A picklable/JSON-safe snapshot of the flow memo's entries.
-
-        This is the warm-start payload the parallel engine ships to worker
-        processes: each entry is the plain-dict form produced by
-        :meth:`FlowMemo.export_entries <repro.cache.memos.FlowMemo.export_entries>`
-        (the same format the persistent store writes), so a worker's fresh
-        cache can :meth:`preload_flow` them without sharing any state with
-        the parent.  ``limit`` keeps only the most recently used entries,
-        bounding the pickled payload size.
-        """
-        entries = list(self.flow.export_entries())
-        if limit is not None and len(entries) > limit:
-            entries = entries[-limit:]
-        return entries
-
-    def preload_flow(self, entries: Sequence[Dict[str, Any]]) -> int:
-        """Insert exported flow entries (see :meth:`flow_snapshot`).
-
-        Preloads bypass the hit/miss counters, exactly like a store
-        warm-start, so shipped entries never distort a worker's metrics.
-        Returns the number of entries accepted.
-        """
-        count = 0
-        for entry in entries:
-            if self.flow.preload(entry):
-                count += 1
-        return count
-
     def counter_totals(self) -> Dict[str, Dict[str, int]]:
-        """Per-layer ``{hits, misses, evictions}`` totals.
-
-        Workers report these deltas back to the parent, which adds them to
-        the session registry's ``repro_cache_*_total`` counters so a
-        parallel run's cache traffic is visible in one scrape.
-        """
+        """Per-layer ``{hits, misses, evictions}`` totals, read from the
+        memos themselves, so they are available without a bound registry."""
         totals: Dict[str, Dict[str, int]] = {}
         for layer, memos in (
             ("flow", [self.flow.memo]),

@@ -70,11 +70,6 @@ class FrontierCount:
     #: would have built.  ``explored_path_count`` (everything except
     #: ``pruned``) is Table 1's "# of paths" column.
     terminal_path_counts: Dict[str, int] = field(default_factory=dict)
-    #: When the run was cut short by ``stop_after_layers``, the unprocessed
-    #: frontier layer (completed-set → multiplicity) at the stopping term.
-    #: ``None`` when the DP ran to natural completion.  ``repro.parallel``
-    #: partitions this layer across worker processes.
-    remaining_frontier: Optional[Dict[FrozenSet[str], int]] = None
 
     @property
     def explored_path_count(self) -> int:
@@ -109,8 +104,6 @@ def _run_frontier(
     max_frontier: Optional[int],
     obs: Observability,
     cache=None,
-    initial_frontier: Optional[Dict[FrozenSet[str], int]] = None,
-    stop_after_layers: Optional[int] = None,
 ) -> FrontierCount:
     watch = Stopwatch()
     watch.start()
@@ -129,15 +122,11 @@ def _run_frontier(
         isinstance(p, (TimeBasedPruner, AvailabilityPruner)) for p in pruners
     )
 
-    if initial_frontier is not None:
-        frontier: Dict[FrozenSet[str], int] = dict(initial_frontier)
-    else:
-        frontier = {frozenset(completed): 1}
+    frontier: Dict[FrozenSet[str], int] = {frozenset(completed): 1}
     term = start_term
     peak = len(frontier)
     total_states = len(frontier)
     widths = [len(frontier)]
-    stopped_early = False
     terminal_counts: Dict[str, int] = {}
     instrumented = obs.enabled
     recorder = obs.decisions
@@ -173,12 +162,6 @@ def _run_frontier(
 
     with obs.run(run_name, start=str(start_term), end=str(end_term)):
         while frontier and term <= end_term:
-            if (
-                stop_after_layers is not None
-                and int(term - start_term) >= stop_after_layers
-            ):
-                stopped_early = True
-                break
             next_frontier: Dict[FrozenSet[str], int] = {}
             depth = int(term - start_term) if progress is not None else 0
             for state, multiplicity in frontier.items():
@@ -322,7 +305,6 @@ def _run_frontier(
         pruning_stats=pruning_stats if goal is not None else None,
         layer_widths=widths,
         terminal_path_counts=terminal_counts,
-        remaining_frontier=dict(frontier) if stopped_early else None,
     )
 
 

@@ -277,24 +277,9 @@ class PruningStats:
     def __repr__(self) -> str:
         return f"PruningStats(events={self.events!r})"
 
-    def __reduce__(self):
-        return (_restore_pruning_stats, (dict(self.events),))
-
     def record(self, pruner_name: str, count: int = 1) -> None:
         """Count ``count`` subtrees cut by ``pruner_name``."""
         self.events[pruner_name] = self.events.get(pruner_name, 0) + count
-
-    def merge(self, other: "PruningStats") -> "PruningStats":
-        """Fold another run's prune tallies into this one; returns self.
-
-        Mirrors :meth:`ExplorationStats.merge
-        <repro.core.stats.ExplorationStats.merge>` — every site that
-        combines runs (multi-horizon benchmarks, the parallel engine's
-        shard merge) goes through this instead of ad-hoc dict addition.
-        """
-        for name, count in other.events.items():
-            self.events[name] = self.events.get(name, 0) + count
-        return self
 
     @property
     def total(self) -> int:
@@ -310,14 +295,6 @@ class PruningStats:
     def as_dict(self) -> Dict[str, int]:
         """A plain-dict snapshot."""
         return dict(self.events)
-
-
-def _restore_pruning_stats(events: Dict[str, int]) -> "PruningStats":
-    """Pickle helper: rebuild a :class:`PruningStats` (its ``__init__``
-    takes no arguments, so the default slot protocol cannot be used)."""
-    stats = PruningStats()
-    stats.events.update(events)
-    return stats
 
 
 def default_pruners(context: PruningContext) -> List[Pruner]:

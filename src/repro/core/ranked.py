@@ -126,7 +126,6 @@ def generate_ranked(
     pruners: Optional[List[Pruner]] = None,
     obs: Optional[Observability] = None,
     cache=None,
-    initial_cost: float = 0.0,
 ) -> RankedResult:
     """The top-``k`` goal paths under ``ranking``, best first.
 
@@ -141,13 +140,6 @@ def generate_ranked(
         non-negative.
     pruners:
         As in goal-driven generation; ``None`` uses the paper's stack.
-    initial_cost:
-        Cost already accrued *before* the start status.  The root search
-        node starts at this cost, so every emitted cost is absolute.  Used
-        by ``repro.parallel`` when re-rooting the search at a frontier
-        status: accumulating from the seed's serial cost keeps worker
-        floating-point sums bit-identical to the serial run's
-        left-to-right accumulation.
     obs:
         Optional :class:`~repro.obs.runtime.Observability`; when enabled,
         the run emits a ``run:ranked`` span whose ``rank`` phases cover
@@ -209,7 +201,7 @@ def generate_ranked(
         expander.initial_status(start_term, completed),
         None,
         frozenset(),
-        initial_cost,
+        0.0,
         0,
         eid=0 if recorder is not None else None,
     )

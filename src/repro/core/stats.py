@@ -8,9 +8,8 @@ split), so they are part of the public result API rather than debug-only
 instrumentation.
 
 The class is a hand-rolled ``__slots__`` holder rather than a dataclass:
-one is allocated per run *and per shard* under ``repro.parallel``, the
-budget ticker reads ``nodes_created`` on the hot path, and slotted
-instances pickle cheaply when worker processes return their counters.
+the budget ticker reads ``nodes_created`` on the hot path, where slot
+access is cheaper than an instance dict.
 """
 
 from __future__ import annotations
@@ -85,21 +84,6 @@ class ExplorationStats:
             f"elapsed_seconds={self.elapsed_seconds!r})"
         )
 
-    def __reduce__(self):
-        # A running timer is process-local state; shard results are pickled
-        # only after stop_timer(), so rebuilding through __init__ is exact.
-        return (
-            self.__class__,
-            (
-                self.nodes_created,
-                self.edges_created,
-                self.terminals,
-                self.prune_events,
-                self.merged_hits,
-                self.elapsed_seconds,
-            ),
-        )
-
     # -- recording -----------------------------------------------------------
 
     def start_timer(self) -> None:
@@ -145,8 +129,7 @@ class ExplorationStats:
 
         Sums every counter, unions the terminal/prune tallies, and adds
         elapsed time — the aggregation multi-run benchmarks need when
-        reporting totals over several horizons or repeats, and the merge
-        step ``repro.parallel`` applies to every shard's counters.
+        reporting totals over several horizons or repeats.
         """
         self.nodes_created += other.nodes_created
         self.edges_created += other.edges_created

@@ -79,86 +79,6 @@ class LearningGraph:
         if not 0 <= node_id < len(self._statuses):
             raise IndexError(f"no node {node_id} (graph has {len(self._statuses)})")
 
-    # -- merging (repro.parallel) ---------------------------------------------
-
-    def graft(self, node_id: int, subtree: "LearningGraph") -> Dict[int, int]:
-        """Attach another graph's tree beneath ``node_id``; returns an id map.
-
-        ``subtree``'s root must describe the same state as ``node_id`` (same
-        term and completed set — this is how a parallel shard's result, whose
-        worker re-rooted the search at a frontier status, is stitched back
-        onto the prefix tree).  The root itself is *identified with*
-        ``node_id`` rather than copied: its terminal tag (if any) transfers
-        onto ``node_id``, and every descendant is copied preserving per-node
-        child creation order.
-
-        Returns a dict mapping subtree-local node ids to ids in this graph.
-        Node ids of the combined graph are **not** in serial creation order
-        after grafting — call :meth:`canonicalize` to renumber.
-        """
-        self._check_id(node_id)
-        mine = self._statuses[node_id]
-        root = subtree._statuses[0]
-        if (mine.term, mine.completed) != (root.term, root.completed):
-            raise ValueError(
-                f"subtree root {root.key} does not match graft point {mine.key}"
-            )
-        if self._children[node_id]:
-            raise ValueError(f"graft point {node_id} already has children")
-        id_map: Dict[int, int] = {0: node_id}
-        root_kind = subtree._terminal.get(0)
-        if root_kind is not None:
-            self._terminal[node_id] = root_kind
-        stack = [0]
-        while stack:
-            old = stack.pop()
-            new_parent = id_map[old]
-            for child in subtree._children[old]:
-                new_id = self.add_child(
-                    new_parent, subtree._selections[child], subtree._statuses[child]
-                )
-                id_map[child] = new_id
-                kind = subtree._terminal.get(child)
-                if kind is not None:
-                    self._terminal[new_id] = kind
-                stack.append(child)
-        return id_map
-
-    def canonicalize(self) -> Tuple["LearningGraph", Dict[int, int], List[int]]:
-        """A copy renumbered in serial depth-first creation order.
-
-        The serial generators pop a LIFO stack and assign consecutive ids to
-        a node's children at pop time; after :meth:`graft` the combined tree
-        has the right *shape* but shard-order ids.  This method replays that
-        discipline — pop a node, number its children in creation order, push
-        them in creation order — so the returned graph's node ids (and hence
-        :meth:`paths` order, which sorts terminals by id) are byte-identical
-        to what a single serial run over the same tree would have produced.
-
-        Returns ``(graph, id_map, order)``: the renumbered copy, the
-        old-id → new-id mapping, and the old-id pop order (the sequence in
-        which the serial loop would have *processed* each node — the order
-        decision events must be replayed in).
-        """
-        new = LearningGraph(self._statuses[0])
-        id_map: Dict[int, int] = {0: 0}
-        order: List[int] = []
-        stack = [0]
-        while stack:
-            old = stack.pop()
-            order.append(old)
-            new_id = id_map[old]
-            kind = self._terminal.get(old)
-            if kind is not None:
-                new._terminal[new_id] = kind
-            children = self._children[old]
-            for child in children:
-                id_map[child] = new.add_child(
-                    new_id, self._selections[child], self._statuses[child]
-                )
-            stack.extend(children)
-        return new, id_map, order
-
     # -- queries -------------------------------------------------------------------
 
     def status(self, node_id: int) -> EnrollmentStatus:

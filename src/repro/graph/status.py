@@ -69,9 +69,8 @@ class EnrollmentStatus:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # __setattr__ is blocked, so pickling goes back through __init__
-        # (this is also what lets statuses cross process boundaries when
-        # shard results return from repro.parallel workers).
+        # __setattr__ is blocked, so pickling and copying go back through
+        # __init__ instead of restoring attributes one by one.
         return (self.__class__, (self.term, self.completed, self.options))
 
     # -- identity (term, completed) — options are derived --------------------

@@ -281,53 +281,6 @@ class ProgressTracker:
             self._frontier_size = size
             self._generation += 1
 
-    def absorb_counts(
-        self,
-        depth: int,
-        expanded: int = 0,
-        children: int = 0,
-        pruned: int = 0,
-        terminals: Optional[Dict[str, int]] = None,
-        emitted: int = 0,
-    ) -> None:
-        """Bulk-merge a finished shard's counters in one lock acquisition.
-
-        The parallel engine cannot stream a worker process's per-node
-        mutations (they happen in another interpreter); when a shard's
-        result arrives, its aggregate counts are folded in here instead —
-        attributed to ``depth`` (the shard root's depth), which keeps the
-        per-depth table coarse but the run totals exact.
-        """
-        terminals = terminals or {}
-        with self._lock:
-            if expanded:
-                self._nodes_expanded += expanded
-                self._expanded_by_depth[depth] = (
-                    self._expanded_by_depth.get(depth, 0) + expanded
-                )
-            if children:
-                self._children_by_depth[depth] = (
-                    self._children_by_depth.get(depth, 0) + children
-                )
-            if pruned:
-                self._nodes_pruned += pruned
-                self._pruned_by_depth[depth] = (
-                    self._pruned_by_depth.get(depth, 0) + pruned
-                )
-            total_terminals = 0
-            for kind, count in terminals.items():
-                self._terminals[kind] = self._terminals.get(kind, 0) + count
-                total_terminals += count
-            if total_terminals:
-                self._terminal_by_depth[depth] = (
-                    self._terminal_by_depth.get(depth, 0) + total_terminals
-                )
-            if emitted:
-                self._paths_emitted += emitted
-            if depth > self._depth:
-                self._depth = depth
-            self._generation += 1
-
     # -- readers (any thread) ------------------------------------------------
 
     @property

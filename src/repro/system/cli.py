@@ -8,7 +8,6 @@ the exploration tasks:
     coursenavigator catalog
     coursenavigator deadline --start "Fall 2014" --end "Fall 2015"
     coursenavigator goal --start "Fall 2012" --end "Fall 2015" --count-only
-    coursenavigator goal --start "Fall 2013" --end "Fall 2015" --workers 4
     coursenavigator ranked --start "Fall 2013" --end "Fall 2015" -k 5 \\
         --ranking workload
     coursenavigator explain --start "Fall 2013" --end "Fall 2015" \\
@@ -144,23 +143,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="persist the flow memo under DIR (keyed by catalog content "
         "fingerprint, so catalog edits cold-start automatically); later "
         "runs against the same catalog warm-start from it",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the exploration across N worker processes with a "
-        "deterministic merge (0 picks an automatic pool size; "
-        "default: run serially)",
-    )
-    parser.add_argument(
-        "--split-depth",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="frontier depth at which subtrees are handed to workers "
-        "(default: chosen from the horizon; only used with --workers)",
     )
 
 
@@ -367,14 +349,6 @@ def _load(args: argparse.Namespace) -> CourseNavigator:
     )
 
 
-def _parallel_kwargs(args: argparse.Namespace) -> dict:
-    """``workers``/``split_depth`` pass-through for navigator calls."""
-    return {
-        "workers": getattr(args, "workers", None),
-        "split_depth": getattr(args, "split_depth", None),
-    }
-
-
 def _config(args: argparse.Namespace) -> ExplorationConfig:
     return ExplorationConfig(
         max_courses_per_term=args.max_per_term,
@@ -423,14 +397,10 @@ def _run_deadline(args: argparse.Namespace, out) -> int:
     config = _config(args)
     completed = frozenset(args.completed)
     if args.count_only:
-        count = navigator.count_deadline(
-            start, end, completed=completed, config=config, **_parallel_kwargs(args)
-        )
+        count = navigator.count_deadline(start, end, completed=completed, config=config)
         print(f"{count} deadline-driven paths from {start} to {end}", file=out)
         return 0
-    result = navigator.explore_deadline(
-        start, end, completed=completed, config=config, **_parallel_kwargs(args)
-    )
+    result = navigator.explore_deadline(start, end, completed=completed, config=config)
     print(
         f"{result.path_count} paths, {result.graph.num_nodes} nodes "
         f"({result.stats.elapsed_seconds:.3f}s)",
@@ -447,16 +417,12 @@ def _run_goal(args: argparse.Namespace, out) -> int:
     completed = frozenset(args.completed)
     goal = _goal(args)
     if args.count_only:
-        count = navigator.count_goal(
-            start, goal, end, completed=completed, config=config,
-            **_parallel_kwargs(args),
-        )
+        count = navigator.count_goal(start, goal, end, completed=completed, config=config)
         print(f"{count} goal paths ({goal.describe()}) from {start} to {end}", file=out)
         return 0
     pruners = [] if args.no_prune else None
     result = navigator.explore_goal(
-        start, goal, end, completed=completed, config=config, pruners=pruners,
-        **_parallel_kwargs(args),
+        start, goal, end, completed=completed, config=config, pruners=pruners
     )
     print(
         f"{result.path_count} goal paths, {result.graph.num_nodes} nodes, "
@@ -487,7 +453,6 @@ def _run_ranked(args: argparse.Namespace, out) -> int:
         ranking=args.ranking,
         completed=frozenset(args.completed),
         config=_config(args),
-        **_parallel_kwargs(args),
     )
     print(
         f"top-{args.k} by {args.ranking}: {len(result.paths)} paths "
@@ -517,10 +482,9 @@ def _run_explain(args: argparse.Namespace, out) -> int:
         completed=frozenset(args.completed),
         config=_config(args),
         pruners=[] if args.no_prune else None,
-        **_parallel_kwargs(args),
     )
     recorder.close()
-    args._decisions = None  # already closed; keep main()'s finally from re-closing
+    args._decisions = None  # already closed; keep _dispatch()'s finally from re-closing
     report = ExplainReport(recorder.events)
     if args.json:
         import json
@@ -614,7 +578,6 @@ def _run_export(args: argparse.Namespace, out) -> int:
         start, _goal(args), end,
         completed=frozenset(args.completed),
         config=_config(args),
-        **_parallel_kwargs(args),
     )
     if args.format == "dot":
         write_dot(result.graph, args.output, max_nodes=args.max_graph_nodes)
@@ -659,8 +622,22 @@ def _write_metrics(metrics: MetricsRegistry, path: str) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except OSError as exc:
+        # A missing input (--catalog, --goal-file) or an unwritable output
+        # (--trace, --explain, --metrics-out, --output) is a usage error,
+        # not a crash: one line naming the path, no traceback.
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed command with its observability and cache plumbing."""
     handlers = {
         "catalog": _run_catalog,
         "deadline": _run_deadline,
@@ -673,16 +650,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _run_lint,
     }
     args._cache = None  # populated by _load when --cache is on
+    # Output sinks are opened inside the try below, so one that fails to
+    # open still lets the finally close the others.
+    args._tracer = None
+    args._decisions = None
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)
     explain_path = getattr(args, "explain", None)
     serve_port = getattr(args, "serve_metrics", None)
-    args._tracer = Tracer(sinks=[JsonlSink(trace_path)]) if trace_path else None
     args._metrics = (
         MetricsRegistry() if (metrics_path or serve_port is not None) else None
-    )
-    args._decisions = (
-        DecisionRecorder(sinks=[JsonlSink(explain_path)]) if explain_path else None
     )
     wall_budget = getattr(args, "wall_budget", None)
     node_budget = getattr(args, "node_budget", None)
@@ -714,6 +691,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     server: Optional[MetricsServer] = None
     printer: Optional[ProgressPrinter] = None
     try:
+        if trace_path:
+            args._tracer = Tracer(sinks=[JsonlSink(trace_path)])
+        if explain_path:
+            args._decisions = DecisionRecorder(sinks=[JsonlSink(explain_path)])
         if serve_port is not None:
             server = MetricsServer(
                 registry=args._metrics,
@@ -755,16 +736,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{saved} flow entries saved to {args._cache.store.path}",
                     file=sys.stderr,
                 )
+        if args._decisions is not None:
+            args._decisions.close()
+            if explain_path:
+                print(f"decision audit written to {explain_path}", file=sys.stderr)
+        # Last, because a --metrics-out path that cannot be written raises
+        # out of this block (main reports it) and must not skip the closes.
         if args._metrics is not None:
             if args._progress is not None:
                 args._progress.publish_gauges(args._metrics)
             if metrics_path:
                 _write_metrics(args._metrics, metrics_path)
                 print(f"metrics written to {metrics_path}", file=sys.stderr)
-        if args._decisions is not None:
-            args._decisions.close()
-            if explain_path:
-                print(f"decision audit written to {explain_path}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -207,32 +207,8 @@ class CourseNavigator:
         max_courses_per_term: Optional[int] = None,
         avoid_courses: Optional[AbstractSet[str]] = None,
         max_nodes: Optional[int] = None,
-        workers: Optional[int] = None,
-        split_depth: Optional[int] = None,
     ) -> DeadlineResult:
-        """All learning paths until ``end_term`` (Algorithm 1).
-
-        ``workers`` routes the run through the process-sharded engine
-        (:func:`repro.parallel.parallel_deadline_driven`; ``0`` = auto
-        pool size); ``None`` (the default) runs serially.  Outputs are
-        identical either way.
-        """
-        if workers is not None:
-            from ..parallel import parallel_deadline_driven
-
-            return parallel_deadline_driven(
-                self._catalog,
-                start_term,
-                end_term,
-                completed=completed,
-                config=self._config(
-                    config, max_courses_per_term, avoid_courses, max_nodes
-                ),
-                obs=self._obs,
-                cache=self._cache,
-                workers=workers,
-                split_depth=split_depth,
-            )
+        """All learning paths until ``end_term`` (Algorithm 1)."""
         return generate_deadline_driven(
             self._catalog,
             start_term,
@@ -254,33 +230,8 @@ class CourseNavigator:
         avoid_courses: Optional[AbstractSet[str]] = None,
         max_nodes: Optional[int] = None,
         pruners: Optional[List[Pruner]] = None,
-        workers: Optional[int] = None,
-        split_depth: Optional[int] = None,
     ) -> GoalDrivenResult:
-        """All paths meeting ``goal`` by ``end_term`` (goal-driven, §4.2).
-
-        ``workers`` routes through the process-sharded engine (``0`` =
-        auto); output — paths, stats, prune counters, decision events —
-        is identical to the serial run.
-        """
-        if workers is not None:
-            from ..parallel import parallel_goal_driven
-
-            return parallel_goal_driven(
-                self._catalog,
-                start_term,
-                goal,
-                end_term,
-                completed=completed,
-                config=self._config(
-                    config, max_courses_per_term, avoid_courses, max_nodes
-                ),
-                pruners=pruners,
-                obs=self._obs,
-                cache=self._cache,
-                workers=workers,
-                split_depth=split_depth,
-            )
+        """All paths meeting ``goal`` by ``end_term`` (goal-driven, §4.2)."""
         return generate_goal_driven(
             self._catalog,
             start_term,
@@ -305,34 +256,8 @@ class CourseNavigator:
         max_courses_per_term: Optional[int] = None,
         avoid_courses: Optional[AbstractSet[str]] = None,
         max_nodes: Optional[int] = None,
-        workers: Optional[int] = None,
-        split_depth: Optional[int] = None,
     ) -> RankedResult:
-        """The top-``k`` goal paths under a ranking (§4.3).
-
-        With ``workers``, per-seed searches run in worker processes; the
-        returned costs equal the serial run's exactly (path order may
-        differ between equal-cost paths — see ``docs/parallel.md``).
-        """
-        if workers is not None:
-            from ..parallel import parallel_ranked
-
-            return parallel_ranked(
-                self._catalog,
-                start_term,
-                goal,
-                end_term,
-                k,
-                self.resolve_ranking(ranking),
-                completed=completed,
-                config=self._config(
-                    config, max_courses_per_term, avoid_courses, max_nodes
-                ),
-                obs=self._obs,
-                cache=self._cache,
-                workers=workers,
-                split_depth=split_depth,
-            )
+        """The top-``k`` goal paths under a ranking (§4.3)."""
         return generate_ranked(
             self._catalog,
             start_term,
@@ -354,29 +279,8 @@ class CourseNavigator:
         end_term: Term,
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
-        workers: Optional[int] = None,
-        split_depth: Optional[int] = None,
     ) -> int:
-        """Exact deadline-driven path count via the merged DAG.
-
-        With ``workers``, counted by the process-sharded frontier DP
-        (:func:`repro.parallel.parallel_count_deadline_paths`) — counts
-        are exact under any sharding.
-        """
-        if workers is not None:
-            from ..parallel import parallel_count_deadline_paths
-
-            return parallel_count_deadline_paths(
-                self._catalog,
-                start_term,
-                end_term,
-                completed=completed,
-                config=config,
-                obs=self._obs,
-                cache=self._cache,
-                workers=workers,
-                split_depth=split_depth,
-            ).path_count
+        """Exact deadline-driven path count via the merged DAG."""
         return count_deadline_paths(
             self._catalog,
             start_term,
@@ -393,29 +297,8 @@ class CourseNavigator:
         end_term: Term,
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
-        workers: Optional[int] = None,
-        split_depth: Optional[int] = None,
     ) -> int:
-        """Exact goal-driven path count via the merged DAG.
-
-        With ``workers``, counted by the process-sharded frontier DP —
-        counts are exact under any sharding.
-        """
-        if workers is not None:
-            from ..parallel import parallel_count_goal_paths
-
-            return parallel_count_goal_paths(
-                self._catalog,
-                start_term,
-                goal,
-                end_term,
-                completed=completed,
-                config=config,
-                obs=self._obs,
-                cache=self._cache,
-                workers=workers,
-                split_depth=split_depth,
-            ).path_count
+        """Exact goal-driven path count via the merged DAG."""
         return count_goal_paths(
             self._catalog,
             start_term,

@@ -361,6 +361,41 @@ class TestObservabilityFlags:
         assert metrics_path.read_text().strip()
 
 
+class TestIoErrors:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("goal", "--trace"),
+            ("goal", "--explain"),
+            ("goal", "--metrics-out"),
+            ("export", "--output"),
+            ("goal", "--catalog"),
+            ("goal", "--goal-file"),
+        ],
+    )
+    def test_bad_path_is_one_error_line(self, capsys, tmp_path, fig3_catalog, command, flag):
+        catalog_path = tmp_path / "cat.json"
+        save_catalog(fig3_catalog, catalog_path)
+        bad = str(tmp_path / "missing-dir" / "file")
+        argv = [
+            command,
+            "--catalog", str(catalog_path),
+            "--start", "Fall 2011",
+            "--end", "Fall 2012",
+            "--goal-courses", "11A", "29A", "21A",
+        ]
+        if command == "export":
+            argv += ["--output", str(tmp_path / "graph.dot")]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = bad
+        else:
+            argv += [flag, bad]
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"error: {bad}: ")
+
+
 class TestLiveTelemetryFlags:
     def test_node_budget_aborts_with_partial_progress(self, capsys):
         code, _out, err = run_cli(

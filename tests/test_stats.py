@@ -1,10 +1,22 @@
 """Tests for run statistics containers."""
 
+import copy
 import json
+import pickle
 from unittest import mock
+
+import pytest
 
 from repro.core import ExplorationStats
 from repro.core.pruning import PruningStats, suppressed_selection_count
+from repro.graph.status import EnrollmentStatus
+from repro.semester import Term
+
+CLONES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "deepcopy": copy.deepcopy,
+}
+each_clone = pytest.mark.parametrize("clone", list(CLONES.values()), ids=list(CLONES))
 
 
 class TestExplorationStats:
@@ -145,6 +157,50 @@ class TestPruningStats:
 
     def test_share_empty(self):
         assert PruningStats().share("time") == 0.0
+
+
+class TestPickleAndCopy:
+    """Result objects round-trip as equal, independent values."""
+
+    @each_clone
+    def test_exploration_stats(self, clone):
+        stats = ExplorationStats()
+        stats.record_node()
+        stats.record_edge()
+        stats.record_terminal("goal")
+        stats.record_prune("time", 2)
+        stats.record_merge()
+        stats.elapsed_seconds = 0.25
+        twin = clone(stats)
+        assert twin == stats
+        twin.record_prune("time")
+        assert stats.prune_events == {"time": 2}
+
+    @each_clone
+    def test_pruning_stats(self, clone):
+        stats = PruningStats()
+        stats.record("time", 8)
+        stats.record("availability", 2)
+        twin = clone(stats)
+        assert twin == stats
+        twin.record("time")
+        assert stats.events == {"time": 8, "availability": 2}
+
+    @each_clone
+    def test_enrollment_status(self, clone):
+        status = EnrollmentStatus(
+            Term.parse("Fall 2013"), frozenset({"A"}), frozenset({"B", "C"})
+        )
+        twin = clone(status)
+        # Equality ignores the derived options, so compare all three fields.
+        assert (twin.term, twin.completed, twin.options) == (
+            status.term, status.completed, status.options
+        )
+
+    def test_enrollment_status_shallow_copy(self):
+        # __setattr__ is blocked, so copying must rebuild through __init__.
+        status = EnrollmentStatus(Term.parse("Fall 2013"), frozenset({"A"}))
+        assert copy.copy(status) == status
 
 
 class TestSuppressedSelectionCount:
