@@ -6,7 +6,8 @@ it smears across the table benchmarks:
 
 * option-set derivation (``Y_i``) — executed once per generated node;
 * prerequisite evaluation and DNF expansion;
-* the max-flow ``left_i`` for the 7-core/5-elective degree goal;
+* the ``left_i`` seat count for the 7-core/5-elective degree goal (closed
+  form) and for a goal with overlapping groups (matching);
 * one full Expander successor sweep;
 * prerequisite-text parsing.
 """
@@ -19,6 +20,7 @@ from repro.core import ExplorationConfig
 from repro.core.expansion import Expander
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.parsing import parse_prerequisites
+from repro.requirements import DegreeGoal, RequirementGroup
 from repro.semester import Term
 
 F13 = Term(2013, "Fall")
@@ -71,12 +73,34 @@ def test_bench_prereq_dnf(benchmark, catalog):
 
 @pytest.mark.benchmark(group="micro")
 def test_bench_degree_left_i(benchmark, midway_completed):
+    goal = brandeis_major_goal()
+
     def run():
-        # Fresh goal per call: measure the flow solve, not the memo.
-        return brandeis_major_goal().remaining_courses(midway_completed)
+        # Disjoint groups: the closed-form seat count runs on every call.
+        return goal.remaining_courses(midway_completed)
 
     left = benchmark(run)
     assert left == 7
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_degree_left_i_overlapping(benchmark):
+    # Core plus two 3-seat tracks sharing three courses: a real matching.
+    goal = DegreeGoal(
+        (
+            RequirementGroup("core", ["c1", "c2", "c3", "c4"], 4),
+            RequirementGroup("track_a", ["e1", "e2", "e3", "e4", "e5", "e6"], 3),
+            RequirementGroup("track_b", ["e4", "e5", "e6", "e7", "e8", "e9"], 3),
+        )
+    )
+    completed = frozenset({"c1", "c3", "e4", "e5", "e6", "e7", "x1"})
+
+    def run():
+        # Call the matcher behind the LRU memo: measure the matching, not the memo.
+        return goal._matched_seats(completed & goal.courses())
+
+    filled = benchmark(run)
+    assert filled == 6
 
 
 @pytest.mark.benchmark(group="micro")

@@ -7,11 +7,13 @@ condition over completed courses.
 
 Beyond a yes/no test, the goal-driven algorithm's time-based pruning
 (§4.2.1) needs ``left_i`` — the **minimum number of additional courses**
-required to satisfy the goal — computed, per the paper's citation of
-Parameswaran et al. (TOIS 2011), with Ford–Fulkerson max-flow.  That flow
-solver lives in :mod:`repro.requirements.flow`, implemented from scratch
-(Edmonds–Karp and Dinic variants) and cross-checked against networkx in the
-test suite.
+required to satisfy the goal — defined, per the paper's citation of
+Parameswaran et al. (TOIS 2011), by Ford–Fulkerson max-flow.
+:class:`DegreeGoal` computes it as a closed form (disjoint groups) or a
+bipartite matching (overlapping groups); the max-flow solvers live in
+:mod:`repro.requirements.flow`, implemented from scratch (Edmonds–Karp and
+Dinic variants), cross-checked against networkx and used as the seat
+counter's oracle in the test suite.
 """
 
 from .flow import FlowNetwork, max_flow

@@ -2,8 +2,9 @@
 
 The paper computes ``left_i`` — the minimum number of courses still needed
 to meet a degree requirement — "using Ford-Fulkerson max-flow algorithm"
-(§4.2.1, citing Parameswaran et al.).  This module provides that substrate:
-a small integer-capacity flow network with two solver implementations,
+(§4.2.1, citing Parameswaran et al.).  This module provides that
+formulation: a small integer-capacity flow network with two solver
+implementations,
 
 * :meth:`FlowNetwork.max_flow` with ``method="edmonds_karp"`` — the
   BFS-augmenting-path realization of Ford–Fulkerson (O(V·E²)), and
@@ -11,8 +12,13 @@ a small integer-capacity flow network with two solver implementations,
 
 Both return identical values (property-tested against each other and
 against ``networkx.maximum_flow`` when available); Dinic is measurably
-faster on the bipartite requirement networks the degree goals build, which
-the ablation benchmark quantifies.
+faster on bipartite requirement networks, which the ablation benchmark
+quantifies.
+
+:class:`~repro.requirements.goals.DegreeGoal` does not build a network per
+query: its ``left_i`` is a closed form for disjoint groups and a bipartite
+matching for overlapping ones.  These solvers are the oracle its tests
+check that seat count against, and stay public API.
 
 Nodes are arbitrary hashable objects.  Parallel ``add_edge`` calls between
 the same pair accumulate capacity.

@@ -17,12 +17,15 @@ the cost of pruning slightly less.
 
 :class:`DegreeGoal` is the paper's evaluation goal ("7 core courses and 5
 elective courses"): a set of k-of-group requirements where one course may
-satisfy at most one group (no double counting), solved with the max-flow
-substrate exactly as the paper prescribes.
+satisfy at most one group (no double counting).  The paper computes its
+``left_i`` with Ford–Fulkerson max-flow; here it is a closed form when the
+groups are disjoint and a bipartite matching when they overlap, and the
+max-flow solvers of :mod:`repro.requirements.flow` are its test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import (
     AbstractSet,
@@ -30,6 +33,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    List,
     Mapping,
     Sequence,
     Tuple,
@@ -37,7 +41,7 @@ from typing import (
 
 from ..catalog.prereq import PrereqExpr, from_dict as prereq_from_dict
 from ..errors import GoalError
-from .flow import FlowNetwork
+from ..obs.runtime import current_observability
 
 __all__ = [
     "Goal",
@@ -215,25 +219,27 @@ class RequirementGroup:
 class DegreeGoal(Goal):
     """A degree requirement: several k-of-group rules, no double counting.
 
-    One completed course may be *assigned* to at most one group, so when
-    groups overlap (a course that is both core-eligible and
-    elective-eligible) satisfaction is an assignment problem.  The paper
-    computes ``left_i`` for exactly this shape with Ford–Fulkerson; we build
-    the standard network
+    One completed course may be *assigned* to at most one group, so the
+    seats a completed set fills are a maximum bipartite assignment of
+    courses to groups (group ``G`` takes at most ``k_G`` courses), and
+    ``left_i = total seats − filled seats``.  The paper computes this with
+    Ford–Fulkerson on the network source → course → group → sink; the
+    goal is compiled once so the hot path builds no network:
 
-        source → course (capacity 1) → each accepting group → sink
-        (capacity = group.required)
+    * **Disjoint groups** (no course in two groups that require seats, the
+      paper's 7-core/5-elective major): the network splits into one star
+      per group, so the maximum is ``Σ_G min(|X ∩ G|, k_G)``.
+    * **Overlapping groups**: augmenting paths over int group indices,
+      visiting courses in sorted order, behind a bounded LRU memo.
 
-    and read off ``left_i = total seats − max-flow(completed courses)``.
     Maximizing seats filled by already-completed courses minimizes the
     additional courses needed (transversal-matroid exchange), so the value
-    is exact — the test suite verifies this against brute force.
+    is exact.  :mod:`repro.requirements.flow` stays the test oracle.
     """
 
-    #: Cap on the per-goal memo of ``_filled_seats`` results.  Each entry is
-    #: one frozenset key and an int; the cap bounds memory during frontier
-    #: runs that touch millions of distinct completed sets.
-    _CACHE_LIMIT = 300_000
+    #: Bound on the LRU memo in front of the overlapping-groups matcher.
+    #: Read when a goal is built.
+    _MATCH_MEMO_SIZE = 65_536
 
     def __init__(self, groups: Sequence[RequirementGroup], name: str = "degree"):
         self._groups = tuple(groups)
@@ -245,12 +251,30 @@ class DegreeGoal(Goal):
             raise GoalError(f"duplicate group names in {names}")
         self._total_required = sum(g.required for g in self._groups)
         self._all_courses = frozenset().union(*(g.course_ids for g in self._groups))
-        # Memo for _filled_seats: generators evaluate the same completed set
-        # several times per node (terminal test, left_i, selection floor).
-        self._seats_cache: Dict[FrozenSet[str], int] = {}
+        # Groups with seats, by index; a required-0 group takes no course.
+        active = [g for g in self._groups if g.required > 0]
+        self._seat_names = tuple(g.name for g in active)
+        self._seat_groups = tuple((g.course_ids, g.required) for g in active)
+        memberships: Dict[str, Tuple[int, ...]] = {}
+        for index, group in enumerate(active):
+            for course_id in group.course_ids:
+                memberships[course_id] = memberships.get(course_id, ()) + (index,)
+        self._memberships = memberships
+        self._disjoint = all(len(indices) == 1 for indices in memberships.values())
+        if self._disjoint:
+            self._count_seats = self._closed_form_seats
+        else:
+            self._seat_memo = functools.lru_cache(maxsize=self._MATCH_MEMO_SIZE)(
+                self._matched_seats
+            )
+            self._count_seats = self._overlapping_seats
         # A course set can never fill more seats than it has members, so the
         # goal is unsatisfiable iff even the full course universe cannot.
-        self._satisfiable = self._filled_seats(self._all_courses) >= self._total_required
+        self._satisfiable = self._count_seats(self._all_courses) >= self._total_required
+
+    def __reduce__(self):
+        # The compiled seat counter holds bound methods; rebuild it.
+        return (type(self), (self._groups, self._name))
 
     @property
     def groups(self) -> Tuple[RequirementGroup, ...]:
@@ -283,32 +307,63 @@ class DegreeGoal(Goal):
 
     def _filled_seats(self, completed: AbstractSet[str]) -> int:
         """Max seats fillable by ``completed`` (one course, one seat)."""
-        relevant = frozenset(completed) & self._all_courses
-        if not relevant:
-            return 0
-        cached = self._seats_cache.get(relevant)
-        if cached is not None:
-            return cached
-        result = self._solve_seats(relevant)
-        if len(self._seats_cache) >= self._CACHE_LIMIT:
-            self._seats_cache.clear()
-        self._seats_cache[relevant] = result
-        return result
+        obs = current_observability()
+        if obs is None:
+            return self._count_seats(completed)
+        method = "closed_form" if self._disjoint else "matching"
+        with obs.phase("flow", method=method):
+            return self._count_seats(completed)
 
-    def _solve_seats(self, relevant: FrozenSet[str]) -> int:
-        network = FlowNetwork()
-        source, sink = ("src",), ("snk",)  # tuples cannot collide with course ids
-        network.add_node(source)
-        network.add_node(sink)
-        for group in self._groups:
-            if group.required > 0:
-                network.add_edge(("group", group.name), sink, group.required)
-        for course_id in relevant:
-            network.add_edge(source, ("course", course_id), 1)
-            for group in self._groups:
-                if group.required > 0 and course_id in group.course_ids:
-                    network.add_edge(("course", course_id), ("group", group.name), 1)
-        return network.max_flow(source, sink)
+    def _closed_form_seats(self, completed: AbstractSet[str]) -> int:
+        filled = 0
+        for course_ids, required in self._seat_groups:
+            taken = len(course_ids.intersection(completed))
+            filled += taken if taken < required else required
+        return filled
+
+    def _overlapping_seats(self, completed: AbstractSet[str]) -> int:
+        # The memo key is always a frozenset, whatever set type came in.
+        return self._seat_memo(self._all_courses.intersection(completed))
+
+    def _matched_seats(self, relevant: FrozenSet[str]) -> int:
+        return sum(len(members) for members in self._match(relevant))
+
+    def _match(self, relevant: AbstractSet[str]) -> List[List[str]]:
+        """A maximum assignment of ``relevant`` courses to group seats.
+
+        Returns the courses held by each active group.  Each course in
+        sorted order gets one augmenting-path search (Kuhn's algorithm with
+        group capacities): a group with a free seat takes it; a full group
+        lets one of its courses move to another group still unvisited.
+        """
+        memberships = self._memberships
+        capacities = [required for _, required in self._seat_groups]
+        holders: List[List[str]] = [[] for _ in capacities]
+        seats = sum(capacities)
+
+        def augment(course_id: str) -> bool:
+            for index in memberships[course_id]:
+                if visited[index]:
+                    continue
+                visited[index] = True
+                members = holders[index]
+                if len(members) < capacities[index]:
+                    members.append(course_id)
+                    return True
+                for slot, other in enumerate(members):
+                    if augment(other):
+                        members[slot] = course_id
+                        return True
+            return False
+
+        filled = 0
+        for course_id in sorted(relevant):
+            if filled == seats:
+                break
+            if course_id in memberships:
+                visited = [False] * len(capacities)
+                filled += augment(course_id)
+        return holders
 
     def is_satisfied(self, completed: AbstractSet[str]) -> bool:
         return self._filled_seats(completed) >= self._total_required
@@ -319,29 +374,17 @@ class DegreeGoal(Goal):
         return self._total_required - self._filled_seats(completed)
 
     def assignment(self, completed: AbstractSet[str]) -> Dict[str, str]:
-        """A maximal ``{course_id: group name}`` assignment — the audit view
-        a front-end shows the student."""
-        relevant = completed & self._all_courses
-        network = FlowNetwork()
-        source, sink = ("src",), ("snk",)
-        network.add_node(source)
-        network.add_node(sink)
-        for group in self._groups:
-            if group.required > 0:
-                network.add_edge(("group", group.name), sink, group.required)
-        for course_id in relevant:
-            network.add_edge(source, ("course", course_id), 1)
-            for group in self._groups:
-                if group.required > 0 and course_id in group.course_ids:
-                    network.add_edge(("course", course_id), ("group", group.name), 1)
-        network.max_flow(source, sink)
-        result = {}
-        for course_id in relevant:
-            for group in self._groups:
-                if network.flow_on(("course", course_id), ("group", group.name)) > 0:
-                    result[course_id] = group.name
-                    break
-        return result
+        """A maximum ``{course_id: group name}`` assignment — the audit view
+        a front-end shows the student.  Courses are matched in sorted
+        order, so the answer never depends on set iteration order."""
+        holders = self._match(self._all_courses.intersection(completed))
+        return dict(
+            sorted(
+                (course_id, self._seat_names[index])
+                for index, members in enumerate(holders)
+                for course_id in members
+            )
+        )
 
     def courses(self) -> FrozenSet[str]:
         return self._all_courses

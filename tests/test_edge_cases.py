@@ -113,25 +113,37 @@ class TestDeterminism:
 
 
 class TestDegreeGoalCache:
-    def test_cache_eviction_keeps_answers_correct(self):
+    def test_cache_eviction_keeps_answers_correct(self, monkeypatch):
+        # Overlapping groups (B counts for either), so seat counts go
+        # through the matcher and its bounded LRU memo.
+        monkeypatch.setattr(DegreeGoal, "_MATCH_MEMO_SIZE", 2)  # force eviction churn
         goal = DegreeGoal(
-            (RequirementGroup("g", {"A", "B", "C"}, 2),)
+            (
+                RequirementGroup("g", {"A", "B", "C"}, 2),
+                RequirementGroup("h", {"B", "D"}, 1),
+            )
         )
-        goal._CACHE_LIMIT = 2  # force eviction churn
+        assert not goal._disjoint
         sets = [
             frozenset(),
             frozenset({"A"}),
             frozenset({"B"}),
             frozenset({"A", "B"}),
-            frozenset({"A", "C"}),
-            frozenset({"B", "C"}),
+            frozenset({"B", "D"}),
+            frozenset({"A", "C", "D"}),
         ]
-        expected = [2, 1, 1, 0, 0, 0]
+        expected = [3, 2, 2, 1, 1, 0]
         for completed, remaining in zip(sets, expected):
             assert goal.remaining_courses(completed) == remaining
+        info = goal._seat_memo.cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+        misses = info.misses
         # Re-query in reverse order: answers unchanged after eviction.
         for completed, remaining in zip(reversed(sets), reversed(expected)):
             assert goal.remaining_courses(completed) == remaining
+        # Only the two newest sets survived; the other four were evicted
+        # and recomputed.
+        assert goal._seat_memo.cache_info().misses == misses + 4
 
 
 class TestAvoidListsEverywhere:

@@ -462,9 +462,8 @@ def catalog():
     return brandeis_catalog()
 
 
-# Function-scoped on purpose: DegreeGoal memoizes its max-flow seat solves
-# per instance, so a shared goal would hide the "flow" spans from every
-# test after the first.
+# Function-scoped: each test gets its own goal, so no state left by one
+# test can change which "flow" spans another one sees.
 @pytest.fixture
 def major_goal():
     return brandeis_major_goal()
