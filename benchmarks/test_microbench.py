@@ -4,7 +4,8 @@ Not paper experiments — these watch the building blocks every algorithm
 leans on, so a performance regression in one of them shows up here before
 it smears across the table benchmarks:
 
-* option-set derivation (``Y_i``) — executed once per generated node;
+* option-set derivation (``Y_i``) — executed once per generated node,
+  timed both as a memo hit and as a compile-and-miss on a fresh catalog;
 * prerequisite evaluation and DNF expansion;
 * the ``left_i`` seat count for the 7-core/5-elective degree goal (closed
   form) and for a goal with overlapping groups (matching);
@@ -41,11 +42,26 @@ def midway_completed():
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_eligible_courses(benchmark, catalog, midway_completed):
+def test_bench_eligible_courses_hit(benchmark, catalog, midway_completed):
+    # Same catalog every round: after the first call this is a memo hit
+    # (the mask projection plus one lookup).
     def run():
         return len(catalog.eligible_courses(midway_completed, S14))
 
     count = benchmark(run)
+    assert count > 0
+
+
+@pytest.mark.benchmark(group="micro")
+def test_bench_eligible_courses_miss(benchmark, midway_completed):
+    # A fresh catalog per round (built untimed): compiling the term's
+    # clause masks plus one derivation.
+    def run(fresh):
+        return len(fresh.eligible_courses(midway_completed, S14))
+
+    count = benchmark.pedantic(
+        run, setup=lambda: ((brandeis_catalog(),), {}), rounds=200
+    )
     assert count > 0
 
 

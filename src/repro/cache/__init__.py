@@ -2,16 +2,18 @@
 
 The exploration engine's hot loop repeats itself at every scale — the
 same max-flow ``left_i`` solve for thousands of tree nodes sharing a
-completed-set, the same option-set computation for transposed statuses,
-the same verdicts when one student re-runs a query against an unchanged
-catalog.  This package removes the repetition without changing a single
-output (path sets, counts, statistics and explain streams are identical
-with caching on or off — property-tested):
+completed-set, the same verdicts when one student re-runs a query against
+an unchanged catalog.  This package removes the repetition without
+changing a single output (path sets, counts, statistics and explain
+streams are identical with caching on or off — property-tested).
+Option sets are not among its layers:
+:meth:`~repro.catalog.Catalog.eligible_courses` compiles ``Y`` to clause
+masks with an exact projected memo of its own.  The layers:
 
 * :class:`FlowMemo` — ``remaining_courses`` / ``is_satisfied`` results
   keyed by ``(goal fingerprint, completed)`` (:mod:`repro.cache.memos`);
-* :class:`EvalMemo` — option sets, availability windows and prereq DNFs
-  shared across pruners and generators (:mod:`repro.cache.memos`);
+* :class:`EvalMemo` — availability windows and prereq DNFs shared
+  across pruners and generators (:mod:`repro.cache.memos`);
 * :class:`TranspositionTable` — recorded pruning outcomes per distinct
   ``(term, completed)`` status (:mod:`repro.cache.transposition`);
 * :class:`CacheStore` — a JSONL store under ``--cache-dir``, keyed by

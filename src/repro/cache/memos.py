@@ -10,11 +10,13 @@ Three cooperating pieces:
   per query still reuses every prior answer, and lets the persistent
   store replay entries across processes.
 
-* :class:`EvalMemo` — memoizes catalog-level evaluation: per-term option
-  sets (``eligible_courses``, which walks every course's prerequisite
-  DNF), the availability pruner's offered-in-remaining-semesters window,
-  and prerequisite-expression DNF conversion.  Keys use *identity
-  tokens* for catalog/schedule objects: hashing a schedule's full
+* :class:`EvalMemo` — memoizes catalog-level evaluation: the
+  availability pruner's offered-in-remaining-semesters window and
+  prerequisite-expression DNF conversion.  Option sets are not held here:
+  :meth:`~repro.catalog.Catalog.eligible_courses` compiles ``Y`` to
+  prerequisite clause masks and memoises it exactly on the slice of the
+  completed set each term can read, cache or no cache.  Keys use
+  *identity tokens* for schedule objects: hashing a schedule's full
   offering map on every lookup would cost more than the lookup saves, so
   each distinct object is assigned a small integer token once (a strong
   reference is kept so tokens can never be recycled onto a different
@@ -54,7 +56,9 @@ __all__ = ["FlowMemo", "EvalMemo", "CachedGoal"]
 #: (Table 2 tops out well under a million distinct completed-sets) never
 #: evict, small enough to bound memory on runaway horizons.
 DEFAULT_FLOW_CAPACITY = 200_000
-DEFAULT_EVAL_CAPACITY = 200_000
+#: Offered windows and DNFs are tiny key spaces (one entry per term window
+#: / per distinct expression), so the eval layer's bound is small.
+DEFAULT_EVAL_CAPACITY = 4096
 
 
 class FlowMemo:
@@ -135,27 +139,24 @@ class FlowMemo:
 class EvalMemo:
     """Shared catalog-level evaluation caches (one per exploration cache).
 
-    All generators and every pruner instance built against the same
-    :class:`~repro.cache.ExplorationCache` route through this object, so
-    a deadline run, a goal run and a ranked run over the same catalog
-    compute each option set and offered-window exactly once between them.
+    Every pruner instance built against the same
+    :class:`~repro.cache.ExplorationCache` routes through this object, so
+    goal and ranked runs over the same catalog compute each offered-window
+    exactly once between them.
     """
 
-    __slots__ = ("options_memo", "offered_memo", "dnf_memo", "_tokens", "_next_token")
+    __slots__ = ("offered_memo", "dnf_memo", "_tokens", "_next_token")
 
     def __init__(self, capacity: Optional[int] = DEFAULT_EVAL_CAPACITY):
-        self.options_memo = LRUMemo("eval_options", capacity)
-        # Offered windows and DNFs are tiny key spaces (one entry per term
-        # window / per distinct expression) — a small bound is plenty.
-        self.offered_memo = LRUMemo("eval_offered", 4096)
-        self.dnf_memo = LRUMemo("eval_dnf", 4096)
+        self.offered_memo = LRUMemo("eval_offered", capacity)
+        self.dnf_memo = LRUMemo("eval_dnf", capacity)
         self._tokens: Dict[int, Tuple[int, Any]] = {}
         self._next_token = itertools.count()
 
     @property
     def memos(self) -> List[LRUMemo]:
         """The constituent memos (for metrics binding and stats)."""
-        return [self.options_memo, self.offered_memo, self.dnf_memo]
+        return [self.offered_memo, self.dnf_memo]
 
     def token(self, obj: Any) -> int:
         """A stable small-integer identity token for ``obj``.
@@ -171,23 +172,6 @@ class EvalMemo:
         token = next(self._next_token)
         self._tokens[id(obj)] = (token, obj)
         return token
-
-    def options(
-        self,
-        catalog,
-        schedule,
-        completed: AbstractSet[str],
-        term: Term,
-        exclude: FrozenSet[str],
-    ) -> FrozenSet[str]:
-        """Memoized ``catalog.eligible_courses`` (the expander's ``Y``)."""
-        key = (self.token(catalog), self.token(schedule), term, frozenset(completed), exclude)
-        found, value = self.options_memo.lookup(key)
-        if found:
-            return value
-        value = catalog.eligible_courses(completed, term, exclude=exclude, schedule=schedule)
-        self.options_memo.store(key, value)
-        return value
 
     def offered_window(
         self, schedule, first_term: Term, last_term: Term, avoid: FrozenSet[str]

@@ -8,11 +8,15 @@ three algorithms share:
 
     Y_i = { c_j ∈ C − X_i  |  Q_j(X_i) == true, s_i ∈ S_j }
 
-via :meth:`Catalog.eligible_courses`.
+via :meth:`Catalog.eligible_courses`.  That query is compiled: course ids
+become bit positions, each course offered in a term becomes a row of
+prerequisite clause masks (its DNF), and answers are memoised on the
+slice of ``X_i`` the term's rows can read.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import (
     AbstractSet,
     Any,
@@ -75,8 +79,10 @@ class Catalog(Mapping[str, Course]):
         self._courses = table
         self._schedule = schedule
         self._offering_model = offering_model or DeterministicOfferings(schedule)
+        self._strict = strict
         if strict:
             self._validate()
+        self._reset_kernels()
 
     def _validate(self) -> None:
         for course in self._courses.values():
@@ -152,16 +158,90 @@ class Catalog(Mapping[str, Course]):
         passes a projected schedule here.
         """
         schedule = schedule if schedule is not None else self._schedule
-        eligible = []
+        kernel = self._kernels.get((id(schedule), term.ordinal))
+        if (
+            kernel is None
+            or kernel.schedule is not schedule
+            or (kernel.term is not term and kernel.term != term)
+        ):
+            kernel = self._compile(schedule, term)
+        bits = self._bits
+        mask = 0
+        for course_id in completed:
+            mask |= bits.get(course_id, 0)
+        if type(exclude) is not frozenset:
+            exclude = frozenset(exclude)
+        return self._options(kernel, mask & kernel.relevant, exclude)
+
+    # -- the compiled option-set kernel ------------------------------------------------
+
+    #: Compiled ``(schedule, term)`` kernels kept per catalog.
+    _KERNEL_LIMIT = 256
+    #: Memoised option sets kept per catalog (least recently used go first).
+    _OPTIONS_MEMO_SIZE = 32_768
+
+    def _reset_kernels(self) -> None:
+        # Bit positions are interned on first use, never in __init__.
+        self._bits: Dict[str, int] = {}
+        # Keyed by (schedule id, term ordinal): an int key skips hashing the
+        # term; the kernel's own schedule and term confirm a hit.
+        self._kernels: Dict[Tuple[int, int], _TermKernel] = {}
+        self._options = functools.lru_cache(maxsize=self._OPTIONS_MEMO_SIZE)(
+            _derive_options
+        )
+
+    def _bit(self, course_id: str) -> int:
+        bit = self._bits.get(course_id)
+        if bit is None:
+            bit = self._bits[course_id] = 1 << len(self._bits)
+        return bit
+
+    def _compile(self, schedule: Schedule, term: Term) -> "_TermKernel":
+        """Compile the rows of ``term`` under ``schedule`` (one per offered
+        course, in ``offered_in`` order) and cache them by schedule
+        identity; the kernel holds its schedule, so the id cannot be reused
+        while the entry lives.
+
+        Every id a row reads — the offered course and each prerequisite it
+        mentions, catalog member or not — gets a bit here, so a completed
+        id without a bit cannot affect any compiled kernel.
+        """
+        rows = []
+        relevant = 0
         for course_id in schedule.offered_in(term):
-            if course_id in completed or course_id in exclude:
-                continue
+            bit = self._bit(course_id)
+            relevant |= bit
             course = self._courses.get(course_id)
             if course is None:
-                raise UnknownCourseError(course_id, context="schedule entry")
-            if course.prereq.evaluate(completed):
-                eligible.append(course_id)
-        return frozenset(eligible)
+                rows.append((bit, course_id, None))
+                continue
+            clauses = []
+            for conjunction in course.prereq.to_dnf():
+                clause = 0
+                for ref in conjunction:
+                    clause |= self._bit(ref)
+                clauses.append(clause)
+                relevant |= clause
+            rows.append((bit, course_id, tuple(clauses)))
+        kernel = _TermKernel(schedule, term, tuple(rows), relevant)
+        key = (id(schedule), term.ordinal)
+        kernels = self._kernels
+        kernels.pop(key, None)
+        if len(kernels) >= self._KERNEL_LIMIT:
+            del kernels[next(iter(kernels))]
+        kernels[key] = kernel
+        return kernel
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Compiled kernels and memoised option sets are caches, not state.
+        state = dict(self.__dict__)
+        for name in ("_bits", "_kernels", "_options"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._reset_kernels()
 
     # -- prerequisite structure -------------------------------------------------------
 
@@ -290,6 +370,7 @@ class Catalog(Mapping[str, Course]):
             self._courses.values(),
             schedule=schedule,
             offering_model=offering_model,
+            strict=self._strict,
         )
 
     # -- serialization ----------------------------------------------------------------
@@ -311,3 +392,40 @@ class Catalog(Mapping[str, Course]):
             [Course.from_dict(item) for item in data.get("courses", ())],
             schedule=Schedule.from_dict(data.get("schedule", {})),
         )
+
+
+class _TermKernel:
+    """The compiled option-set rows of one ``(schedule, term)``.
+
+    ``rows`` holds ``(bit, course_id, clause masks)`` per offered course;
+    the course is eligible iff some clause ``c`` has ``c & X == c``
+    (``TRUE`` is the single clause ``0``, ``FALSE`` has none).  Courses
+    missing from the catalog carry ``None`` instead of clauses.
+    ``relevant`` is the OR of every row's bit and clauses: the only part
+    of ``X`` the answer can depend on.
+    """
+
+    __slots__ = ("schedule", "term", "rows", "relevant")
+
+    def __init__(self, schedule: Schedule, term: Term, rows: tuple, relevant: int):
+        self.schedule = schedule
+        self.term = term
+        self.rows = rows
+        self.relevant = relevant
+
+
+def _derive_options(
+    kernel: _TermKernel, completed: int, exclude: FrozenSet[str]
+) -> FrozenSet[str]:
+    """``Y`` over a kernel, for ``completed`` as a bit mask."""
+    eligible = []
+    for bit, course_id, clauses in kernel.rows:
+        if completed & bit or course_id in exclude:
+            continue
+        if clauses is None:
+            raise UnknownCourseError(course_id, context="schedule entry")
+        for clause in clauses:
+            if clause & completed == clause:
+                eligible.append(course_id)
+                break
+    return frozenset(eligible)

@@ -86,17 +86,16 @@ def build_deadline_dag(
 
     Same rules as :func:`~repro.core.deadline.generate_deadline_driven`;
     ``path_count`` equals the tree algorithm's output-path count exactly.
-    ``config.max_nodes`` bounds *distinct statuses* here.  ``cache`` is an
-    optional :class:`~repro.cache.ExplorationCache` (option sets only
-    here — the DAG already merges statuses within the run, so the shared
-    memo pays off across *runs*).
+    ``config.max_nodes`` bounds *distinct statuses* here.  ``cache`` is
+    accepted for a uniform signature; no cache layer applies without a
+    goal (option sets are memoised by the catalog).
     """
     config = config or ExplorationConfig()
     _check_inputs(catalog, start_term, end_term, completed)
 
     stats = ExplorationStats()
     stats.start_timer()
-    expander = Expander(catalog, end_term, config, cache=cache)
+    expander = Expander(catalog, end_term, config)
     root = expander.initial_status(start_term, completed)
     dag = MergedStatusDag(root)
     stats.record_node()
@@ -148,7 +147,7 @@ def build_goal_dag(
     tree algorithm's output exactly (property-tested).  ``cache`` is an
     optional :class:`~repro.cache.ExplorationCache` — within one run the
     DAG already deduplicates statuses, so its value here is cross-run
-    reuse of flow results, option sets and transposed verdicts.
+    reuse of flow results and transposed verdicts.
     """
     config = config or ExplorationConfig()
     _check_inputs(catalog, start_term, end_term, completed)
@@ -170,7 +169,7 @@ def build_goal_dag(
     stats = ExplorationStats()
     pruning_stats = PruningStats()
     stats.start_timer()
-    expander = Expander(catalog, end_term, config, cache=cache)
+    expander = Expander(catalog, end_term, config)
     root = expander.initial_status(start_term, completed)
     dag = MergedStatusDag(root)
     stats.record_node()

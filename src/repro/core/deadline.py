@@ -75,9 +75,9 @@ def generate_deadline_driven(
         Optional :class:`~repro.obs.runtime.Observability`; when enabled,
         the run emits a ``run:deadline`` span with ``expand`` phases.
     cache:
-        Optional :class:`~repro.cache.ExplorationCache`; option sets are
-        then served from its shared eval memo (deadline-driven runs have
-        no goal, so the flow and transposition layers are unused).
+        Optional :class:`~repro.cache.ExplorationCache`, accepted so every
+        generator takes one; deadline-driven runs have no goal, so no
+        cache layer applies (option sets are memoised by the catalog).
 
     Returns
     -------
@@ -105,7 +105,7 @@ def generate_deadline_driven(
         obs = NULL_OBSERVABILITY
     stats = ExplorationStats()
     stats.start_timer()
-    expander = Expander(catalog, end_term, config, obs=obs, cache=cache)
+    expander = Expander(catalog, end_term, config, obs=obs)
     graph = LearningGraph(expander.initial_status(start_term, completed))
     stats.record_node()
 

@@ -34,10 +34,10 @@ class Expander:
         empty-selection policy to decide whether waiting can still pay off).
     config:
         Student constraints and engine knobs.
-    cache:
-        Optional :class:`~repro.cache.ExplorationCache`; option sets are
-        then served from its shared eval memo, so transposed statuses
-        (and repeated runs over the same catalog) compute each ``Y`` once.
+
+    Option sets come straight from the catalog's compiled, memoised
+    :meth:`~repro.catalog.Catalog.eligible_courses`, so transposed statuses
+    and repeated runs over one catalog share each ``Y``.
     """
 
     def __init__(
@@ -46,13 +46,11 @@ class Expander:
         end_term: Term,
         config: ExplorationConfig,
         obs=None,
-        cache=None,
     ):
         self._catalog = catalog
         self._end_term = end_term
         self._config = config
         self._schedule = config.schedule if config.schedule is not None else catalog.schedule
-        self._eval_memo = cache.eval if cache is not None else None
         # Resolve the metrics counter once up front so options() pays only a
         # None check per call when observability is off (the common case).
         self._options_counter = None
@@ -84,14 +82,6 @@ class Expander:
         (honouring the avoid-list and schedule override)."""
         if self._options_counter is not None:
             self._options_counter.inc()
-        if self._eval_memo is not None:
-            return self._eval_memo.options(
-                self._catalog,
-                self._schedule,
-                completed,
-                term,
-                self._config.avoid_courses,
-            )
         return self._catalog.eligible_courses(
             completed,
             term,

@@ -107,7 +107,7 @@ def _run_frontier(
 ) -> FrontierCount:
     watch = Stopwatch()
     watch.start()
-    expander = Expander(catalog, end_term, config, obs=obs, cache=cache)
+    expander = Expander(catalog, end_term, config, obs=obs)
     transpositions = (
         cache.transposition_view(goal, end_term, config, pruners)
         if cache is not None and goal is not None and pruners

@@ -135,10 +135,10 @@ def generate_goal_driven(
         ``expand``/``prune``/``flow`` phases and publishes the finished
         stats to the metrics registry.
     cache:
-        Optional :class:`~repro.cache.ExplorationCache`.  Goal queries,
-        option sets and pruning verdicts are then memoized (within the
-        run and across runs sharing the cache) — output-identical to the
-        uncached run, including decision streams.
+        Optional :class:`~repro.cache.ExplorationCache`.  Goal queries
+        and pruning verdicts are then memoized (within the run and across
+        runs sharing the cache) — output-identical to the uncached run,
+        including decision streams.
 
     Returns
     -------
@@ -172,7 +172,7 @@ def generate_goal_driven(
     stats = ExplorationStats()
     pruning_stats = PruningStats()
     stats.start_timer()
-    expander = Expander(catalog, end_term, config, obs=obs, cache=cache)
+    expander = Expander(catalog, end_term, config, obs=obs)
     graph = LearningGraph(expander.initial_status(start_term, completed))
     stats.record_node()
 

@@ -147,7 +147,7 @@ def generate_ranked(
     cache:
         Optional :class:`~repro.cache.ExplorationCache`; memoizes goal
         queries (including the rankings' ``remaining_cost_bound`` flow
-        solves), option sets, and pruning verdicts.  Output-identical.
+        solves) and pruning verdicts.  Output-identical.
 
     Returns
     -------
@@ -188,7 +188,7 @@ def generate_ranked(
     stats = ExplorationStats()
     pruning_stats = PruningStats()
     stats.start_timer()
-    expander = Expander(catalog, end_term, config, obs=obs, cache=cache)
+    expander = Expander(catalog, end_term, config, obs=obs)
 
     recorder = obs.decisions
     progress = obs.progress

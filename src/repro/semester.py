@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from .errors import ScheduleParseError
 
@@ -48,7 +48,11 @@ class AcademicCalendar:
     constructed ``("Spring", "Fall")`` calendars are interchangeable.
     """
 
-    __slots__ = ("_seasons", "_index_of")
+    __slots__ = ("_seasons", "_index_of", "_terms")
+
+    #: Interned :class:`Term` instances kept per calendar (see
+    #: :meth:`Term.from_ordinal`); the oldest is dropped one at a time.
+    _INTERNED_TERMS = 4096
 
     def __init__(self, seasons: Sequence[str]):
         cleaned = tuple(str(s).strip() for s in seasons)
@@ -61,6 +65,7 @@ class AcademicCalendar:
             raise ValueError(f"duplicate season names in {cleaned!r}")
         self._seasons = cleaned
         self._index_of = {name.lower(): i for i, name in enumerate(cleaned)}
+        self._terms: Dict[int, "Term"] = {}
 
     @property
     def seasons(self) -> Tuple[str, ...]:
@@ -93,6 +98,10 @@ class AcademicCalendar:
 
     def __repr__(self) -> str:
         return f"AcademicCalendar({self._seasons!r})"
+
+    def __reduce__(self):
+        # The interned-term table is a cache; rebuild it empty.
+        return (type(self), (self._seasons,))
 
 
 #: The default two-season calendar used throughout the paper.
@@ -139,6 +148,11 @@ class Term:
     member of schedule sets.  The season string is canonicalized against the
     calendar at construction time, so ``Term(2011, "fall") == Term(2011,
     "Fall")``.
+
+    The term's ordinal is computed once at construction and kept outside
+    the dataclass fields, so comparisons and arithmetic are O(1) while
+    ``repr``, equality and hashing still see only ``year``, ``season`` and
+    ``calendar``.
     """
 
     year: int
@@ -146,25 +160,41 @@ class Term:
     calendar: AcademicCalendar = SPRING_FALL
 
     def __post_init__(self) -> None:
-        canonical = self.calendar.canonical_season(self.season)
+        index = self.calendar.season_index(self.season)
+        canonical = self.calendar.seasons[index]
         if canonical != self.season:
             object.__setattr__(self, "season", canonical)
         if not isinstance(self.year, int):
             raise TypeError(f"year must be an int, got {self.year!r}")
+        object.__setattr__(self, "_ordinal", self.year * len(self.calendar) + index)
 
     # -- ordinal arithmetic -------------------------------------------------
 
     @property
     def ordinal(self) -> int:
         """Number of terms since season 0 of year 0 on this calendar."""
-        return self.year * len(self.calendar) + self.calendar.season_index(self.season)
+        return self._ordinal
 
     @classmethod
     def from_ordinal(cls, ordinal: int, calendar: AcademicCalendar = SPRING_FALL) -> "Term":
-        """Inverse of :attr:`ordinal`."""
-        n = len(calendar)
-        year, season_index = divmod(ordinal, n)
-        return cls(year, calendar.seasons[season_index], calendar)
+        """Inverse of :attr:`ordinal`.
+
+        Plain :class:`Term` results are interned per ``(calendar,
+        ordinal)``, so stepping through a horizon builds each term once;
+        subclasses are constructed fresh.
+        """
+        if cls is not Term:
+            year, season_index = divmod(ordinal, len(calendar))
+            return cls(year, calendar.seasons[season_index], calendar)
+        interned = calendar._terms
+        term = interned.get(ordinal)
+        if term is None:
+            year, season_index = divmod(ordinal, len(calendar))
+            term = Term(year, calendar.seasons[season_index], calendar)
+            if len(interned) >= calendar._INTERNED_TERMS:
+                del interned[next(iter(interned))]
+            interned[ordinal] = term
+        return term
 
     def _check_same_calendar(self, other: "Term") -> None:
         if self.calendar != other.calendar:
@@ -175,16 +205,17 @@ class Term:
     def __add__(self, k: int) -> "Term":
         if not isinstance(k, int):
             return NotImplemented
-        return Term.from_ordinal(self.ordinal + k, self.calendar)
+        return Term.from_ordinal(self._ordinal + k, self.calendar)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[int, "Term"]) -> Union["Term", int]:
         if isinstance(other, int):
-            return Term.from_ordinal(self.ordinal - other, self.calendar)
+            return Term.from_ordinal(self._ordinal - other, self.calendar)
         if isinstance(other, Term):
-            self._check_same_calendar(other)
-            return self.ordinal - other.ordinal
+            if other.calendar is not self.calendar:
+                self._check_same_calendar(other)
+            return self._ordinal - other._ordinal
         return NotImplemented
 
     def next(self) -> "Term":
@@ -198,8 +229,9 @@ class Term:
     def __lt__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
             return NotImplemented
-        self._check_same_calendar(other)
-        return self.ordinal < other.ordinal
+        if other.calendar is not self.calendar:
+            self._check_same_calendar(other)
+        return self._ordinal < other._ordinal
 
     # -- formatting / parsing -------------------------------------------------
 

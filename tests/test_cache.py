@@ -302,7 +302,10 @@ class TestEquivalence:
         )
         assert cached.path_count == base.path_count
         assert path_keys(cached) == path_keys(base)
-        assert cache.eval.options_memo.misses > 0
+        # Option sets are memoised by the catalog, not the cache; the eval
+        # layer keeps only offered windows and DNFs.
+        assert cache.eval.memos == [cache.eval.offered_memo, cache.eval.dnf_memo]
+        assert not hasattr(cache.eval, "options_memo")
 
     def test_counting_and_frontier_identical(self):
         catalog = brandeis_catalog()

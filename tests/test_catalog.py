@@ -157,6 +157,20 @@ class TestDerivationAndSerialization:
         assert updated.schedule.offerings("11A") == {S12}
         assert fig3_catalog.schedule.offerings("11A") == {F11, F12}
 
+    def test_with_schedule_keeps_non_strict(self):
+        catalog = Catalog(
+            [Course("A", prereq=CourseReq("EXTERNAL 1"))],
+            schedule=Schedule({"A": {F11}}),
+            strict=False,
+        )
+        updated = catalog.with_schedule(Schedule({"A": {S12}}))
+        assert updated.eligible_courses({"EXTERNAL 1"}, S12) == {"A"}
+        assert updated.eligible_courses(frozenset(), S12) == frozenset()
+
+    def test_with_schedule_stays_strict(self, fig3_catalog):
+        with pytest.raises(UnknownCourseError, match="schedule"):
+            fig3_catalog.with_schedule(Schedule({"NEW": {F11}}))
+
     def test_dict_roundtrip(self, fig3_catalog):
         rebuilt = Catalog.from_dict(fig3_catalog.to_dict())
         assert set(rebuilt) == set(fig3_catalog)

@@ -1,5 +1,9 @@
 """Tests for terms, calendars, and semester arithmetic."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +128,98 @@ class TestTermArithmetic:
             _ = Term(2011, "Fall") + 1.5
 
 
+class _SubTerm(Term):
+    """A ``Term`` subclass: constructed fresh, never interned."""
+
+
+class TestTermRoundTrips:
+    """The cached ordinal lives outside the dataclass fields; every way of
+    cloning a term must keep it, and equality and hashing must ignore it."""
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda t: pickle.loads(pickle.dumps(t)),
+            copy.copy,
+            copy.deepcopy,
+            lambda t: dataclasses.replace(t),
+        ],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    @pytest.mark.parametrize(
+        "term",
+        [Term(2013, "Fall"), Term(2014, "Summer", SPRING_SUMMER_FALL)],
+        ids=str,
+    )
+    def test_clone_keeps_ordinal_equality_and_hash(self, term, clone):
+        twin = clone(term)
+        assert twin.ordinal == term.ordinal
+        assert twin == term
+        assert hash(twin) == hash(term)
+        assert twin + 1 == term + 1
+        assert twin - term == 0
+        assert not twin < term and not term < twin
+
+    def test_replace_recomputes_ordinal(self):
+        term = Term(2013, "Fall")
+        moved = dataclasses.replace(term, year=2015)
+        assert moved.ordinal == term.ordinal + 4
+        assert moved == Term(2015, "Fall")
+
+    def test_fields_and_repr_unchanged(self):
+        term = Term(2013, "Fall")
+        names = [field.name for field in dataclasses.fields(term)]
+        assert names == ["year", "season", "calendar"]
+        assert "ordinal" not in repr(term)
+
+    def test_from_ordinal_interns_terms(self):
+        ordinal = Term(2013, "Fall").ordinal
+        assert Term.from_ordinal(ordinal) is Term.from_ordinal(ordinal)
+        assert Term(2013, "Fall") + 2 is Term(2014, "Fall") + 0
+
+    def test_from_ordinal_does_not_intern_subclasses(self):
+        ordinal = Term(2030, "Spring").ordinal
+        first = _SubTerm.from_ordinal(ordinal)
+        again = _SubTerm.from_ordinal(ordinal)
+        assert type(first) is _SubTerm and type(again) is _SubTerm
+        assert first is not again
+        assert first == again
+        assert type(Term.from_ordinal(ordinal)) is Term
+
+    def test_interned_table_is_bounded_and_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(AcademicCalendar, "_INTERNED_TERMS", 3)
+        calendar = AcademicCalendar(("Winter", "Spring", "Fall"))
+        terms = [Term.from_ordinal(ordinal, calendar) for ordinal in range(10)]
+        assert [t.ordinal for t in terms] == list(range(10))
+        assert len(calendar._terms) == 3
+        assert Term.from_ordinal(9, calendar) is terms[9]
+        assert Term.from_ordinal(0, calendar) == terms[0]
+
+    def test_equal_calendars_still_compare(self):
+        twin = AcademicCalendar(("Spring", "Fall"))
+        assert twin is not SPRING_FALL
+        assert Term(2011, "Fall", twin) < Term(2012, "Spring")
+        assert Term(2012, "Spring") - Term(2011, "Fall", twin) == 1
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda a, b: a < b,
+            lambda a, b: a > b,
+            lambda a, b: a <= b,
+            lambda a, b: a - b,
+        ],
+        ids=["lt", "gt", "le", "sub"],
+    )
+    def test_mixed_calendars_raise(self, operation):
+        two = Term(2011, "Fall")
+        three = Term(2011, "Fall", SPRING_SUMMER_FALL)
+        with pytest.raises(ValueError, match="different calendars"):
+            operation(two, three)
+        with pytest.raises(ValueError, match="different calendars"):
+            operation(three, two)
+
+
 class TestTermParsing:
     @pytest.mark.parametrize(
         "text,expected",
@@ -209,3 +305,18 @@ def test_parse_str_roundtrip(year, season):
 def test_parse_short_roundtrip(year, season):
     term = Term(year, season)
     assert Term.parse(term.short) == term
+
+
+@given(
+    st.integers(min_value=1900, max_value=2100),
+    st.sampled_from(["Spring", "Summer", "Fall"]),
+    st.integers(min_value=-50, max_value=50),
+)
+def test_three_season_roundtrip(year, season, delta):
+    term = Term(year, season, SPRING_SUMMER_FALL)
+    moved = term + delta
+    assert moved.calendar is SPRING_SUMMER_FALL
+    assert moved - delta == term
+    assert moved - term == delta
+    assert Term.from_ordinal(moved.ordinal, SPRING_SUMMER_FALL) == moved
+    assert (moved < term) == (delta < 0)
