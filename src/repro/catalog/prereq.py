@@ -170,6 +170,9 @@ class _TruePrereq(PrereqExpr):
     def __repr__(self) -> str:
         return "TRUE"
 
+    def __reduce__(self):
+        return "TRUE"  # the module-level singleton
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _TruePrereq)
 
@@ -205,6 +208,9 @@ class _FalsePrereq(PrereqExpr):
     def __repr__(self) -> str:
         return "FALSE"
 
+    def __reduce__(self):
+        return "FALSE"
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _FalsePrereq)
 
@@ -229,6 +235,11 @@ class CourseReq(PrereqExpr):
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("CourseReq is immutable")
+
+    def __reduce__(self):
+        # __setattr__ is blocked, so pickling and copying go back through
+        # __init__ instead of restoring slots one by one.
+        return (CourseReq, (self.course_id,))
 
     def evaluate(self, completed: AbstractSet[str]) -> bool:
         return self.course_id in completed
@@ -288,6 +299,9 @@ class And(PrereqExpr):
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("And is immutable")
 
+    def __reduce__(self):
+        return (And, self.children)
+
     def evaluate(self, completed: AbstractSet[str]) -> bool:
         return all(child.evaluate(completed) for child in self.children)
 
@@ -338,6 +352,9 @@ class Or(PrereqExpr):
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Or is immutable")
+
+    def __reduce__(self):
+        return (Or, self.children)
 
     def evaluate(self, completed: AbstractSet[str]) -> bool:
         return any(child.evaluate(completed) for child in self.children)
@@ -397,6 +414,9 @@ class KOf(PrereqExpr):
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("KOf is immutable")
+
+    def __reduce__(self):
+        return (KOf, (self.k, self.children))
 
     def evaluate(self, completed: AbstractSet[str]) -> bool:
         satisfied = sum(1 for child in self.children if child.evaluate(completed))

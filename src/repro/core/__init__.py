@@ -10,9 +10,11 @@ Three generators, matching Section 4:
   under a ranking function (time / workload / reliability, §4.3) via
   best-first search.
 
-plus counting-mode variants (:mod:`repro.core.counting`) that run the same
-expansions over a merged-status DAG to produce exact path counts at
-horizons where the paper's tree explodes.
+plus counting-mode variants (:mod:`repro.core.counting`,
+:mod:`repro.core.frontier`) that run the same expansions over merged
+statuses to produce exact path counts at horizons where the paper's tree
+explodes.  Every engine takes its per-node decision from one kernel,
+:class:`~repro.core.step.NodeStep`, and differs only in traversal order.
 """
 
 from .config import ExplorationConfig

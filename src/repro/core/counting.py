@@ -10,10 +10,11 @@ status once, and an exact path count falls out of a linear DP — this is
 how the reproduction fills Table 2's large rows without the authors'
 32 GB server.
 
-The goal/terminal/pruning rules here mirror
-:mod:`~repro.core.deadline` and :mod:`~repro.core.goal_driven` exactly;
-an equivalence property test asserts ``tree.count_paths() ==
-dag.count_paths()`` on random catalogs.
+Each distinct status is decided by the same
+:class:`~repro.core.step.NodeStep` as the tree engines, so the goal,
+terminal and pruning rules are theirs by construction; an equivalence
+property test asserts ``tree.count_paths() == dag.count_paths()`` on
+random catalogs.
 """
 
 from __future__ import annotations
@@ -22,23 +23,14 @@ from dataclasses import dataclass
 from typing import AbstractSet, List, Optional
 
 from ..catalog import Catalog
-from ..errors import BudgetExceededError, ExplorationError
 from ..graph.dag import MergedStatusDag
+from ..obs.runtime import Observability
 from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
-from .expansion import Expander
-from .goal_driven import _selection_floor
-from .pruning import (
-    Pruner,
-    PruningContext,
-    PruningStats,
-    TimeBasedPruner,
-    default_pruners,
-    first_firing_pruner,
-    suppressed_selection_count,
-)
+from .pruning import Pruner, PruningStats
 from .stats import ExplorationStats
+from .step import NodeStep
 
 __all__ = [
     "CountResult",
@@ -64,14 +56,53 @@ class CountResult:
         return self.dag.num_nodes
 
 
-def _check_inputs(
-    catalog: Catalog, start_term: Term, end_term: Term, completed: AbstractSet[str]
-) -> None:
-    if end_term < start_term:
-        raise ExplorationError(f"end term {end_term} precedes start term {start_term}")
-    unknown = frozenset(completed) - catalog.course_ids()
-    if unknown:
-        raise ExplorationError(f"completed courses not in catalog: {sorted(unknown)}")
+def _grow_dag(step: NodeStep) -> CountResult:
+    """Depth-first traversal over merged statuses: each distinct
+    ``(term, completed)`` is decided once by ``step``; a repeat only adds
+    an edge.  ``config.max_nodes`` bounds the number of distinct statuses.
+    Decision events are not recorded (merged nodes have no tree ids)."""
+    expander = step.expander
+    max_nodes = step.config.max_nodes
+    stats = step.stats
+    obs = step.obs
+    root = expander.initial_status(step.start_term, step.completed)
+    dag = MergedStatusDag(root)
+    stats.record_node()
+
+    with step.start():
+        stack = [root.key]
+        while stack:
+            key = stack.pop()
+            status = dag.status(key)
+            kind = step.decide(status, key)
+            if kind is not None:
+                dag.mark_terminal(key, kind)
+                continue
+            children = 0
+            with obs.phase("expand"):
+                for selection, child_status in expander.successors(
+                    status, required_minimum=step.floor
+                ):
+                    child_key, created = dag.ensure_node(child_status)
+                    if created:
+                        if max_nodes is not None and dag.num_nodes > max_nodes:
+                            raise step.exceeded("nodes", max_nodes, dag.num_nodes)
+                        stats.record_node()
+                        stack.append(child_key)
+                    else:
+                        stats.record_merge()
+                    dag.add_edge(key, selection, child_key)
+                    stats.record_edge()
+                    children += 1
+            if step.close(status, key, children, len(stack)) is not None:
+                dag.mark_terminal(key, "dead_end")
+    step.finish()
+    return CountResult(
+        dag=dag,
+        stats=stats,
+        path_count=dag.count_paths(*step.outputs),
+        pruning_stats=step.pruning_stats if step.goal is not None else None,
+    )
 
 
 def build_deadline_dag(
@@ -81,6 +112,7 @@ def build_deadline_dag(
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
     cache=None,
+    obs: Optional[Observability] = None,
 ) -> CountResult:
     """Deadline-driven expansion over merged statuses.
 
@@ -88,46 +120,12 @@ def build_deadline_dag(
     ``path_count`` equals the tree algorithm's output-path count exactly.
     ``config.max_nodes`` bounds *distinct statuses* here.  ``cache`` is
     accepted for a uniform signature; no cache layer applies without a
-    goal (option sets are memoised by the catalog).
+    goal (option sets are memoised by the catalog).  ``obs`` is an
+    optional :class:`~repro.obs.runtime.Observability` bundle (span
+    ``run:deadline_dag`` with ``expand`` phases, progress, budget ticks).
     """
-    config = config or ExplorationConfig()
-    _check_inputs(catalog, start_term, end_term, completed)
-
-    stats = ExplorationStats()
-    stats.start_timer()
-    expander = Expander(catalog, end_term, config)
-    root = expander.initial_status(start_term, completed)
-    dag = MergedStatusDag(root)
-    stats.record_node()
-
-    stack = [root.key]
-    while stack:
-        key = stack.pop()
-        status = dag.status(key)
-        if status.term >= end_term:
-            dag.mark_terminal(key, "deadline")
-            stats.record_terminal("deadline")
-            continue
-        expanded = False
-        for selection, child_status in expander.successors(status):
-            child_key, created = dag.ensure_node(child_status)
-            if created:
-                if config.max_nodes is not None and dag.num_nodes > config.max_nodes:
-                    stats.stop_timer()
-                    raise BudgetExceededError("nodes", config.max_nodes, dag.num_nodes)
-                stats.record_node()
-                stack.append(child_key)
-            else:
-                stats.record_merge()
-            dag.add_edge(key, selection, child_key)
-            stats.record_edge()
-            expanded = True
-        if not expanded:
-            dag.mark_terminal(key, "dead_end")
-            stats.record_terminal("dead_end")
-
-    stats.stop_timer()
-    return CountResult(dag=dag, stats=stats, path_count=dag.count_paths())
+    step = NodeStep("deadline_dag", catalog, start_term, end_term, completed, config, obs=obs)
+    return _grow_dag(step)
 
 
 def build_goal_dag(
@@ -139,6 +137,7 @@ def build_goal_dag(
     config: Optional[ExplorationConfig] = None,
     pruners: Optional[List[Pruner]] = None,
     cache=None,
+    obs: Optional[Observability] = None,
 ) -> CountResult:
     """Goal-driven expansion over merged statuses.
 
@@ -147,87 +146,16 @@ def build_goal_dag(
     tree algorithm's output exactly (property-tested).  ``cache`` is an
     optional :class:`~repro.cache.ExplorationCache` — within one run the
     DAG already deduplicates statuses, so its value here is cross-run
-    reuse of flow results and transposed verdicts.
+    reuse of flow results and transposed verdicts.  ``obs`` is an
+    optional :class:`~repro.obs.runtime.Observability` bundle (span
+    ``run:goal_dag`` with ``expand``/``prune``/``flow`` phases, progress,
+    budget ticks; no decision events).
     """
-    config = config or ExplorationConfig()
-    _check_inputs(catalog, start_term, end_term, completed)
-
-    if cache is not None:
-        goal = cache.wrap_goal(goal)
-    context = PruningContext(
-        catalog=catalog, goal=goal, end_term=end_term, config=config, cache=cache
+    step = NodeStep(
+        "goal_dag", catalog, start_term, end_term, completed, config,
+        goal=goal, pruners=pruners, obs=obs, cache=cache,
     )
-    if pruners is None:
-        pruners = default_pruners(context)
-    time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
-    transpositions = (
-        cache.transposition_view(goal, end_term, config, pruners)
-        if cache is not None and pruners
-        else None
-    )
-
-    stats = ExplorationStats()
-    pruning_stats = PruningStats()
-    stats.start_timer()
-    expander = Expander(catalog, end_term, config)
-    root = expander.initial_status(start_term, completed)
-    dag = MergedStatusDag(root)
-    stats.record_node()
-
-    stack = [root.key]
-    while stack:
-        key = stack.pop()
-        status = dag.status(key)
-        if goal.is_satisfied(status.completed):
-            dag.mark_terminal(key, "goal")
-            stats.record_terminal("goal")
-            continue
-        if status.term >= end_term:
-            dag.mark_terminal(key, "deadline")
-            stats.record_terminal("deadline")
-            continue
-        if transpositions is not None:
-            firing_name, _ = transpositions.consult(pruners, status)
-        else:
-            firing = first_firing_pruner(pruners, status)
-            firing_name = firing.name if firing is not None else None
-        if firing_name is not None:
-            dag.mark_terminal(key, "pruned")
-            stats.record_terminal("pruned")
-            stats.record_prune(firing_name)
-            pruning_stats.record(firing_name)
-            continue
-
-        floor = _selection_floor(time_pruner, config, status)
-        suppressed = suppressed_selection_count(len(status.options), floor)
-        if suppressed:
-            stats.record_prune("time", suppressed)
-            pruning_stats.record("time", suppressed)
-        expanded = False
-        for selection, child_status in expander.successors(status, required_minimum=floor):
-            child_key, created = dag.ensure_node(child_status)
-            if created:
-                if config.max_nodes is not None and dag.num_nodes > config.max_nodes:
-                    stats.stop_timer()
-                    raise BudgetExceededError("nodes", config.max_nodes, dag.num_nodes)
-                stats.record_node()
-                stack.append(child_key)
-            else:
-                stats.record_merge()
-            dag.add_edge(key, selection, child_key)
-            stats.record_edge()
-            expanded = True
-        if not expanded:
-            dag.mark_terminal(key, "dead_end")
-            stats.record_terminal("dead_end")
-
-    stats.stop_timer()
-    return CountResult(
-        dag=dag,
-        stats=stats,
-        path_count=dag.count_paths("goal"),
-        pruning_stats=pruning_stats,
-    )
+    return _grow_dag(step)
 
 
 def count_deadline_paths(
@@ -237,10 +165,11 @@ def count_deadline_paths(
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
     cache=None,
+    obs: Optional[Observability] = None,
 ) -> int:
     """Exact deadline-driven path count without materializing the tree."""
     return build_deadline_dag(
-        catalog, start_term, end_term, completed, config, cache=cache
+        catalog, start_term, end_term, completed, config, cache=cache, obs=obs
     ).path_count
 
 
@@ -253,8 +182,10 @@ def count_goal_paths(
     config: Optional[ExplorationConfig] = None,
     pruners: Optional[List[Pruner]] = None,
     cache=None,
+    obs: Optional[Observability] = None,
 ) -> int:
     """Exact goal-driven path count without materializing the tree."""
     return build_goal_dag(
-        catalog, start_term, goal, end_term, completed, config, pruners, cache=cache
+        catalog, start_term, goal, end_term, completed, config, pruners,
+        cache=cache, obs=obs,
     ).path_count

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Optional
 
 from ..catalog import Catalog
-from ..errors import ExplorationError
 from ..graph import LearningGraph, LearningPath
-from ..obs.live import budget_exceeded
-from ..obs.runtime import NULL_OBSERVABILITY, Observability
+from ..obs.runtime import Observability
 from ..semester import Term
 from .config import ExplorationConfig
-from .expansion import Expander
 from .stats import ExplorationStats
+from .step import NodeStep
 
 __all__ = ["DeadlineResult", "generate_deadline_driven"]
 
@@ -73,7 +71,8 @@ def generate_deadline_driven(
         evaluation (``m = 3``).
     obs:
         Optional :class:`~repro.obs.runtime.Observability`; when enabled,
-        the run emits a ``run:deadline`` span with ``expand`` phases.
+        the run emits a ``run:deadline`` span with ``expand`` phases and
+        records its decisions like the goal-driven run.
     cache:
         Optional :class:`~repro.cache.ExplorationCache`, accepted so every
         generator takes one; deadline-driven runs have no goal, so no
@@ -92,70 +91,48 @@ def generate_deadline_driven(
     BudgetExceededError
         If the graph outgrows ``config.max_nodes``.
     """
-    config = config or ExplorationConfig()
-    if end_term < start_term:
-        raise ExplorationError(
-            f"end term {end_term} precedes start term {start_term}"
-        )
-    unknown = frozenset(completed) - catalog.course_ids()
-    if unknown:
-        raise ExplorationError(f"completed courses not in catalog: {sorted(unknown)}")
+    step = NodeStep("deadline", catalog, start_term, end_term, completed, config, obs=obs)
+    return DeadlineResult(graph=grow_tree(step), stats=step.stats)
 
-    if obs is None:
-        obs = NULL_OBSERVABILITY
-    stats = ExplorationStats()
-    stats.start_timer()
-    expander = Expander(catalog, end_term, config, obs=obs)
-    graph = LearningGraph(expander.initial_status(start_term, completed))
+
+def grow_tree(step: NodeStep) -> LearningGraph:
+    """Depth-first tree traversal: one :class:`LearningGraph` node per
+    expansion, each decided by ``step`` (the deadline- and goal-driven
+    engines differ only in their step).  ``config.max_nodes`` bounds the
+    tree's size, raising :class:`~repro.errors.BudgetExceededError`."""
+    expander = step.expander
+    max_nodes = step.config.max_nodes
+    stats = step.stats
+    obs = step.obs
+    graph = LearningGraph(expander.initial_status(step.start_term, step.completed))
     stats.record_node()
 
-    progress = obs.progress
-    budget = obs.budget
-    if progress is not None:
-        progress.begin_run("deadline", horizon=int(end_term - start_term))
-    if budget is not None:
-        budget.arm()
-    with obs.run("deadline", start=str(start_term), end=str(end_term)):
+    def describe(node_id: int, kind: str):
+        selection = tuple(sorted(graph.selection_into(node_id)))
+        return node_id, graph.parent(node_id), selection, None
+
+    with step.start(describe):
         stack = [graph.root_id]
         while stack:
             node_id = stack.pop()
             status = graph.status(node_id)
-            if budget is not None:
-                budget.tick(stats, progress)
-            depth = int(status.term - start_term) if progress is not None else 0
-            if status.term >= end_term:
-                graph.mark_terminal(node_id, "deadline")
-                stats.record_terminal("deadline")
-                if progress is not None:
-                    progress.record_terminal("deadline", depth)
-                    progress.record_emit()
+            kind = step.decide(status, node_id)
+            if kind is not None:
+                graph.mark_terminal(node_id, kind)
                 continue
-            expanded = False
             children = 0
             with obs.phase("expand"):
-                for selection, child_status in expander.successors(status):
-                    if config.max_nodes is not None and graph.num_nodes >= config.max_nodes:
-                        raise budget_exceeded(
-                            "nodes", config.max_nodes, graph.num_nodes,
-                            stats=stats, progress=progress, budget=budget,
-                        )
+                for selection, child_status in expander.successors(
+                    status, required_minimum=step.floor
+                ):
+                    if max_nodes is not None and graph.num_nodes >= max_nodes:
+                        raise step.exceeded("nodes", max_nodes, graph.num_nodes)
                     child_id = graph.add_child(node_id, selection, child_status)
                     stats.record_node()
                     stats.record_edge()
                     stack.append(child_id)
-                    expanded = True
                     children += 1
-            if not expanded:
+            if step.close(status, node_id, children, len(stack)) is not None:
                 graph.mark_terminal(node_id, "dead_end")
-                stats.record_terminal("dead_end")
-                if progress is not None:
-                    # Dead ends are maximal paths too (Fig. 3's n6).
-                    progress.record_terminal("dead_end", depth)
-                    progress.record_emit()
-            elif progress is not None:
-                progress.record_expanded(depth, children)
-                progress.set_frontier(len(stack))
-
-    stats.stop_timer()
-    obs.record_run_stats("deadline", stats)
-    return DeadlineResult(graph=graph, stats=stats)
+    step.finish()
+    return graph

@@ -28,28 +28,13 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional
 
 from ..catalog import Catalog
-from ..errors import ExplorationError
 from ..graph.status import EnrollmentStatus
-from ..obs.explain import DecisionEvent
-from ..obs.live import budget_exceeded
-from ..obs.runtime import NULL_OBSERVABILITY, Observability
-from ..obs.tracing import Stopwatch
+from ..obs.runtime import Observability
 from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
-from .expansion import Expander
-from .goal_driven import _selection_floor
-from .pruning import (
-    AvailabilityPruner,
-    Pruner,
-    PruningContext,
-    PruningStats,
-    TimeBasedPruner,
-    default_pruners,
-    examine_pruners,
-    first_firing_pruner,
-    suppressed_selection_count,
-)
+from .pruning import Pruner, PruningStats
+from .step import NodeStep
 
 __all__ = ["FrontierCount", "frontier_count_goal_paths", "frontier_count_deadline_paths"]
 
@@ -81,228 +66,81 @@ class FrontierCount:
         )
 
 
-def _check_inputs(
-    catalog: Catalog, start_term: Term, end_term: Term, completed: AbstractSet[str]
-) -> None:
-    if end_term < start_term:
-        raise ExplorationError(f"end term {end_term} precedes start term {start_term}")
-    unknown = frozenset(completed) - catalog.course_ids()
-    if unknown:
-        raise ExplorationError(f"completed courses not in catalog: {sorted(unknown)}")
+def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
+    """Layer-merged traversal: one dict of ``completed → multiplicity`` per
+    term, each state decided once by ``step`` with its multiplicity.
 
-
-def _run_frontier(
-    catalog: Catalog,
-    start_term: Term,
-    end_term: Term,
-    completed: AbstractSet[str],
-    config: ExplorationConfig,
-    goal: Optional[Goal],
-    pruners: List[Pruner],
-    time_pruner: Optional[TimeBasedPruner],
-    count_dead_ends: bool,
-    max_frontier: Optional[int],
-    obs: Observability,
-    cache=None,
-) -> FrontierCount:
-    watch = Stopwatch()
-    watch.start()
-    expander = Expander(catalog, end_term, config, obs=obs)
-    transpositions = (
-        cache.transposition_view(goal, end_term, config, pruners)
-        if cache is not None and goal is not None and pruners
-        else None
-    )
-    pruning_stats = PruningStats()
-    # The built-in bounds only read (term, completed), so option sets need
-    # deriving only for states that survive to expansion; a third-party
-    # pruner may inspect status.options, so its presence keeps the eager
-    # derivation order.
-    lazy_options = all(
-        isinstance(p, (TimeBasedPruner, AvailabilityPruner)) for p in pruners
-    )
-
-    frontier: Dict[FrozenSet[str], int] = {frozenset(completed): 1}
-    term = start_term
-    peak = len(frontier)
-    total_states = len(frontier)
+    A state stays a bare status (no option set) until it survives the
+    terminal and pruning checks, when the pruners allow it.
+    """
+    expander = step.expander
+    end_term = step.end_term
+    lazy_options = step.lazy_options
+    stats = step.stats
+    obs = step.obs
+    frontier: Dict[FrozenSet[str], int] = {step.completed: 1}
+    term = step.start_term
     widths = [len(frontier)]
     terminal_counts: Dict[str, int] = {}
-    instrumented = obs.enabled
-    recorder = obs.decisions
-    progress = obs.progress
-    budget = obs.budget
-    run_name = "frontier_goal" if goal is not None else "frontier_deadline"
-    if progress is not None:
-        progress.begin_run(run_name, horizon=int(end_term - start_term))
-    if budget is not None:
-        budget.arm()
     # Frontier states are merged, so decision events carry synthetic ids
     # and no parent linkage; ``multiplicity`` says how many tree nodes the
-    # one recorded decision stands for.
+    # one recorded decision stands for.  Expansions are not recorded.
     next_eid = itertools.count()
 
-    def _terminate(kind: str, multiplicity: int) -> None:
-        terminal_counts[kind] = terminal_counts.get(kind, 0) + multiplicity
+    def describe(multiplicity: int, kind: str):
+        if kind == "expand":
+            return None
+        return next(next_eid), None, (), {"multiplicity": multiplicity}
 
-    def _record(kind: str, status: EnrollmentStatus, multiplicity: int, **kwargs) -> None:
-        detail = dict(kwargs.pop("detail", {}))
-        detail["multiplicity"] = multiplicity
-        recorder.record(
-            DecisionEvent(
-                kind=kind,
-                node_id=next(next_eid),
-                parent_id=None,
-                term=str(status.term),
-                completed=tuple(sorted(status.completed)),
-                detail=detail,
-                **kwargs,
-            )
-        )
-
-    with obs.run(run_name, start=str(start_term), end=str(end_term)):
+    with step.start(describe):
         while frontier and term <= end_term:
             next_frontier: Dict[FrozenSet[str], int] = {}
-            depth = int(term - start_term) if progress is not None else 0
             for state, multiplicity in frontier.items():
-                if budget is not None:
-                    budget.tick(None, progress)
+                # One node per decided state, so node budgets count states.
+                stats.record_node()
                 if lazy_options:
                     status = expander.bare_status(term, state)
                 else:
                     status = EnrollmentStatus(
                         term=term, completed=state, options=expander.options(state, term)
                     )
-                if goal is not None and goal.is_satisfied(state):
-                    _terminate("goal", multiplicity)
-                    if progress is not None:
-                        progress.record_terminal("goal", depth)
-                        progress.record_emit(multiplicity)
-                    if recorder is not None:
-                        _record("goal", status, multiplicity)
-                    continue
-                if term >= end_term:
-                    _terminate("deadline", multiplicity)
-                    if progress is not None:
-                        progress.record_terminal("deadline", depth)
-                    if recorder is not None:
-                        _record("deadline", status, multiplicity)
-                    continue
-                if goal is not None:
-                    if transpositions is not None:
-                        with obs.phase("prune"):
-                            firing_name, verdict_dicts = transpositions.consult(
-                                pruners, status, obs, want_verdicts=recorder is not None
-                            )
-                    elif recorder is None:
-                        with obs.phase("prune"):
-                            firing = first_firing_pruner(pruners, status, obs)
-                        firing_name = firing.name if firing is not None else None
-                        verdict_dicts = None
-                    else:
-                        with obs.phase("prune"):
-                            firing, verdicts = examine_pruners(pruners, status, obs)
-                        firing_name = firing.name if firing is not None else None
-                        verdict_dicts = tuple(v.as_dict() for v in verdicts)
-                    if firing_name is not None:
-                        pruning_stats.record(firing_name)
-                        _terminate("pruned", multiplicity)
-                        if progress is not None:
-                            progress.record_pruned(depth)
-                        if recorder is not None:
-                            _record(
-                                "prune",
-                                status,
-                                multiplicity,
-                                strategy=firing_name,
-                                verdicts=verdict_dicts,
-                            )
-                        continue
-                    if lazy_options:
-                        # Survived every terminal check: expansion is next,
-                        # so the option set is finally needed.
-                        status = expander.attach_options(status)
-                    floor = _selection_floor(time_pruner, config, status)
-                    suppressed = suppressed_selection_count(len(status.options), floor)
-                    if suppressed:
-                        pruning_stats.record("time", suppressed)
-                        if recorder is not None:
-                            _record(
-                                "suppressed",
-                                status,
-                                multiplicity,
-                                strategy="time",
-                                detail={
-                                    "suppressed": suppressed,
-                                    "floor": floor,
-                                    "option_count": len(status.options),
-                                },
-                            )
-                else:
-                    floor = 0
-                    if lazy_options:
-                        status = expander.attach_options(status)
-                if instrumented:
-                    # Split successor generation from layer merging so the
-                    # two phases are visible separately in the breakdown.
+                kind = step.decide(status, multiplicity, multiplicity)
+                if kind is None:
+                    status = step.status
                     with obs.phase("expand"):
                         children = [
                             child.completed
                             for _selection, child in expander.successors(
-                                status, required_minimum=floor
+                                status, required_minimum=step.floor
                             )
                         ]
-                    expanded = bool(children)
-                    if expanded and progress is not None:
-                        progress.record_expanded(depth, len(children))
                     with obs.phase("merge"):
                         for key in children:
                             next_frontier[key] = next_frontier.get(key, 0) + multiplicity
-                else:
-                    expanded = False
-                    for _selection, child in expander.successors(
-                        status, required_minimum=floor
-                    ):
-                        key = child.completed
-                        next_frontier[key] = next_frontier.get(key, 0) + multiplicity
-                        expanded = True
-                if not expanded:
-                    _terminate("dead_end", multiplicity)
-                    if progress is not None:
-                        progress.record_terminal("dead_end", depth)
-                    if recorder is not None:
-                        _record("dead_end", status, multiplicity)
-                # Check the budget as the layer grows (not just once it is
-                # complete) so an exploding layer fails fast instead of
-                # exhausting memory first.
-                if max_frontier is not None and len(next_frontier) > max_frontier:
-                    raise budget_exceeded(
-                        "frontier states", max_frontier, len(next_frontier),
-                        progress=progress, budget=budget,
-                    )
+                    kind = step.close(status, multiplicity, len(children), None, multiplicity)
+                    # Check the budget as the layer grows (not just once it
+                    # is complete) so an exploding layer fails fast instead
+                    # of exhausting memory first.
+                    if max_frontier is not None and len(next_frontier) > max_frontier:
+                        raise step.exceeded(
+                            "frontier states", max_frontier, len(next_frontier)
+                        )
+                if kind is not None:
+                    terminal_counts[kind] = terminal_counts.get(kind, 0) + multiplicity
             frontier = next_frontier
             term = term + 1
-            if progress is not None:
-                progress.set_frontier(len(frontier))
+            if obs.progress is not None:
+                obs.progress.set_frontier(len(frontier))
             if frontier:
-                peak = max(peak, len(frontier))
-                total_states += len(frontier)
                 widths.append(len(frontier))
 
-    if goal is not None:
-        total = terminal_counts.get("goal", 0)
-    else:
-        # Deadline mode: every maximal path — deadline leaves + dead ends.
-        total = terminal_counts.get("deadline", 0) + (
-            terminal_counts.get("dead_end", 0) if count_dead_ends else 0
-        )
-    watch.stop()
+    step.finish()
     return FrontierCount(
-        path_count=total,
-        peak_frontier=peak,
-        total_states=total_states,
-        elapsed_seconds=watch.elapsed,
-        pruning_stats=pruning_stats if goal is not None else None,
+        path_count=sum(terminal_counts.get(kind, 0) for kind in step.outputs),
+        peak_frontier=max(widths),
+        total_states=sum(widths),
+        elapsed_seconds=stats.elapsed_seconds,
+        pruning_stats=step.pruning_stats if step.goal is not None else None,
         layer_widths=widths,
         terminal_path_counts=terminal_counts,
     )
@@ -330,30 +168,11 @@ def frontier_count_goal_paths(
     ``cache`` an optional :class:`~repro.cache.ExplorationCache`
     (count-identical, like all cached runs).
     """
-    config = config or ExplorationConfig()
-    _check_inputs(catalog, start_term, end_term, completed)
-    if cache is not None:
-        goal = cache.wrap_goal(goal)
-    context = PruningContext(
-        catalog=catalog, goal=goal, end_term=end_term, config=config, cache=cache
+    step = NodeStep(
+        "frontier_goal", catalog, start_term, end_term, completed, config,
+        goal=goal, pruners=pruners, obs=obs, cache=cache, lazy_options=True,
     )
-    if pruners is None:
-        pruners = default_pruners(context)
-    time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
-    return _run_frontier(
-        catalog,
-        start_term,
-        end_term,
-        completed,
-        config,
-        goal,
-        pruners,
-        time_pruner,
-        count_dead_ends=False,
-        max_frontier=max_frontier,
-        obs=obs if obs is not None else NULL_OBSERVABILITY,
-        cache=cache,
-    )
+    return _run_frontier(step, max_frontier)
 
 
 def frontier_count_deadline_paths(
@@ -371,19 +190,8 @@ def frontier_count_deadline_paths(
     Counts match :func:`~repro.core.deadline.generate_deadline_driven`:
     deadline leaves plus dead ends.
     """
-    config = config or ExplorationConfig()
-    _check_inputs(catalog, start_term, end_term, completed)
-    return _run_frontier(
-        catalog,
-        start_term,
-        end_term,
-        completed,
-        config,
-        goal=None,
-        pruners=[],
-        time_pruner=None,
-        count_dead_ends=True,
-        max_frontier=max_frontier,
-        obs=obs if obs is not None else NULL_OBSERVABILITY,
-        cache=cache,
+    step = NodeStep(
+        "frontier_deadline", catalog, start_term, end_term, completed, config,
+        obs=obs, lazy_options=True,
     )
+    return _run_frontier(step, max_frontier)

@@ -24,26 +24,14 @@ from ..catalog import Catalog
 from ..errors import ExplorationError
 from ..graph.path import LearningPath
 from ..graph.status import EnrollmentStatus
-from ..obs.explain import DecisionEvent
-from ..obs.live import budget_exceeded
-from ..obs.runtime import NULL_OBSERVABILITY, Observability
+from ..obs.runtime import Observability
 from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
-from .expansion import Expander
-from .goal_driven import _selection_floor
-from .pruning import (
-    Pruner,
-    PruningContext,
-    PruningStats,
-    TimeBasedPruner,
-    default_pruners,
-    examine_pruners,
-    first_firing_pruner,
-    suppressed_selection_count,
-)
+from .pruning import Pruner, PruningStats
 from .ranking import RankingFunction
 from .stats import ExplorationStats
+from .step import NodeStep
 
 __all__ = ["RankedResult", "generate_ranked"]
 
@@ -70,16 +58,13 @@ class _SearchNode:
         #: Explain-only node id, assigned only when decisions are recorded.
         self.eid = eid
 
-    def decision(self, kind: str, **kwargs) -> DecisionEvent:
-        """The decision event closing this node (explain recording only)."""
-        return DecisionEvent(
-            kind=kind,
-            node_id=self.eid if self.eid is not None else -1,
-            parent_id=self.parent.eid if self.parent is not None else None,
-            term=str(self.status.term),
-            selection=tuple(sorted(self.selection)),
-            completed=tuple(sorted(self.status.completed)),
-            **kwargs,
+    def describe(self, kind: str):
+        """This node's identity in decision events (explain recording)."""
+        return (
+            self.eid if self.eid is not None else -1,
+            self.parent.eid if self.parent is not None else None,
+            tuple(sorted(self.selection)),
+            {"cost": self.cost} if kind == "goal" else None,
         )
 
     def materialize(self) -> LearningPath:
@@ -160,56 +145,26 @@ def generate_ranked(
     (queue inserts), raising :class:`~repro.errors.BudgetExceededError`
     beyond it.
     """
-    config = config or ExplorationConfig()
     if k < 1:
         raise ExplorationError(f"k must be >= 1, got {k}")
-    if end_term < start_term:
-        raise ExplorationError(f"end term {end_term} precedes start term {start_term}")
-    unknown = frozenset(completed) - catalog.course_ids()
-    if unknown:
-        raise ExplorationError(f"completed courses not in catalog: {sorted(unknown)}")
-
-    if cache is not None:
-        goal = cache.wrap_goal(goal)
-    context = PruningContext(
-        catalog=catalog, goal=goal, end_term=end_term, config=config, cache=cache
+    step = NodeStep(
+        "ranked", catalog, start_term, end_term, completed, config,
+        goal=goal, pruners=pruners, obs=obs, cache=cache,
     )
-    if pruners is None:
-        pruners = default_pruners(context)
-    time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
-    transpositions = (
-        cache.transposition_view(goal, end_term, config, pruners)
-        if cache is not None and pruners
-        else None
-    )
-
-    if obs is None:
-        obs = NULL_OBSERVABILITY
-    stats = ExplorationStats()
-    pruning_stats = PruningStats()
-    stats.start_timer()
-    expander = Expander(catalog, end_term, config, obs=obs)
-
-    recorder = obs.decisions
-    progress = obs.progress
-    budget = obs.budget
-    if progress is not None:
-        progress.begin_run("ranked", horizon=int(end_term - start_term))
-    if budget is not None:
-        budget.arm()
-    root = _SearchNode(
-        expander.initial_status(start_term, completed),
-        None,
-        frozenset(),
-        0.0,
-        0,
-        eid=0 if recorder is not None else None,
-    )
+    goal = step.goal
+    config = step.config
+    expander = step.expander
+    stats = step.stats
+    obs = step.obs
+    scope = step.start(_SearchNode.describe, k=k)
+    recording = step.recording
+    root_status = expander.initial_status(step.start_term, step.completed)
+    root = _SearchNode(root_status, None, frozenset(), 0.0, 0, 0 if recording else None)
     stats.record_node()
     tiebreak = itertools.count()
     next_eid = itertools.count(1)
 
-    with obs.run("ranked", start=str(start_term), end=str(end_term), k=k):
+    with scope:
         with obs.phase("rank"):
             root_bound = ranking.remaining_cost_bound(root.status, goal, config)
         # Heap entries are (cost + admissible completion bound, -depth, order,
@@ -226,82 +181,18 @@ def generate_ranked(
         generated = 1
 
         while frontier and len(paths) < k:
-            _priority, _neg_depth, _order, node = heapq.heappop(frontier)
-            cost = node.cost
+            node = heapq.heappop(frontier)[3]
             status = node.status
-            if budget is not None:
-                budget.tick(stats, progress)
-
-            if goal.is_satisfied(status.completed):
+            kind = step.decide(status, node)
+            if kind == "goal":
                 paths.append(node.materialize())
-                costs.append(cost)
-                stats.record_terminal("goal")
-                if progress is not None:
-                    progress.record_terminal("goal", node.depth)
-                    progress.record_emit()
-                if recorder is not None:
-                    recorder.record(node.decision("goal", detail={"cost": cost}))
+                costs.append(node.cost)
+            if kind is not None:
                 continue
-            if status.term >= end_term:
-                stats.record_terminal("deadline")
-                if progress is not None:
-                    progress.record_terminal("deadline", node.depth)
-                if recorder is not None:
-                    recorder.record(node.decision("deadline"))
-                continue
-            if transpositions is not None:
-                with obs.phase("prune"):
-                    firing_name, verdict_dicts = transpositions.consult(
-                        pruners, status, obs, want_verdicts=recorder is not None
-                    )
-            elif recorder is None:
-                with obs.phase("prune"):
-                    firing = first_firing_pruner(pruners, status, obs)
-                firing_name = firing.name if firing is not None else None
-                verdict_dicts = None
-            else:
-                with obs.phase("prune"):
-                    firing, verdicts = examine_pruners(pruners, status, obs)
-                firing_name = firing.name if firing is not None else None
-                verdict_dicts = tuple(v.as_dict() for v in verdicts)
-            if firing_name is not None:
-                stats.record_terminal("pruned")
-                stats.record_prune(firing_name)
-                pruning_stats.record(firing_name)
-                if progress is not None:
-                    progress.record_pruned(node.depth)
-                if recorder is not None:
-                    recorder.record(
-                        node.decision(
-                            "prune",
-                            strategy=firing_name,
-                            verdicts=verdict_dicts,
-                        )
-                    )
-                continue
-
-            floor = _selection_floor(time_pruner, config, status)
-            suppressed = suppressed_selection_count(len(status.options), floor)
-            if suppressed:
-                stats.record_prune("time", suppressed)
-                pruning_stats.record("time", suppressed)
-                if recorder is not None:
-                    recorder.record(
-                        node.decision(
-                            "suppressed",
-                            strategy="time",
-                            detail={
-                                "suppressed": suppressed,
-                                "floor": floor,
-                                "option_count": len(status.options),
-                            },
-                        )
-                    )
-            expanded = False
             children = 0
             with obs.phase("expand"):
                 for selection, child_status in expander.successors(
-                    status, required_minimum=floor
+                    status, required_minimum=step.floor
                 ):
                     with obs.phase("rank"):
                         edge_cost = ranking.edge_cost(selection, status.term)
@@ -318,47 +209,29 @@ def generate_ranked(
                         continue  # goal unreachable from the child
                     generated += 1
                     if config.max_nodes is not None and generated > config.max_nodes:
-                        raise budget_exceeded(
-                            "nodes", config.max_nodes, generated,
-                            stats=stats, progress=progress, budget=budget,
-                        )
+                        raise step.exceeded("nodes", config.max_nodes, generated)
                     child = _SearchNode(
                         child_status,
                         node,
                         selection,
-                        cost + edge_cost,
+                        node.cost + edge_cost,
                         node.depth + 1,
-                        eid=next(next_eid) if recorder is not None else None,
+                        eid=next(next_eid) if recording else None,
                     )
                     stats.record_node()
                     stats.record_edge()
                     heapq.heappush(
                         frontier, (child.cost + bound, -child.depth, next(tiebreak), child)
                     )
-                    expanded = True
                     children += 1
-            if not expanded:
-                stats.record_terminal("dead_end")
-                if progress is not None:
-                    progress.record_terminal("dead_end", node.depth)
-                if recorder is not None:
-                    recorder.record(node.decision("dead_end"))
-            else:
-                if progress is not None:
-                    progress.record_expanded(node.depth, children)
-                    progress.set_frontier(len(frontier))
-                if recorder is not None:
-                    recorder.record(
-                        node.decision("expand", detail={"children": children})
-                    )
+            step.close(status, node, children, len(frontier))
 
-    stats.stop_timer()
-    obs.record_run_stats("ranked", stats)
+    step.finish()
     return RankedResult(
         paths=paths,
         costs=costs,
         ranking=ranking,
         stats=stats,
-        pruning_stats=pruning_stats,
+        pruning_stats=step.pruning_stats,
         exhausted=len(paths) < k,
     )

@@ -1,0 +1,322 @@
+"""The node-step kernel: the one per-node decision every engine shares.
+
+Goal-driven search adds a goal test and sound pruning to deadline-driven
+expansion, and ranked search only changes the order in which nodes are
+expanded (§4.1–4.3).  :class:`NodeStep` decides each node for all of them:
+budget tick; goal test, then deadline test; the pruner stack (through the
+cache's transposition table when one is attached); the strategic-selection
+floor ``min_i`` and the selections it suppresses.  It records every
+outcome in the run's stats, pruning stats, progress and decision events,
+so the engines keep only their traversal order: DFS tree
+(:mod:`~repro.core.deadline`), DFS over merged statuses
+(:mod:`~repro.core.counting`), best-first (:mod:`~repro.core.ranked`) and
+layer-merged (:mod:`~repro.core.frontier`).
+
+The run's mode is one fact: with a goal, the ``goal`` terminals are the
+output paths; without one, every maximal path (``deadline`` and
+``dead_end``) is.  With observability off the kernel allocates nothing per
+node: kinds are interned strings and the floor is an attribute.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import AbstractSet, Any, Callable, List, Optional, Tuple
+
+from ..catalog import Catalog
+from ..errors import BudgetExceededError, ExplorationError
+from ..graph.status import EnrollmentStatus
+from ..obs.explain import DecisionEvent
+from ..obs.live import budget_exceeded
+from ..obs.runtime import NULL_OBSERVABILITY, Observability
+from ..obs.tracing import NULL_SPAN
+from ..requirements import Goal
+from ..semester import Term
+from .config import ExplorationConfig
+from .expansion import Expander
+from .pruning import (
+    AvailabilityPruner,
+    Pruner,
+    PruningContext,
+    PruningStats,
+    TimeBasedPruner,
+    default_pruners,
+    examine_pruners,
+    first_firing_pruner,
+    suppressed_selection_count,
+)
+from .stats import ExplorationStats
+
+__all__ = ["NodeStep"]
+
+#: ``describe(ref, kind) -> (node_id, parent_id, selection, extra_detail)``.
+Describe = Callable[[Any, str], Optional[Tuple[int, Optional[int], Tuple[str, ...], Any]]]
+
+
+class NodeStep:
+    """One run's per-node decision, shared by every traversal order.
+
+    Parameters
+    ----------
+    run:
+        The run name (``goal_driven``, ``ranked``, ``frontier_goal``, …):
+        the ``run:<name>`` span, the progress run and the metrics ``kind``.
+    catalog, start_term, end_term, completed, config:
+        The exploration inputs, validated here.
+    goal:
+        The goal, or ``None`` for a deadline-driven run: no goal test, no
+        pruning, and the deadline and dead-end terminals are the outputs.
+    pruners, obs, cache:
+        As in the generators; ``pruners=None`` is the paper's stack.
+    lazy_options:
+        The traversal passes bare statuses (no ``Y``) and wants ``Y``
+        derived for survivors only.  Honoured when every pruner is a
+        built-in bound, which never reads ``Y``; read :attr:`lazy_options`
+        back to learn whether it is on.
+    """
+
+    __slots__ = (
+        "name", "start_term", "end_term", "completed", "config", "goal",
+        "pruners", "obs", "stats", "pruning_stats", "expander", "lazy_options",
+        "outputs", "floor", "status", "_time_pruner", "_transpositions",
+        "_describe", "_recorder", "_progress", "_budget",
+    )
+
+    def __init__(
+        self,
+        run: str,
+        catalog: Catalog,
+        start_term: Term,
+        end_term: Term,
+        completed: AbstractSet[str],
+        config: Optional[ExplorationConfig],
+        goal: Optional[Goal] = None,
+        pruners: Optional[List[Pruner]] = None,
+        obs: Optional[Observability] = None,
+        cache=None,
+        lazy_options: bool = False,
+    ):
+        config = config or ExplorationConfig()
+        if end_term < start_term:
+            raise ExplorationError(f"end term {end_term} precedes start term {start_term}")
+        completed = frozenset(completed)
+        unknown = completed - catalog.course_ids()
+        if unknown:
+            raise ExplorationError(f"completed courses not in catalog: {sorted(unknown)}")
+        if goal is None:
+            pruners = []
+        else:
+            if cache is not None:
+                goal = cache.wrap_goal(goal)
+            if pruners is None:
+                pruners = default_pruners(
+                    PruningContext(
+                        catalog=catalog, goal=goal, end_term=end_term, config=config,
+                        cache=cache,
+                    )
+                )
+        time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
+        self.name = run
+        self.start_term = start_term
+        self.end_term = end_term
+        self.completed = completed
+        self.config = config
+        self.goal = goal
+        self.pruners = pruners
+        self.obs = obs if obs is not None else NULL_OBSERVABILITY
+        #: The terminal kinds that are the run's output paths.
+        self.outputs = ("goal",) if goal is not None else ("deadline", "dead_end")
+        self.lazy_options = lazy_options and all(
+            isinstance(p, (TimeBasedPruner, AvailabilityPruner)) for p in pruners
+        )
+        self.floor = 0
+        self.status: Optional[EnrollmentStatus] = None
+        self._time_pruner = time_pruner if config.enforce_min_selection else None
+        self._transpositions = (
+            cache.transposition_view(goal, end_term, config, pruners)
+            if cache is not None and pruners
+            else None
+        )
+        self._describe: Optional[Describe] = None
+        self._recorder = None
+        self._progress = self.obs.progress
+        self._budget = self.obs.budget
+        self.stats = ExplorationStats()
+        self.pruning_stats = PruningStats()
+        self.stats.start_timer()
+        self.expander = Expander(catalog, end_term, config, obs=self.obs)
+
+    # -- run lifecycle ---------------------------------------------------------
+
+    def start(self, describe: Optional[Describe] = None, **attributes: Any):
+        """Begin the run and return its ``run:<name>`` scope to enter.
+
+        ``describe(ref, kind)`` names a node in decision events: it returns
+        ``(node_id, parent_id, selection, extra_detail)``, or ``None`` to
+        leave the kind unrecorded; ``ref`` is what the traversal passes to
+        :meth:`decide`.  Without it the run records no decisions even when
+        a recorder is attached.  ``attributes`` annotate the run span.
+        """
+        self._describe = describe
+        self._recorder = self.obs.decisions if describe is not None else None
+        if self._progress is not None:
+            self._progress.begin_run(self.name, horizon=int(self.end_term - self.start_term))
+        if self._budget is not None:
+            self._budget.arm()
+        return self.obs.run(
+            self.name, start=str(self.start_term), end=str(self.end_term), **attributes
+        )
+
+    def finish(self) -> None:
+        """Stop the run timer and publish the run's stats to metrics."""
+        self.stats.stop_timer()
+        self.obs.record_run_stats(self.name, self.stats)
+
+    def exceeded(self, kind: str, limit: float, observed: float) -> BudgetExceededError:
+        """The error for a traversal's own size limit (``max_nodes``,
+        ``max_frontier``), carrying the partial stats and progress."""
+        return budget_exceeded(
+            kind, limit, observed,
+            stats=self.stats, progress=self._progress, budget=self._budget,
+        )
+
+    @property
+    def recording(self) -> bool:
+        """Whether this run records decision events (after :meth:`start`)."""
+        return self._recorder is not None
+
+    # -- the per-node decision ---------------------------------------------------
+
+    def decide(
+        self, status: EnrollmentStatus, ref: Any, multiplicity: int = 1
+    ) -> Optional[str]:
+        """Decide one node: its terminal kind, or ``None`` to expand it.
+
+        On ``None`` the traversal expands :attr:`status` (``status``, with
+        ``Y`` attached under :attr:`lazy_options`) with
+        ``required_minimum=`` :attr:`floor`, then calls :meth:`close`.
+        ``multiplicity`` is how many tree nodes the node stands for (a
+        merged frontier state); it weights the emitted output paths.
+        """
+        if self._budget is not None:
+            self._budget.tick(self.stats, self._progress)
+        goal = self.goal
+        if goal is not None and goal.is_satisfied(status.completed):
+            return self._terminal("goal", status, ref, multiplicity)
+        if status.term >= self.end_term:
+            return self._terminal("deadline", status, ref, multiplicity)
+        if goal is not None and self._pruned(status, ref):
+            return "pruned"
+        if self.lazy_options:
+            status = self.expander.attach_options(status)
+        self.status = status
+
+        time_pruner = self._time_pruner
+        if time_pruner is None:
+            self.floor = 0
+            return None
+        minimum = time_pruner.min_required_this_term(status)
+        if math.isinf(minimum):
+            # The pruner stack should have cut this node already; stay safe.
+            floor = self.config.max_courses_per_term + 1
+        else:
+            floor = max(0, int(math.ceil(minimum)))
+        self.floor = floor
+        suppressed = suppressed_selection_count(len(status.options), floor)
+        if suppressed:
+            self.stats.record_prune("time", suppressed)
+            self.pruning_stats.record("time", suppressed)
+            if self._recorder is not None:
+                detail = {
+                    "suppressed": suppressed,
+                    "floor": floor,
+                    "option_count": len(status.options),
+                }
+                self._record(ref, status, "suppressed", "time", None, detail)
+        return None
+
+    def close(
+        self,
+        status: EnrollmentStatus,
+        ref: Any,
+        children: int,
+        frontier: Optional[int] = None,
+        multiplicity: int = 1,
+    ) -> Optional[str]:
+        """Record an expanded node: ``"dead_end"`` when it had no children,
+        else ``None``.  ``frontier`` is the traversal's open-node count
+        after the expansion (``None`` when it reports widths itself)."""
+        if not children:
+            return self._terminal("dead_end", status, ref, multiplicity)
+        progress = self._progress
+        if progress is not None:
+            progress.record_expanded(int(status.term - self.start_term), children)
+            if frontier is not None:
+                progress.set_frontier(frontier)
+        if self._recorder is not None:
+            self._record(ref, status, "expand", None, None, {"children": children})
+        return None
+
+    # -- recording -----------------------------------------------------------------
+
+    def _pruned(self, status: EnrollmentStatus, ref: Any) -> bool:
+        obs = self.obs
+        recorder = self._recorder
+        # Not calling a disabled bundle's phase() saves its **attributes dict.
+        with obs.phase("prune") if obs.enabled else NULL_SPAN:
+            if self._transpositions is not None:
+                name, verdicts = self._transpositions.consult(
+                    self.pruners, status, obs, want_verdicts=recorder is not None
+                )
+            elif recorder is None:
+                firing = first_firing_pruner(self.pruners, status, obs)
+                name = firing.name if firing is not None else None
+                verdicts = None
+            else:
+                firing, found = examine_pruners(self.pruners, status, obs)
+                name = firing.name if firing is not None else None
+                verdicts = tuple(verdict.as_dict() for verdict in found)
+        if name is None:
+            return False
+        self.stats.record_terminal("pruned")
+        self.stats.record_prune(name)
+        self.pruning_stats.record(name)
+        if self._progress is not None:
+            self._progress.record_pruned(int(status.term - self.start_term))
+        if recorder is not None:
+            self._record(ref, status, "prune", name, verdicts, None)
+        return True
+
+    def _terminal(
+        self, kind: str, status: EnrollmentStatus, ref: Any, multiplicity: int
+    ) -> str:
+        self.stats.record_terminal(kind)
+        progress = self._progress
+        if progress is not None:
+            progress.record_terminal(kind, int(status.term - self.start_term))
+            if kind in self.outputs:
+                progress.record_emit(multiplicity)
+        if self._recorder is not None:
+            self._record(ref, status, kind, None, None, None)
+        return kind
+
+    def _record(self, ref, status, kind, strategy, verdicts, detail) -> None:
+        identity = self._describe(ref, kind)
+        if identity is None:
+            return
+        node_id, parent_id, selection, extra = identity
+        if extra:
+            detail = {**detail, **extra} if detail else extra
+        self._recorder.record(
+            DecisionEvent(
+                kind=kind,
+                node_id=node_id,
+                parent_id=parent_id,
+                term=str(status.term),
+                selection=selection,
+                completed=tuple(sorted(status.completed)),
+                strategy=strategy,
+                verdicts=verdicts or (),
+                detail=detail or {},
+            )
+        )

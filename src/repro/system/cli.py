@@ -132,9 +132,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
-        default=True,
-        help="memoize flow/option-set/pruning computations during the run "
-        "(output-identical; --no-cache runs the bare engine)",
+        default=None,
+        help="memoize seat counts, offered windows and pruning verdicts "
+        "during the run (output-identical; off by default, since a one-shot "
+        "query pays for a cold cache; on when --cache-dir is given)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -142,7 +143,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="persist the flow memo under DIR (keyed by catalog content "
         "fingerprint, so catalog edits cold-start automatically); later "
-        "runs against the same catalog warm-start from it",
+        "runs against the same catalog warm-start from it (implies --cache)",
     )
 
 
@@ -308,9 +309,12 @@ def _make_cache(args: argparse.Namespace, catalog) -> Optional[ExplorationCache]
     Kept on ``args._cache`` so :func:`main`'s cleanup can save the
     persistent store and report hit rates after the command finishes.
     """
-    if not getattr(args, "cache", False):
-        return None
     cache_dir = getattr(args, "cache_dir", None)
+    enabled = getattr(args, "cache", None)
+    if enabled is None:  # neither --cache nor --no-cache: --cache-dir decides
+        enabled = bool(cache_dir)
+    if not enabled:
+        return None
     if cache_dir:
         cache = ExplorationCache.with_store(catalog, cache_dir)
     else:

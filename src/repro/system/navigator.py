@@ -288,6 +288,7 @@ class CourseNavigator:
             completed=completed,
             config=config,
             cache=self._cache,
+            obs=self._obs,
         )
 
     def count_goal(
@@ -307,6 +308,7 @@ class CourseNavigator:
             completed=completed,
             config=config,
             cache=self._cache,
+            obs=self._obs,
         )
 
     # -- transcript auditing ------------------------------------------------------------

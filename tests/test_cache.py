@@ -616,8 +616,18 @@ class TestCacheCLI:
         assert code == 0
         assert "cache hits:" not in captured.err
 
+    @pytest.mark.parametrize("flags, cached", [([], False), (["--cache"], True)])
+    def test_cache_is_opt_in(self, tmp_path, catalog_path, flags, cached):
+        metrics = tmp_path / "metrics.json"
+        code = cli_main(
+            self._goal_args(catalog_path, [*flags, "--metrics-out", str(metrics)])
+        )
+        assert code == 0
+        names = {m["name"] for m in json.loads(metrics.read_text())["metrics"]}
+        assert ("repro_cache_hits_total" in names) is cached
+
     def test_cache_on_without_dir_is_memory_only(self, capsys, catalog_path):
-        code = cli_main(self._goal_args(catalog_path))
+        code = cli_main(self._goal_args(catalog_path, ["--cache"]))
         captured = capsys.readouterr()
         assert code == 0
         assert "flow entries saved" not in captured.err

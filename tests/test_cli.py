@@ -440,6 +440,29 @@ class TestLiveTelemetryFlags:
         assert "[goal_driven]" in err
         assert "done" in err
 
+    @pytest.mark.parametrize(
+        "command, start, run",
+        [("goal", "Fall 2013", "goal_dag"), ("deadline", "Spring 2014", "deadline_dag")],
+    )
+    def test_count_only_runs_are_instrumented(self, capsys, tmp_path, command, start, run):
+        metrics_path = tmp_path / "metrics.prom"
+        code, out, err = run_cli(
+            capsys,
+            command,
+            "--start", start,
+            "--end", "Fall 2015",
+            "--count-only",
+            "--progress",
+            "--metrics-out", str(metrics_path),
+        )
+        assert code == 0
+        assert "paths" in out
+        assert f"[{run}]" in err and "done" in err
+        text = metrics_path.read_text()
+        assert f'repro_runs_total{{kind="{run}"}} 1' in text
+        assert "repro_nodes_created_total" in text
+        assert 'repro_phase_duration_seconds_bucket{phase="expand"' in text
+
     def test_serve_metrics_announces_ephemeral_port(self, capsys, tmp_path, fig3_catalog):
         import re
 

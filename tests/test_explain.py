@@ -17,6 +17,8 @@ import pytest
 
 from repro.core import (
     ExplorationConfig,
+    build_goal_dag,
+    generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
 )
@@ -442,6 +444,27 @@ class TestRecordingEquivalence:
         for event in report.events:
             assert event.parent_id is None
             assert "multiplicity" in event.detail
+
+    def test_deadline_tree_records_one_decision_per_node(self, catalog):
+        start = Term(2014, "Fall")
+        plain = generate_deadline_driven(catalog, start, END)
+        recorder = DecisionRecorder()
+        recorded = generate_deadline_driven(
+            catalog, start, END, obs=Observability(decisions=recorder)
+        )
+        assert recorded.path_count == plain.path_count
+        counts = recorder.report().counts_by_kind()
+        assert sum(counts.values()) == recorded.graph.num_nodes
+        assert counts["deadline"] + counts.get("dead_end", 0) == recorded.path_count
+
+    def test_counting_dag_records_no_decisions(self, catalog):
+        recorder = DecisionRecorder()
+        result = build_goal_dag(
+            catalog, START, brandeis_major_goal(), END,
+            obs=Observability(decisions=recorder),
+        )
+        assert result.path_count > 0
+        assert len(recorder) == 0
 
     def test_navigator_threads_recorder(self, catalog):
         recorder = DecisionRecorder()

@@ -18,11 +18,13 @@ import urllib.request
 import pytest
 
 from repro.core import (
+    build_deadline_dag,
+    build_goal_dag,
     generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
 )
-from repro.core.frontier import frontier_count_goal_paths
+from repro.core.frontier import frontier_count_deadline_paths, frontier_count_goal_paths
 from repro.core.ranking import TimeRanking
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.errors import BudgetExceededError, RunCancelledError
@@ -393,14 +395,29 @@ class TestGeneratorBudgets:
         assert info.value.progress.run == "ranked"
 
     def test_frontier(self):
-        # No ExplorationStats in the frontier DP: the tick count stands in.
+        # The frontier DP counts one node per decided state.
         obs = Observability(budget=ExplorationBudget(max_nodes=20))
         with pytest.raises(BudgetExceededError) as info:
             frontier_count_goal_paths(
                 brandeis_catalog(), START, brandeis_major_goal(), END, obs=obs
             )
-        self._assert_partial(info.value, expect_stats=False)
+        self._assert_partial(info.value)
         assert info.value.progress.run == "frontier_goal"
+        assert info.value.partial_stats.nodes_created == 21
+
+    def test_goal_dag(self):
+        obs = Observability(budget=ExplorationBudget(max_nodes=50))
+        with pytest.raises(BudgetExceededError) as info:
+            build_goal_dag(brandeis_catalog(), START, brandeis_major_goal(), END, obs=obs)
+        self._assert_partial(info.value)
+        assert info.value.progress.run == "goal_dag"
+
+    def test_deadline_dag(self):
+        obs = Observability(budget=ExplorationBudget(max_nodes=50))
+        with pytest.raises(BudgetExceededError) as info:
+            build_deadline_dag(brandeis_catalog(), START, END, obs=obs)
+        self._assert_partial(info.value)
+        assert info.value.progress.run == "deadline_dag"
 
     def test_wall_budget_on_real_run(self):
         obs = Observability(budget=ExplorationBudget(wall_seconds=0.0))
@@ -422,6 +439,20 @@ class TestGeneratorBudgets:
         assert snap.finished
         assert snap.paths_emitted == plain.path_count
         assert snap.progress_fraction == 1.0
+
+    def test_frontier_deadline_count_emits_its_paths(self):
+        # Deadline mode: every deadline leaf and dead end is an output
+        # path, weighted by how many tree paths the merged state stands for.
+        start = Term(2014, "Spring")
+        tree_obs = Observability(progress=ProgressTracker())
+        tree = generate_deadline_driven(brandeis_catalog(), start, END, obs=tree_obs)
+        obs = Observability(progress=ProgressTracker())
+        counted = frontier_count_deadline_paths(brandeis_catalog(), start, END, obs=obs)
+        assert counted.path_count == tree.path_count > 0
+        snap = obs.progress.snapshot()
+        assert snap.finished
+        assert snap.paths_emitted == counted.path_count
+        assert snap.paths_emitted == tree_obs.progress.snapshot().paths_emitted
 
 
 # ---------------------------------------------------------------------------

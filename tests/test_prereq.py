@@ -1,6 +1,8 @@
 """Tests for the prerequisite expression AST."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -288,3 +290,49 @@ def test_dnf_has_no_absorbed_supersets(expr):
     dnf = expr.to_dnf()
     for conj in dnf:
         assert not any(other < conj for other in dnf)
+
+
+_ROUND_TRIPS = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+_EXPRESSIONS = {
+    "course": CourseReq("A"),
+    "and": And(CourseReq("A"), CourseReq("B")),
+    "or": Or(CourseReq("A"), And(CourseReq("B"), CourseReq("C"))),
+    "kof": KOf(2, [CourseReq("A"), CourseReq("B"), Or(CourseReq("C"), CourseReq("D"))]),
+}
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("how", sorted(_ROUND_TRIPS))
+    @pytest.mark.parametrize("name", sorted(_EXPRESSIONS))
+    def test_expression_round_trips(self, name, how):
+        expr = _EXPRESSIONS[name]
+        restored = _ROUND_TRIPS[how](expr)
+        assert type(restored) is type(expr)
+        assert restored == expr
+        assert hash(restored) == hash(expr)
+        assert restored.to_dict() == expr.to_dict()
+
+    @pytest.mark.parametrize("how", sorted(_ROUND_TRIPS))
+    def test_constants_stay_singletons(self, how):
+        assert _ROUND_TRIPS[how](TRUE) is TRUE
+        assert _ROUND_TRIPS[how](FALSE) is FALSE
+
+    @pytest.mark.parametrize("how", sorted(_ROUND_TRIPS))
+    def test_catalog_with_prerequisites_round_trips(self, how):
+        from repro.data import brandeis_catalog
+        from repro.semester import Term
+
+        catalog = brandeis_catalog()
+        assert any(course.prereq is not TRUE for course in catalog.courses())
+        restored = _ROUND_TRIPS[how](catalog)
+        assert restored.to_dict() == catalog.to_dict()
+        completed = frozenset({"COSI 11a", "COSI 12b"})
+        term = Term(2014, "Fall")
+        assert restored.eligible_courses(completed, term) == catalog.eligible_courses(
+            completed, term
+        )
