@@ -34,7 +34,7 @@ Package map (details in DESIGN.md):
 - :mod:`repro.system` — the CourseNavigator façade, visualizer, CLI
 - :mod:`repro.analysis` — containment checks and path statistics
 - :mod:`repro.obs` — span tracing, metrics registry, phase profiling
-- :mod:`repro.cache` — flow/eval memos, transposition tables, cache store
+- :mod:`repro.cache` — flow/eval memos and transposition tables (library only)
 """
 
 from .semester import AcademicCalendar, SPRING_FALL, Term, term_range
@@ -87,7 +87,7 @@ from .obs import (
     Observability,
     Tracer,
 )
-from .cache import CacheStore, ExplorationCache
+from .cache import ExplorationCache
 from .system import CourseNavigator
 
 __version__ = "1.0.0"
@@ -148,7 +148,6 @@ __all__ = [
     "ExplainReport",
     # caching
     "ExplorationCache",
-    "CacheStore",
     # system
     "CourseNavigator",
     "__version__",

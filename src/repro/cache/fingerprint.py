@@ -1,19 +1,12 @@
-"""Content fingerprints for cache keying and invalidation.
+"""Content fingerprints for goal-keyed cache entries.
 
-The persistent cache layer (:mod:`repro.cache.store`) must answer one
-question reliably: *is this stored entry still valid?*  Every cacheable
-object in the system already has a canonical JSON form (``to_dict``), so
-the answer is a content hash: serialize canonically (sorted keys, no
-whitespace), SHA-256 the bytes, and key everything on the digest.  A
-catalog edit — a new course, a changed prerequisite, a different
-schedule — produces a different digest, and the store for the old digest
-is simply never opened again (invalidation by construction, no
-timestamps or manual versioning).
-
-Goal fingerprints serve the in-memory layers too: two structurally
-identical :class:`~repro.requirements.Goal` objects (say, the same
-degree goal rebuilt per query) hash to the same digest, so a warm
-:class:`~repro.cache.memos.FlowMemo` serves both.
+Every :class:`~repro.requirements.Goal` already has a canonical JSON form
+(``to_dict``), so a goal's identity for caching is a content hash:
+serialize canonically (sorted keys, no whitespace) and SHA-256 the bytes.
+Two structurally identical goals (say, the same degree goal rebuilt per
+query) hash to the same digest, so a warm
+:class:`~repro.cache.memos.FlowMemo` and the transposition table serve
+both.
 """
 
 from __future__ import annotations
@@ -22,12 +15,7 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = [
-    "fingerprint_payload",
-    "catalog_fingerprint",
-    "goal_fingerprint",
-    "schedule_fingerprint",
-]
+__all__ = ["fingerprint_payload", "goal_fingerprint"]
 
 
 def fingerprint_payload(payload: Any) -> str:
@@ -40,22 +28,6 @@ def fingerprint_payload(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def catalog_fingerprint(catalog) -> str:
-    """Digest of a :class:`~repro.catalog.Catalog`'s content.
-
-    Covers courses (ids, titles, workloads, prerequisite expressions) and
-    the schedule — exactly what exploration results depend on.  The
-    offering-probability model is excluded (as in ``Catalog.to_dict``):
-    it affects reliability *ranking costs*, which are never cached.
-    """
-    return fingerprint_payload({"kind": "catalog", "content": catalog.to_dict()})
-
-
 def goal_fingerprint(goal) -> str:
     """Digest of a :class:`~repro.requirements.Goal`'s content."""
     return fingerprint_payload({"kind": "goal", "content": goal.to_dict()})
-
-
-def schedule_fingerprint(schedule) -> str:
-    """Digest of a :class:`~repro.catalog.Schedule`'s offerings."""
-    return fingerprint_payload({"kind": "schedule", "content": schedule.to_dict()})

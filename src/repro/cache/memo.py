@@ -15,7 +15,7 @@ ints updated atomically enough for monitoring purposes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 __all__ = ["LRUMemo"]
 
@@ -61,8 +61,7 @@ class LRUMemo:
         """Mirror accounting into :mod:`repro.obs` counters from now on.
 
         Counts accumulated *before* binding are flushed into the counters
-        first, so a registry attached mid-run (or after a warm-start
-        preload) still sees the full totals.
+        first, so a registry attached mid-run still sees the full totals.
         """
         if hits is not None and hits is not self._hit_counter:
             hits.inc(self.hits)
@@ -96,8 +95,7 @@ class LRUMemo:
     def store(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry if full.
 
-        Does **not** count a hit or a miss — preloading a store-warmed
-        entry must not distort the hit rate.
+        Does **not** count a hit or a miss: only :meth:`lookup` does.
         """
         data = self._data
         if key in data:
@@ -114,10 +112,6 @@ class LRUMemo:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
-
-    def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        """Entries in recency order (LRU first); for store export."""
-        return iter(list(self._data.items()))
 
     def clear(self) -> None:
         """Drop every entry (counters keep accumulating)."""

@@ -7,8 +7,7 @@ Three cooperating pieces:
   ``is_satisfied`` (the terminal test and availability pruning's §4.2.2
   best-case check), keyed by ``(goal fingerprint, completed)``.  Keying on
   the *fingerprint* rather than the object means a degree goal rebuilt
-  per query still reuses every prior answer, and lets the persistent
-  store replay entries across processes.
+  per query still reuses every prior answer.
 
 * :class:`EvalMemo` — memoizes catalog-level evaluation: the
   availability pruner's offered-in-remaining-semesters window and
@@ -34,16 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import (
-    AbstractSet,
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..requirements import Goal
 from ..semester import Term
@@ -66,7 +56,7 @@ class FlowMemo:
 
     __slots__ = ("memo",)
 
-    #: Entry kinds (also the persistent store's ``kind`` field).
+    #: Entry kinds (the first element of every key).
     REMAINING = "left"
     SATISFIED = "sat"
 
@@ -94,46 +84,6 @@ class FlowMemo:
         self, fingerprint: str, completed: FrozenSet[str], value: bool
     ) -> None:
         self.memo.store((self.SATISFIED, fingerprint, completed), value)
-
-    # -- persistence hooks ---------------------------------------------------
-
-    def export_entries(self) -> Iterator[Dict[str, Any]]:
-        """JSON-serializable entries, LRU first (the store's line format)."""
-        for key, value in self.memo.items():
-            kind, fingerprint, completed = key
-            if isinstance(value, float) and math.isinf(value):
-                value = "inf"
-            yield {
-                "kind": kind,
-                "goal": fingerprint,
-                "completed": sorted(completed),
-                "value": value,
-            }
-
-    def preload(self, entry: Dict[str, Any]) -> bool:
-        """Insert one exported entry; returns whether it was well-formed.
-
-        Preloads never count as hits or misses, so a warm start does not
-        inflate the reported hit rate.
-        """
-        kind = entry.get("kind")
-        fingerprint = entry.get("goal")
-        completed = entry.get("completed")
-        value = entry.get("value")
-        if not isinstance(fingerprint, str) or not isinstance(completed, list):
-            return False
-        if value == "inf":
-            value = math.inf
-        if kind == self.REMAINING:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                return False
-        elif kind == self.SATISFIED:
-            if not isinstance(value, bool):
-                return False
-        else:
-            return False
-        self.memo.store((kind, fingerprint, frozenset(completed)), value)
-        return True
 
 
 class EvalMemo:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable
 
+from ..errors import CatalogError
 from .prereq import PrereqExpr, TRUE, from_dict as prereq_from_dict
 
 __all__ = ["Course"]
@@ -120,11 +121,21 @@ class Course:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Course":
-        """Rebuild a course from :meth:`to_dict` output."""
+        """Rebuild a course from :meth:`to_dict` output.
+
+        Raises :class:`~repro.errors.CatalogError` naming the entry when it
+        has no ``course_id`` or a malformed prerequisite.
+        """
+        if not isinstance(data, dict) or "course_id" not in data:
+            raise CatalogError(f"course entry {data!r} lacks 'course_id'")
+        try:
+            prereq = prereq_from_dict(data.get("prereq", {"op": "true"}))
+        except CatalogError as exc:
+            raise CatalogError(f"course {data['course_id']!r}: {exc}") from None
         return cls(
             course_id=data["course_id"],
             title=data.get("title", ""),
-            prereq=prereq_from_dict(data.get("prereq", {"op": "true"})),
+            prereq=prereq,
             workload_hours=data.get("workload_hours", 10.0),
             credits=data.get("credits", 4),
             tags=frozenset(data.get("tags", ())),

@@ -36,6 +36,8 @@ import itertools
 import math
 from typing import AbstractSet, Any, Dict, FrozenSet, Iterable, Tuple
 
+from ..errors import CatalogError
+
 __all__ = [
     "PrereqExpr",
     "TRUE",
@@ -505,9 +507,29 @@ def any_of(exprs: Iterable[PrereqExpr]) -> PrereqExpr:
     return Or(*kept)
 
 
+#: The fields each serialized operator needs besides ``op``.
+_FIELDS = {
+    "true": (),
+    "false": (),
+    "course": ("id",),
+    "and": ("children",),
+    "or": ("children",),
+    "kof": ("k", "children"),
+}
+
+
 def from_dict(data: Dict[str, Any]) -> PrereqExpr:
-    """Rebuild an expression from :meth:`PrereqExpr.to_dict` output."""
-    op = data.get("op")
+    """Rebuild an expression from :meth:`PrereqExpr.to_dict` output.
+
+    Raises :class:`~repro.errors.CatalogError` naming the offending entry
+    when ``data`` has an unknown ``op`` or lacks a field its op needs.
+    """
+    op = data.get("op") if isinstance(data, dict) else None
+    if op not in _FIELDS:
+        raise CatalogError(f"unknown prerequisite op {op!r} in {data!r}")
+    missing = [name for name in _FIELDS[op] if name not in data]
+    if missing:
+        raise CatalogError(f"prerequisite {data!r} lacks {missing[0]!r}")
     if op == "true":
         return TRUE
     if op == "false":
@@ -518,6 +540,4 @@ def from_dict(data: Dict[str, Any]) -> PrereqExpr:
         return And(*(from_dict(child) for child in data["children"]))
     if op == "or":
         return Or(*(from_dict(child) for child in data["children"]))
-    if op == "kof":
-        return KOf(data["k"], [from_dict(child) for child in data["children"]])
-    raise ValueError(f"unknown prerequisite op {op!r}")
+    return KOf(data["k"], [from_dict(child) for child in data["children"]])

@@ -111,16 +111,13 @@ def build_deadline_dag(
     end_term: Term,
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
-    cache=None,
     obs: Optional[Observability] = None,
 ) -> CountResult:
     """Deadline-driven expansion over merged statuses.
 
     Same rules as :func:`~repro.core.deadline.generate_deadline_driven`;
     ``path_count`` equals the tree algorithm's output-path count exactly.
-    ``config.max_nodes`` bounds *distinct statuses* here.  ``cache`` is
-    accepted for a uniform signature; no cache layer applies without a
-    goal (option sets are memoised by the catalog).  ``obs`` is an
+    ``config.max_nodes`` bounds *distinct statuses* here.  ``obs`` is an
     optional :class:`~repro.obs.runtime.Observability` bundle (span
     ``run:deadline_dag`` with ``expand`` phases, progress, budget ticks).
     """
@@ -164,12 +161,11 @@ def count_deadline_paths(
     end_term: Term,
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
-    cache=None,
     obs: Optional[Observability] = None,
 ) -> int:
     """Exact deadline-driven path count without materializing the tree."""
     return build_deadline_dag(
-        catalog, start_term, end_term, completed, config, cache=cache, obs=obs
+        catalog, start_term, end_term, completed, config, obs=obs
     ).path_count
 
 

@@ -52,7 +52,6 @@ def generate_deadline_driven(
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
     obs: Optional[Observability] = None,
-    cache=None,
 ) -> DeadlineResult:
     """Algorithm 1: every learning path from ``start_term`` to ``end_term``.
 
@@ -73,10 +72,6 @@ def generate_deadline_driven(
         Optional :class:`~repro.obs.runtime.Observability`; when enabled,
         the run emits a ``run:deadline`` span with ``expand`` phases and
         records its decisions like the goal-driven run.
-    cache:
-        Optional :class:`~repro.cache.ExplorationCache`, accepted so every
-        generator takes one; deadline-driven runs have no goal, so no
-        cache layer applies (option sets are memoised by the catalog).
 
     Returns
     -------

@@ -183,7 +183,6 @@ def frontier_count_deadline_paths(
     config: Optional[ExplorationConfig] = None,
     max_frontier: Optional[int] = None,
     obs: Optional[Observability] = None,
-    cache=None,
 ) -> FrontierCount:
     """Exact deadline-driven path count with one-layer memory.
 

@@ -36,10 +36,20 @@ def save_catalog(catalog: Catalog, path: PathLike, indent: int = 2) -> None:
 
 
 def load_catalog(path: PathLike) -> Catalog:
-    """Read a catalog previously written by :func:`save_catalog`."""
+    """Read a catalog previously written by :func:`save_catalog`.
+
+    Malformed content (invalid JSON, a broken course entry) raises
+    :class:`~repro.errors.CatalogError` with ``path`` in its message.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return load_catalog_json(data)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise CatalogError(f"{os.fspath(path)}: invalid JSON: {exc}") from None
+    try:
+        return load_catalog_json(data)
+    except CatalogError as exc:
+        raise CatalogError(f"{os.fspath(path)}: {exc}") from exc
 
 
 def load_catalog_json(data: Mapping[str, Any]) -> Catalog:

@@ -199,6 +199,9 @@ class RequirementGroup:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RequirementGroup":
+        missing = [key for key in ("name", "courses", "required") if key not in data]
+        if missing:
+            raise GoalError(f"requirement group {dict(data)!r} lacks {missing[0]!r}")
         return cls(data["name"], data["courses"], data["required"])
 
     def __repr__(self) -> str:

@@ -35,7 +35,7 @@ from ..data import (
     start_term_for_semesters,
 )
 from ..data.brandeis import EVALUATION_END_TERM, course_rows
-from ..errors import BudgetExceededError, CourseNavigatorError
+from ..errors import BudgetExceededError, CourseNavigatorError, GoalError
 from ..obs import (
     DecisionRecorder,
     ExplorationBudget,
@@ -46,7 +46,6 @@ from ..obs import (
     ProgressTracker,
     Tracer,
 )
-from ..cache import ExplorationCache
 from ..parsing import load_catalog
 from ..requirements import CourseSetGoal, Goal
 from ..semester import Term
@@ -128,22 +127,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="MB",
         help="abort the run when process memory exceeds this many MiB",
-    )
-    parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="memoize seat counts, offered windows and pruning verdicts "
-        "during the run (output-identical; off by default, since a one-shot "
-        "query pays for a cold cache; on when --cache-dir is given)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="persist the flow memo under DIR (keyed by catalog content "
-        "fingerprint, so catalog edits cold-start automatically); later "
-        "runs against the same catalog warm-start from it (implies --cache)",
     )
 
 
@@ -303,53 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_cache(args: argparse.Namespace, catalog) -> Optional[ExplorationCache]:
-    """The run's :class:`~repro.cache.ExplorationCache` (``None`` when off).
-
-    Kept on ``args._cache`` so :func:`main`'s cleanup can save the
-    persistent store and report hit rates after the command finishes.
-    """
-    cache_dir = getattr(args, "cache_dir", None)
-    enabled = getattr(args, "cache", None)
-    if enabled is None:  # neither --cache nor --no-cache: --cache-dir decides
-        enabled = bool(cache_dir)
-    if not enabled:
-        return None
-    if cache_dir:
-        cache = ExplorationCache.with_store(catalog, cache_dir)
-    else:
-        cache = ExplorationCache()
-    args._cache = cache
-    return cache
-
-
 def _load(args: argparse.Namespace) -> CourseNavigator:
-    tracer = getattr(args, "_tracer", None)
-    metrics = getattr(args, "_metrics", None)
-    decisions = getattr(args, "_decisions", None)
-    progress = getattr(args, "_progress", None)
-    budget = getattr(args, "_budget", None)
     if getattr(args, "catalog", None):
-        catalog = load_catalog(args.catalog)
-        return CourseNavigator(
-            catalog,
-            tracer=tracer,
-            metrics=metrics,
-            decisions=decisions,
-            progress=progress,
-            budget=budget,
-            cache=_make_cache(args, catalog),
-        )
-    catalog = brandeis_catalog()
+        catalog, offering_model = load_catalog(args.catalog), None
+    else:
+        catalog, offering_model = brandeis_catalog(), brandeis_offering_model()
     return CourseNavigator(
         catalog,
-        offering_model=brandeis_offering_model(),
-        tracer=tracer,
-        metrics=metrics,
-        decisions=decisions,
-        progress=progress,
-        budget=budget,
-        cache=_make_cache(args, catalog),
+        offering_model=offering_model,
+        tracer=getattr(args, "_tracer", None),
+        metrics=getattr(args, "_metrics", None),
+        decisions=getattr(args, "_decisions", None),
+        progress=getattr(args, "_progress", None),
+        budget=getattr(args, "_budget", None),
     )
 
 
@@ -367,8 +316,16 @@ def _goal(args: argparse.Namespace) -> Goal:
 
         from ..requirements.goals import goal_from_dict
 
-        with open(args.goal_file, "r", encoding="utf-8") as handle:
-            return goal_from_dict(json.load(handle))
+        path = args.goal_file
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                data = json.load(handle)
+            except ValueError as exc:
+                raise GoalError(f"{path}: invalid JSON: {exc}") from None
+        try:
+            return goal_from_dict(data)
+        except GoalError as exc:
+            raise GoalError(f"{path}: {exc}") from None
     if args.goal_courses:
         return CourseSetGoal(args.goal_courses)
     return brandeis_major_goal(args.electives_required)
@@ -641,7 +598,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run one parsed command with its observability and cache plumbing."""
+    """Run one parsed command with its observability plumbing."""
     handlers = {
         "catalog": _run_catalog,
         "deadline": _run_deadline,
@@ -653,7 +610,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "export": _run_export,
         "lint": _run_lint,
     }
-    args._cache = None  # populated by _load when --cache is on
     # Output sinks are opened inside the try below, so one that fails to
     # open still lets the finally close the others.
     args._tracer = None
@@ -728,18 +684,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args._tracer is not None:
             args._tracer.close()
             print(f"trace written to {trace_path}", file=sys.stderr)
-        if args._cache is not None:
-            if args._metrics is not None:
-                # Bound late so counters cover the whole run even when the
-                # registry exists only for --metrics-out.
-                args._cache.bind_metrics(args._metrics)
-            if getattr(args, "cache_dir", None):
-                saved = args._cache.save()
-                print(
-                    f"cache: {args._cache.describe_line()}; "
-                    f"{saved} flow entries saved to {args._cache.store.path}",
-                    file=sys.stderr,
-                )
         if args._decisions is not None:
             args._decisions.close()
             if explain_path:

@@ -93,10 +93,11 @@ class CourseNavigator:
         the final progress snapshot) when a wall/node/memory limit is hit
         or another thread cancels it.
     cache:
-        Optional :class:`~repro.cache.ExplorationCache`.  Every run this
-        navigator performs shares it, so repeated queries over the one
-        catalog reuse flow results, option sets and pruning verdicts —
-        with identical outputs (the cache only replays pure functions).
+        Optional :class:`~repro.cache.ExplorationCache`.  Every goal run
+        this navigator performs shares it, so repeated queries over the
+        one catalog reuse seat counts and pruning verdicts — with
+        identical outputs (the cache only replays pure functions).
+        Deadline runs have no goal and do not use it.
         When a ``metrics`` registry is also given, cache hit/miss/eviction
         counters are emitted into it.
 
@@ -216,7 +217,6 @@ class CourseNavigator:
             completed=completed,
             config=self._config(config, max_courses_per_term, avoid_courses, max_nodes),
             obs=self._obs,
-            cache=self._cache,
         )
 
     def explore_goal(
@@ -287,7 +287,6 @@ class CourseNavigator:
             end_term,
             completed=completed,
             config=config,
-            cache=self._cache,
             obs=self._obs,
         )
 

@@ -1,29 +1,22 @@
 """Tests for the query-acceleration subsystem (repro.cache).
 
-Covers the LRU memo primitive, content fingerprints, the CachedGoal
+Covers the LRU memo primitive, goal fingerprints, the CachedGoal
 wrapper, the headline equivalence property — byte-identical path sets,
 counts, prune-decision streams and explain audits with and without a
-cache, across all four generators, cold and warm — plus the persistent
-store (round-trip, warm start, invalidation on catalog change, graceful
-cold start on corruption), LRU eviction under tiny capacities, metrics
-binding, and the CLI surface (``--cache``/``--no-cache``/``--cache-dir``).
+cache, across the generators, cold and warm — plus LRU eviction under
+tiny capacities and metrics binding.
 """
 
-import json
 import math
-import os
 
 import pytest
 
 from repro.cache import (
     CachedGoal,
-    CacheStore,
     ExplorationCache,
     LRUMemo,
-    catalog_fingerprint,
     goal_fingerprint,
     pruner_signature,
-    schedule_fingerprint,
 )
 from repro.core import (
     ExplorationConfig,
@@ -46,10 +39,9 @@ from repro.data import (
     random_course_set_goal,
 )
 from repro.obs import DecisionRecorder, MetricsRegistry, Observability
-from repro.parsing import save_catalog
 from repro.requirements import CourseSetGoal, ExpressionGoal
 from repro.semester import Term
-from repro.system.cli import main as cli_main
+from repro.system import CourseNavigator
 
 START = Term(2013, "Fall")
 END = Term(2015, "Fall")
@@ -136,26 +128,11 @@ class TestLRUMemo:
 
 
 class TestFingerprints:
-    def test_catalog_fingerprint_is_content_stable(self):
-        assert catalog_fingerprint(brandeis_catalog()) == catalog_fingerprint(
-            brandeis_catalog()
-        )
-
-    def test_catalog_fingerprint_sees_content_changes(self):
-        assert catalog_fingerprint(brandeis_catalog()) != catalog_fingerprint(
-            random_catalog(seed=7)
-        )
-
     def test_goal_fingerprint_distinguishes_goals(self):
         a = goal_fingerprint(CourseSetGoal({"COSI 11a"}))
         b = goal_fingerprint(CourseSetGoal({"COSI 21a"}))
         assert a != b
         assert a == goal_fingerprint(CourseSetGoal({"COSI 11a"}))
-
-    def test_schedule_fingerprint_stable(self):
-        assert schedule_fingerprint(
-            brandeis_catalog().schedule
-        ) == schedule_fingerprint(brandeis_catalog().schedule)
 
     def test_pruner_signature_orders_matter(self):
         catalog = brandeis_catalog()
@@ -257,6 +234,11 @@ class TestEquivalence:
         # the warm run actually reused transposed verdicts
         assert cache.transposition.memo.hits > 0
         assert cache.flow.memo.hits > 0
+        # Option sets are memoised by the catalog, not the cache; the eval
+        # layer keeps only offered windows and DNFs.
+        assert cache.eval.memos == [cache.eval.offered_memo, cache.eval.dnf_memo]
+        assert not hasattr(cache.eval, "options_memo")
+        assert cache.eval.offered_memo.misses > 0
 
     def test_goal_driven_without_recorder_matches_recorded(self):
         # boolean-only transposition entries (stored by an unrecorded run)
@@ -292,20 +274,18 @@ class TestEquivalence:
             ] == [(cost, str(path)) for cost, path in base.ranked()]
 
     def test_deadline_identical(self):
+        # Deadline runs have no goal: a navigator's cache is never consulted.
         catalog = brandeis_catalog()
         config = ExplorationConfig(max_courses_per_term=2)
         end = Term(2014, "Fall")
         base = generate_deadline_driven(catalog, START, end, config=config)
         cache = ExplorationCache()
-        cached = generate_deadline_driven(
-            catalog, START, end, config=config, cache=cache
-        )
+        navigator = CourseNavigator(catalog, cache=cache)
+        cached = navigator.explore_deadline(START, end, config=config)
         assert cached.path_count == base.path_count
         assert path_keys(cached) == path_keys(base)
-        # Option sets are memoised by the catalog, not the cache; the eval
-        # layer keeps only offered windows and DNFs.
-        assert cache.eval.memos == [cache.eval.offered_memo, cache.eval.dnf_memo]
-        assert not hasattr(cache.eval, "options_memo")
+        assert navigator.count_deadline(START, end, config=config) == base.path_count
+        assert all(memo.hits == memo.misses == 0 for memo in cache.memos)
 
     def test_counting_and_frontier_identical(self):
         catalog = brandeis_catalog()
@@ -380,89 +360,6 @@ class TestEviction:
             assert path_keys(cached) == path_keys(base)
         assert cache.flow.memo.evictions > 0
         assert len(cache.flow.memo) <= 32
-
-
-# ---------------------------------------------------------------------------
-# persistent store
-
-
-class TestCacheStore:
-    def test_round_trip_and_warm_start(self, tmp_path):
-        catalog = brandeis_catalog()
-        cache = ExplorationCache.with_store(catalog, str(tmp_path))
-        run_goal(catalog, brandeis_major_goal(), cache=cache)
-        saved = cache.save()
-        assert saved > 0
-        assert os.path.exists(cache.store.path)
-
-        fresh = ExplorationCache.with_store(catalog, str(tmp_path))
-        assert fresh.store.warm_start
-        assert fresh.store.loaded_entries == saved
-        assert len(fresh.flow.memo) == saved
-        # preloading must not pollute hit-rate accounting
-        assert fresh.flow.memo.hits == 0 and fresh.flow.memo.misses == 0
-        base = run_goal(catalog, brandeis_major_goal())
-        warm = run_goal(catalog, brandeis_major_goal(), cache=fresh)
-        assert warm.path_count == base.path_count
-        assert path_keys(warm) == path_keys(base)
-        assert fresh.flow.memo.hits > 0
-
-    def test_catalog_change_invalidates(self, tmp_path):
-        catalog = brandeis_catalog()
-        cache = ExplorationCache.with_store(catalog, str(tmp_path))
-        run_goal(catalog, brandeis_major_goal(), cache=cache)
-        assert cache.save() > 0
-
-        other = random_catalog(seed=5)
-        cold = ExplorationCache.with_store(other, str(tmp_path))
-        assert not cold.store.warm_start
-        assert cold.store.loaded_entries == 0
-        assert cold.store.path != cache.store.path
-
-    def test_corrupt_file_cold_starts(self, tmp_path):
-        catalog = brandeis_catalog()
-        store = CacheStore(str(tmp_path), catalog_fingerprint(catalog))
-        with open(store.path, "w", encoding="utf-8") as handle:
-            handle.write("this is not json\n")
-        cache = ExplorationCache.with_store(catalog, str(tmp_path))
-        assert not cache.store.warm_start
-        assert cache.store.loaded_entries == 0
-        # and the run still works
-        assert run_goal(catalog, SMALL_GOAL, cache=cache).path_count > 0
-
-    def test_bad_header_cold_starts(self, tmp_path):
-        catalog = brandeis_catalog()
-        store = CacheStore(str(tmp_path), catalog_fingerprint(catalog))
-        header = {
-            "format": "something-else",
-            "version": 99,
-            "catalog": catalog_fingerprint(catalog),
-        }
-        with open(store.path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps({"kind": "sat"}) + "\n")
-        fresh = ExplorationCache.with_store(catalog, str(tmp_path))
-        assert fresh.store.loaded_entries == 0
-
-    def test_bad_lines_skipped_good_lines_kept(self, tmp_path):
-        catalog = brandeis_catalog()
-        cache = ExplorationCache.with_store(catalog, str(tmp_path))
-        run_goal(catalog, SMALL_GOAL, cache=cache)
-        saved = cache.save()
-        with open(cache.store.path, "a", encoding="utf-8") as handle:
-            handle.write("{ broken json\n")
-            handle.write(json.dumps({"kind": "sat", "goal": 3}) + "\n")
-        fresh = ExplorationCache.with_store(catalog, str(tmp_path))
-        assert fresh.store.loaded_entries == saved
-
-    def test_missing_dir_is_cold_not_fatal(self, tmp_path):
-        catalog = brandeis_catalog()
-        cache = ExplorationCache.with_store(
-            catalog, str(tmp_path / "does" / "not" / "exist")
-        )
-        assert not cache.store.warm_start
-        run_goal(catalog, SMALL_GOAL, cache=cache)
-        assert cache.save() > 0  # save_from creates the directory
 
 
 # ---------------------------------------------------------------------------
@@ -545,89 +442,3 @@ class TestSharedOfferedWindow:
         assert cache.eval.offered_window(
             catalog.schedule, Term(2014, "Spring"), Term(2013, "Fall"), frozenset()
         ) == frozenset()
-
-
-# ---------------------------------------------------------------------------
-# CLI surface
-
-
-class TestCacheCLI:
-    def _goal_args(self, catalog_path, extra=()):
-        return [
-            "goal",
-            "--catalog", str(catalog_path),
-            "--start", "Fall 2013",
-            "--end", "Fall 2015",
-            "--goal-courses", "COSI 11a,COSI 21a,COSI 29a",
-            "--count-only",
-            *extra,
-        ]
-
-    @pytest.fixture()
-    def catalog_path(self, tmp_path):
-        path = tmp_path / "catalog.json"
-        save_catalog(brandeis_catalog(), path)
-        return path
-
-    def test_second_run_hits(self, capsys, tmp_path, catalog_path):
-        cache_dir = tmp_path / "cache"
-        metrics = tmp_path / "metrics.json"
-        first = cli_main(
-            self._goal_args(
-                catalog_path, ["--cache-dir", str(cache_dir)]
-            )
-        )
-        err_first = capsys.readouterr().err
-        assert first == 0
-        assert "flow entries saved to" in err_first
-        code = cli_main(
-            self._goal_args(
-                catalog_path,
-                ["--cache-dir", str(cache_dir), "--metrics-out", str(metrics)],
-            )
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "cache hits:" in captured.err
-        snapshot = json.loads(metrics.read_text())
-        hits = sum(
-            m["value"]
-            for m in snapshot["metrics"]
-            if m["name"] == "repro_cache_hits_total"
-        )
-        assert hits > 0
-
-    def test_same_output_with_and_without_cache(self, capsys, catalog_path, tmp_path):
-        cli_main(self._goal_args(catalog_path, ["--no-cache"]))
-        without = capsys.readouterr()
-        cli_main(
-            self._goal_args(catalog_path, ["--cache-dir", str(tmp_path / "c")])
-        )
-        with_cache = capsys.readouterr()
-        cli_main(
-            self._goal_args(catalog_path, ["--cache-dir", str(tmp_path / "c")])
-        )
-        warm = capsys.readouterr()
-        assert with_cache.out == without.out == warm.out
-
-    def test_no_cache_prints_no_cache_line(self, capsys, catalog_path):
-        code = cli_main(self._goal_args(catalog_path, ["--no-cache"]))
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "cache hits:" not in captured.err
-
-    @pytest.mark.parametrize("flags, cached", [([], False), (["--cache"], True)])
-    def test_cache_is_opt_in(self, tmp_path, catalog_path, flags, cached):
-        metrics = tmp_path / "metrics.json"
-        code = cli_main(
-            self._goal_args(catalog_path, [*flags, "--metrics-out", str(metrics)])
-        )
-        assert code == 0
-        names = {m["name"] for m in json.loads(metrics.read_text())["metrics"]}
-        assert ("repro_cache_hits_total" in names) is cached
-
-    def test_cache_on_without_dir_is_memory_only(self, capsys, catalog_path):
-        code = cli_main(self._goal_args(catalog_path, ["--cache"]))
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "flow entries saved" not in captured.err

@@ -395,6 +395,60 @@ class TestIoErrors:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize(
+        "flag, content, reason",
+        [
+            ("--catalog", "{ not json", "invalid JSON"),
+            ("--catalog", '{"courses": [{"title": "T"}]}', "lacks 'course_id'"),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "prereq": {"op": "course"}}]}',
+                "course 'A': prerequisite {'op': 'course'} lacks 'id'",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "prereq": {"op": "xor"}}]}',
+                "course 'A': unknown prerequisite op 'xor'",
+            ),
+            ("--goal-file", "{ not json", "invalid JSON"),
+            (
+                "--goal-file",
+                '{"type": "degree", "groups": [{"name": "core", "required": 1}]}',
+                "requirement group {'name': 'core', 'required': 1} lacks 'courses'",
+            ),
+        ],
+        ids=[
+            "catalog-json",
+            "course-id",
+            "course-op-id",
+            "prereq-op",
+            "goal-json",
+            "group-courses",
+        ],
+    )
+    def test_malformed_input_is_one_error_line(
+        self, capsys, tmp_path, fig3_catalog, flag, content, reason
+    ):
+        catalog_path = tmp_path / "cat.json"
+        save_catalog(fig3_catalog, catalog_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = [
+            "goal",
+            "--catalog", str(catalog_path),
+            "--start", "Fall 2011",
+            "--end", "Fall 2012",
+        ]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        code, _out, err = run_cli(capsys, *argv)
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+        assert reason in line
+
 
 class TestLiveTelemetryFlags:
     def test_node_budget_aborts_with_partial_progress(self, capsys):

@@ -4,17 +4,13 @@ Each case runs one engine on the bundled Brandeis catalog and hashes a
 canonical JSON rendering of what a caller can see: decision streams,
 ``graph_to_json`` exports (whose DAG node ids pin insertion order), run
 statistics, pruning tallies and final progress snapshots.  The goal tree
-runs uncached, with a cold cache and with a warm one; all three must
-match the same digests.  The digests
-were recorded before the engines were rebuilt on the shared node-step
-kernel, so a refactor that changes any output — an extra decision, a
+and the ranked search also run with a cold and a warm
+:class:`~repro.cache.ExplorationCache`; each must match its uncached
+digests.  A refactor that changes any output — an extra decision, a
 reordered DAG node, a shifted prune credit — fails here by name.
 
 Timing fields (``elapsed_seconds``, ``eta_seconds``) are dropped before
-hashing.  Two outputs are deliberately not pinned: progress snapshots of
-the counting engines, which were uninstrumented when the digests were
-taken, and of deadline-mode frontier counts, which then reported no
-emitted paths (see ``tests/test_live.py``).
+hashing.
 
 To re-record after an intended output change, run this file as a script
 (``PYTHONPATH=src python tests/test_golden.py``) and paste its output.
@@ -105,7 +101,7 @@ def _deadline_tree() -> Dict[str, Any]:
     }
 
 
-def _ranked() -> Dict[str, Any]:
+def _ranked(cache=None) -> Dict[str, Any]:
     obs, recorder, progress = _observed()
     result = generate_ranked(
         brandeis_catalog(),
@@ -115,6 +111,7 @@ def _ranked() -> Dict[str, Any]:
         k=25,
         ranking=TimeRanking(),
         obs=obs,
+        cache=cache,
     )
     return {
         "explain": _events(recorder),
@@ -129,23 +126,33 @@ def _ranked() -> Dict[str, Any]:
 
 
 def _goal_dag() -> Dict[str, Any]:
+    obs, _, progress = _observed(explain=False)
     result = build_goal_dag(
-        brandeis_catalog(), start_term_for_semesters(4), brandeis_major_goal(), END
+        brandeis_catalog(),
+        start_term_for_semesters(4),
+        brandeis_major_goal(),
+        END,
+        obs=obs,
     )
     return {
         "graph": graph_to_json(result.dag),
         "count": result.path_count,
         "stats": _stats(result.stats),
         "pruning": result.pruning_stats.as_dict(),
+        "progress": _snapshot(progress),
     }
 
 
 def _deadline_dag() -> Dict[str, Any]:
-    result = build_deadline_dag(brandeis_catalog(), start_term_for_semesters(3), END)
+    obs, _, progress = _observed(explain=False)
+    result = build_deadline_dag(
+        brandeis_catalog(), start_term_for_semesters(3), END, obs=obs
+    )
     return {
         "graph": graph_to_json(result.dag),
         "count": result.path_count,
         "stats": _stats(result.stats),
+        "progress": _snapshot(progress),
     }
 
 
@@ -169,13 +176,15 @@ def _frontier_goal() -> Dict[str, Any]:
 
 
 def _frontier_deadline() -> Dict[str, Any]:
+    obs, _, progress = _observed(explain=False)
     result = frontier_count_deadline_paths(
-        brandeis_catalog(), start_term_for_semesters(3), END
+        brandeis_catalog(), start_term_for_semesters(3), END, obs=obs
     )
     return {
         "count": result.path_count,
         "terminals": result.terminal_path_counts,
         "widths": result.layer_widths,
+        "progress": _snapshot(progress),
     }
 
 
@@ -185,12 +194,22 @@ def _goal_tree_warm() -> Dict[str, Any]:
     return _goal_tree(cache)
 
 
+def _ranked_cached(warm: bool) -> Dict[str, Any]:
+    cache = ExplorationCache()
+    if warm:
+        _ranked(cache)
+    outputs = _ranked(cache)
+    return {name: outputs[name] for name in ("explain", "paths", "stats")}
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "goal_tree_uncached": lambda: _goal_tree(None),
     "goal_tree_cached": lambda: _goal_tree(ExplorationCache()),
     "goal_tree_warm": _goal_tree_warm,
     "deadline_tree": _deadline_tree,
     "ranked": _ranked,
+    "ranked_cached": lambda: _ranked_cached(warm=False),
+    "ranked_warm": lambda: _ranked_cached(warm=True),
     "goal_dag": _goal_dag,
     "deadline_dag": _deadline_dag,
     "frontier_goal": _frontier_goal,
@@ -202,6 +221,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'graph': '7f55b9d260a4eeac91eda1881022508164d95774e8c1a8f23cf12633ca481245',
         'count': '2f1987bf98c09d2f5d2a23a6ae29fa53b9aec8f07ed1330bd439122f5a1a2c2c',
         'stats': '544071d3e8d48c22d8ee17ff5f981410cb44b1260404667664a01424f30ad621',
+        'progress': 'd98eab99c575c221139e0c02e468d13efb421f30f86c3cd0aee3f15ef631dbfb',
     },
     'deadline_tree': {
         'graph': '7ea8f7960f5de0f70b9ab2556945f4abe80689952e3b20b73f38d8220e4ba6fa',
@@ -212,6 +232,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'count': '2f1987bf98c09d2f5d2a23a6ae29fa53b9aec8f07ed1330bd439122f5a1a2c2c',
         'terminals': 'e4f79b7b1faa57d34075b72844d6ce262624659282d62947d4777533a6212370',
         'widths': '87a0b9ed8f0ea3e4802573f1c38e4bbbe547ee809743153326ed833755e06841',
+        'progress': '00ab9ab7ecd30e28a5b11ea9cb62c6100f20e40e8add25121ea15fb531e58e3b',
     },
     'frontier_goal': {
         'explain': '2447a924a67637915d2b3b391f836c864cdeb73738e2a897d404da3420b4b6ee',
@@ -226,6 +247,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'count': '43f64dc77762f69f9f52d5f70b53170679cb9abfc688f4cf77bdfc8077f022bc',
         'stats': '4ccaa9e2134bc102097040460dace5b70b48b84ba23f13da97ed31709d9c04a4',
         'pruning': '1430da163c55dc3a54606a4c46c85fdd7624dd4aee3c7d318740c724ca5a4ab7',
+        'progress': 'eb666f1c85f6712155bc3f97e4f63959515e2fa6247f8e71455208e678225cb9',
     },
     'goal_tree_cached': {
         'explain': 'b0da7291d65a414797bf9af0f6bd7282eeaa66841d9eb9e37ba55533be74d9b9',
@@ -255,6 +277,16 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'stats': '037f6c1b8225f4a60b78813cef205f47519fc0786c8e02bd5fe8b8c537bc75cb',
         'pruning': 'b0779f3702ed4b7de1b8bc14ef249ca543599a6b648ea115639f35f3c778a517',
         'progress': 'ad38c3d085a04d7fbb422e32038062cbd0a20541c3892bbad7a9f7851acf13c1',
+    },
+    'ranked_cached': {
+        'explain': '38919e2ec7755e9f622548e33e1ab800d546b6f5782e9f5c1e9ae8c3ec96249c',
+        'paths': 'c2cb575e9ea97deddbc97fd29861eba47a59ed71259ea09e98633598d1fb8821',
+        'stats': '037f6c1b8225f4a60b78813cef205f47519fc0786c8e02bd5fe8b8c537bc75cb',
+    },
+    'ranked_warm': {
+        'explain': '38919e2ec7755e9f622548e33e1ab800d546b6f5782e9f5c1e9ae8c3ec96249c',
+        'paths': 'c2cb575e9ea97deddbc97fd29861eba47a59ed71259ea09e98633598d1fb8821',
+        'stats': '037f6c1b8225f4a60b78813cef205f47519fc0786c8e02bd5fe8b8c537bc75cb',
     },
 }
 

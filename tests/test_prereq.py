@@ -19,6 +19,7 @@ from repro.catalog.prereq import (
     from_dict,
     requires,
 )
+from repro.errors import CatalogError
 
 
 class TestConstants:
@@ -225,7 +226,7 @@ class TestSerialization:
         assert from_dict(expr.to_dict()) == expr
 
     def test_from_dict_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown prerequisite op"):
+        with pytest.raises(CatalogError, match="unknown prerequisite op"):
             from_dict({"op": "xor"})
 
     def test_to_string_shapes(self):
