@@ -71,8 +71,6 @@ from .core import (
     ReliabilityRanking,
     TimeRanking,
     WorkloadRanking,
-    count_deadline_paths,
-    count_goal_paths,
     generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
@@ -130,8 +128,6 @@ __all__ = [
     "generate_deadline_driven",
     "generate_goal_driven",
     "generate_ranked",
-    "count_deadline_paths",
-    "count_goal_paths",
     "RankingFunction",
     "TimeRanking",
     "WorkloadRanking",

@@ -8,7 +8,7 @@ transposition table, metrics binding — hangs off it.
 untouched.
 
 Sharing model: one cache per catalog, held for the life of a process.
-Every goal-driven engine (tree, ranked, merged DAG, frontier), every
+Every goal-driven engine but the merged DAG (tree, ranked, frontier), every
 pruner instance, and repeated queries through one navigator reuse the
 same memos; nothing is global, so two navigators over different catalogs
 never interfere.  Deadline-driven runs have no goal and never touch it.

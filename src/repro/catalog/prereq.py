@@ -540,4 +540,8 @@ def from_dict(data: Dict[str, Any]) -> PrereqExpr:
         return And(*(from_dict(child) for child in data["children"]))
     if op == "or":
         return Or(*(from_dict(child) for child in data["children"]))
-    return KOf(data["k"], [from_dict(child) for child in data["children"]])
+    children = [from_dict(child) for child in data["children"]]
+    try:
+        return KOf(data["k"], children)
+    except ValueError as exc:
+        raise CatalogError(f"prerequisite {data!r}: {exc}") from None

@@ -31,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from ..errors import CatalogError
+from ..errors import CatalogError, ScheduleParseError
 from ..semester import Term, term_range
 
 __all__ = [
@@ -169,12 +169,13 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: Mapping[str, Iterable[str]]) -> "Schedule":
         """Rebuild from :meth:`to_dict` output (term names parsed)."""
-        return cls(
-            {
-                course_id: frozenset(Term.parse(text) for text in terms)
-                for course_id, terms in data.items()
-            }
-        )
+        offerings = {}
+        for course_id, terms in data.items():
+            try:
+                offerings[course_id] = frozenset(Term.parse(text) for text in terms)
+            except ScheduleParseError as exc:
+                raise CatalogError(f"schedule entry {course_id!r}: {exc}") from None
+        return cls(offerings)
 
 
 class OfferingModel:

@@ -10,10 +10,10 @@ Three generators, matching Section 4:
   under a ranking function (time / workload / reliability, §4.3) via
   best-first search.
 
-plus counting-mode variants (:mod:`repro.core.counting`,
-:mod:`repro.core.frontier`) that run the same expansions over merged
-statuses to produce exact path counts at horizons where the paper's tree
-explodes.  Every engine takes its per-node decision from one kernel,
+plus the frontier DP (:mod:`repro.core.frontier`), which counts paths
+exactly over merged statuses where the paper's tree explodes, and the
+merged-status DAG (:mod:`repro.core.counting`), a graph output.  Every
+engine takes its per-node decision from one kernel,
 :class:`~repro.core.step.NodeStep`, and differs only in traversal order.
 """
 
@@ -51,13 +51,7 @@ from .rankings_extra import (
     SpreadPenaltyRanking,
 )
 from .ranked import RankedResult, generate_ranked
-from .counting import (
-    CountResult,
-    build_deadline_dag,
-    build_goal_dag,
-    count_deadline_paths,
-    count_goal_paths,
-)
+from .counting import CountResult, build_deadline_dag, build_goal_dag
 from .frontier import (
     FrontierCount,
     frontier_count_deadline_paths,
@@ -98,8 +92,6 @@ __all__ = [
     "CountResult",
     "build_deadline_dag",
     "build_goal_dag",
-    "count_deadline_paths",
-    "count_goal_paths",
     "FrontierCount",
     "frontier_count_goal_paths",
     "frontier_count_deadline_paths",

@@ -1,14 +1,13 @@
-"""Counting-mode generation over the merged-status DAG.
+"""The merged-status DAG: the learning graph with equal statuses merged.
 
-The paper cannot materialize deadline-driven graphs beyond 5 semesters
-(out of memory) and reports goal-driven runs with 4×10⁷ paths.  Those path
-*counts* are still well-defined, and because the expansion of a status
-depends only on ``(term, completed)``, two tree nodes with the same key
-root identical subtrees.  Building the expansion over a
-:class:`~repro.graph.dag.MergedStatusDag` therefore visits each distinct
-status once, and an exact path count falls out of a linear DP — this is
-how the reproduction fills Table 2's large rows without the authors'
-32 GB server.
+Because the expansion of a status depends only on ``(term, completed)``,
+two tree nodes with the same key root identical subtrees, so a
+:class:`~repro.graph.dag.MergedStatusDag` holds each distinct status once.
+It is a graph output — DOT/JSON export, ``render_graph`` and
+``graph_shape`` read it, and export node ids follow its depth-first
+insertion order — not a counting mode: the frontier DP
+(:mod:`repro.core.frontier`) visits the same statuses with one layer in
+memory and counts every path.
 
 Each distinct status is decided by the same
 :class:`~repro.core.step.NodeStep` as the tree engines, so the goal,
@@ -32,18 +31,12 @@ from .pruning import Pruner, PruningStats
 from .stats import ExplorationStats
 from .step import NodeStep
 
-__all__ = [
-    "CountResult",
-    "build_deadline_dag",
-    "build_goal_dag",
-    "count_deadline_paths",
-    "count_goal_paths",
-]
+__all__ = ["CountResult", "build_deadline_dag", "build_goal_dag"]
 
 
 @dataclass
 class CountResult:
-    """A merged DAG plus the path count it certifies."""
+    """A merged DAG plus its output-path count."""
 
     dag: MergedStatusDag
     stats: ExplorationStats
@@ -133,55 +126,19 @@ def build_goal_dag(
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
     pruners: Optional[List[Pruner]] = None,
-    cache=None,
     obs: Optional[Observability] = None,
 ) -> CountResult:
     """Goal-driven expansion over merged statuses.
 
     Pruning decisions depend only on a status's ``(term, completed)`` key,
     so they merge cleanly; ``path_count`` counts goal paths and equals the
-    tree algorithm's output exactly (property-tested).  ``cache`` is an
-    optional :class:`~repro.cache.ExplorationCache` — within one run the
-    DAG already deduplicates statuses, so its value here is cross-run
-    reuse of flow results and transposed verdicts.  ``obs`` is an
+    tree algorithm's output exactly (property-tested).  ``obs`` is an
     optional :class:`~repro.obs.runtime.Observability` bundle (span
     ``run:goal_dag`` with ``expand``/``prune``/``flow`` phases, progress,
     budget ticks; no decision events).
     """
     step = NodeStep(
         "goal_dag", catalog, start_term, end_term, completed, config,
-        goal=goal, pruners=pruners, obs=obs, cache=cache,
+        goal=goal, pruners=pruners, obs=obs,
     )
     return _grow_dag(step)
-
-
-def count_deadline_paths(
-    catalog: Catalog,
-    start_term: Term,
-    end_term: Term,
-    completed: AbstractSet[str] = frozenset(),
-    config: Optional[ExplorationConfig] = None,
-    obs: Optional[Observability] = None,
-) -> int:
-    """Exact deadline-driven path count without materializing the tree."""
-    return build_deadline_dag(
-        catalog, start_term, end_term, completed, config, obs=obs
-    ).path_count
-
-
-def count_goal_paths(
-    catalog: Catalog,
-    start_term: Term,
-    goal: Goal,
-    end_term: Term,
-    completed: AbstractSet[str] = frozenset(),
-    config: Optional[ExplorationConfig] = None,
-    pruners: Optional[List[Pruner]] = None,
-    cache=None,
-    obs: Optional[Observability] = None,
-) -> int:
-    """Exact goal-driven path count without materializing the tree."""
-    return build_goal_dag(
-        catalog, start_term, goal, end_term, completed, config, pruners,
-        cache=cache, obs=obs,
-    ).path_count

@@ -7,8 +7,8 @@ the next few semesters" would want.  Faithful to the paper, the result is
 an out-tree (one node per expansion), so the output grows exponentially in
 the horizon — Table 2's out-of-memory rows are reproduced here as a
 :class:`~repro.errors.BudgetExceededError` governed by
-``config.max_nodes``.  Use :func:`repro.core.counting.count_deadline_paths`
-when only the path count is needed.
+``config.max_nodes``.  :func:`~repro.core.frontier.frontier_count_deadline_paths`
+counts the paths without building them.
 """
 
 from __future__ import annotations

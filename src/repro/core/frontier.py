@@ -1,23 +1,23 @@
-"""Frontier dynamic-programming path counting (memory-lean extension).
+"""Frontier dynamic-programming path counting: the one counting engine.
 
-The merged-status DAG (:mod:`repro.core.counting`) stores every distinct
-status it ever visits, which still exhausts memory at the horizons where
-the paper reports tens of millions of goal paths (Table 2, 6–7 semesters:
-the authors used a 32 GB server).  For *counting* purposes even the DAG is
-more than needed: path counts can be pushed forward term by term, keeping
-only one frontier layer at a time —
+The paper cannot materialize deadline-driven graphs beyond 5 semesters
+(out of memory) and reports goal-driven runs with 4×10⁷ paths.  Those path
+*counts* are still well-defined, and because the expansion of a status
+depends only on ``(term, completed)``, two tree nodes with the same key
+root identical subtrees.  Path counts can therefore be pushed forward term
+by term, keeping only one frontier layer at a time —
 
     frontier[t] : {completed-set → number of selection sequences reaching it}
 
 Each term, every state either terminates (goal satisfied → its
 multiplicity joins the total; deadline reached → dropped) or expands its
 selections into the next layer.  Peak memory is the widest single layer
-rather than the union of all layers, and per-state storage is one
-frozenset and one integer.
-
-This is an extension beyond the paper (documented in DESIGN.md), used by
-the Table 2 benchmark to regenerate the large goal-driven rows.  It
-produces exactly the same counts as the tree and DAG algorithms
+rather than every status ever visited, and per-state storage is one
+frozenset and one integer: this fills Table 2's large rows without the
+authors' 32 GB server.  Every path count goes through here (benchmarks,
+``CourseNavigator.count_*``, planning sessions, ``--count-only``); it
+follows the merged DAG's rules (:mod:`repro.core.counting`: nodes, edges,
+merges, ``max_nodes``) and gives exactly the tree algorithms' counts
 (property-tested), including identical pruning behaviour.
 """
 
@@ -71,14 +71,19 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
     term, each state decided once by ``step`` with its multiplicity.
 
     A state stays a bare status (no option set) until it survives the
-    terminal and pruning checks, when the pruners allow it.
+    terminal and pruning checks, when the pruners allow it.  Stats count
+    what the merged DAG would hold: one node per distinct state, one edge
+    per child and one merge per child already in the next layer;
+    ``config.max_nodes`` bounds the distinct states seen.
     """
     expander = step.expander
     end_term = step.end_term
     lazy_options = step.lazy_options
+    max_nodes = step.config.max_nodes
     stats = step.stats
     obs = step.obs
     frontier: Dict[FrozenSet[str], int] = {step.completed: 1}
+    seen = 1
     term = step.start_term
     widths = [len(frontier)]
     terminal_counts: Dict[str, int] = {}
@@ -116,7 +121,15 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
                         ]
                     with obs.phase("merge"):
                         for key in children:
-                            next_frontier[key] = next_frontier.get(key, 0) + multiplicity
+                            stats.record_edge()
+                            if key in next_frontier:
+                                next_frontier[key] += multiplicity
+                                stats.record_merge()
+                            else:
+                                next_frontier[key] = multiplicity
+                                seen += 1
+                                if max_nodes is not None and seen > max_nodes:
+                                    raise step.exceeded("nodes", max_nodes, seen)
                     kind = step.close(status, multiplicity, len(children), None, multiplicity)
                     # Check the budget as the layer grows (not just once it
                     # is complete) so an exploding layer fails fast instead
@@ -161,8 +174,9 @@ def frontier_count_goal_paths(
     """Exact goal-driven path count with one-layer memory.
 
     Semantics match :func:`~repro.core.goal_driven.generate_goal_driven`
-    exactly; ``max_frontier`` bounds the widest layer, raising
-    :class:`~repro.errors.BudgetExceededError` beyond it.  ``obs`` is an
+    exactly; ``config.max_nodes`` bounds the distinct states seen and
+    ``max_frontier`` the widest layer, raising
+    :class:`~repro.errors.BudgetExceededError` beyond either.  ``obs`` is an
     optional :class:`~repro.obs.runtime.Observability` bundle (span
     ``run:frontier_goal`` with ``expand``/``merge``/``prune`` phases);
     ``cache`` an optional :class:`~repro.cache.ExplorationCache`
@@ -187,7 +201,8 @@ def frontier_count_deadline_paths(
     """Exact deadline-driven path count with one-layer memory.
 
     Counts match :func:`~repro.core.deadline.generate_deadline_driven`:
-    deadline leaves plus dead ends.
+    deadline leaves plus dead ends.  Limits, ``obs`` (span
+    ``run:frontier_deadline``) as for :func:`frontier_count_goal_paths`.
     """
     step = NodeStep(
         "frontier_deadline", catalog, start_term, end_term, completed, config,

@@ -260,12 +260,13 @@ class AvailabilityPruner(Pruner):
 
 
 class PruningStats:
-    """Per-strategy prune-event counters for one run."""
+    """Per-strategy prune-event counters for one run.  ``events`` is held,
+    not copied: a run's stats share their dict, so each prune is recorded once."""
 
     __slots__ = ("events",)
 
-    def __init__(self) -> None:
-        self.events: Dict[str, int] = {}
+    def __init__(self, events: Optional[Dict[str, int]] = None) -> None:
+        self.events: Dict[str, int] = events if events is not None else {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

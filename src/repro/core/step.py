@@ -6,8 +6,8 @@ expanded (§4.1–4.3).  :class:`NodeStep` decides each node for all of them:
 budget tick; goal test, then deadline test; the pruner stack (through the
 cache's transposition table when one is attached); the strategic-selection
 floor ``min_i`` and the selections it suppresses.  It records every
-outcome in the run's stats, pruning stats, progress and decision events,
-so the engines keep only their traversal order: DFS tree
+outcome in the run's stats (which the pruning stats read), progress and
+decision events, so the engines keep only their traversal order: DFS tree
 (:mod:`~repro.core.deadline`), DFS over merged statuses
 (:mod:`~repro.core.counting`), best-first (:mod:`~repro.core.ranked`) and
 layer-merged (:mod:`~repro.core.frontier`).
@@ -142,7 +142,7 @@ class NodeStep:
         self._progress = self.obs.progress
         self._budget = self.obs.budget
         self.stats = ExplorationStats()
-        self.pruning_stats = PruningStats()
+        self.pruning_stats = PruningStats(self.stats.prune_events)
         self.stats.start_timer()
         self.expander = Expander(catalog, end_term, config, obs=self.obs)
 
@@ -225,7 +225,6 @@ class NodeStep:
         suppressed = suppressed_selection_count(len(status.options), floor)
         if suppressed:
             self.stats.record_prune("time", suppressed)
-            self.pruning_stats.record("time", suppressed)
             if self._recorder is not None:
                 detail = {
                     "suppressed": suppressed,
@@ -280,7 +279,6 @@ class NodeStep:
             return False
         self.stats.record_terminal("pruned")
         self.stats.record_prune(name)
-        self.pruning_stats.record(name)
         if self._progress is not None:
             self._progress.record_pruned(int(status.term - self.start_term))
         if recorder is not None:

@@ -482,9 +482,31 @@ class AnyOfGoal(Goal):
         return {"type": "any_of", "goals": [g.to_dict() for g in self._goals]}
 
 
+#: The key each serialized goal type needs besides ``type``.
+_GOAL_FIELDS = {
+    "course_set": "courses",
+    "expression": "expression",
+    "degree": "groups",
+    "all_of": "goals",
+    "any_of": "goals",
+}
+
+
 def goal_from_dict(data: Mapping[str, Any]) -> Goal:
-    """Rebuild a goal from its :meth:`Goal.to_dict` representation."""
+    """Rebuild a goal from its :meth:`Goal.to_dict` representation.
+
+    Raises :class:`~repro.errors.GoalError` naming the offending entry when
+    ``data`` is not an object, has an unknown ``type`` or lacks the key its
+    type needs.
+    """
+    if not isinstance(data, Mapping):
+        raise GoalError(f"goal {data!r} is not an object")
     kind = data.get("type")
+    field = _GOAL_FIELDS.get(kind) if isinstance(kind, str) else None
+    if field is None:
+        raise GoalError(f"unknown goal type {kind!r}")
+    if field not in data:
+        raise GoalError(f"goal {dict(data)!r} lacks {field!r}")
     if kind == "course_set":
         return CourseSetGoal(data["courses"])
     if kind == "expression":
@@ -496,6 +518,4 @@ def goal_from_dict(data: Mapping[str, Any]) -> Goal:
         )
     if kind == "all_of":
         return AllOfGoal([goal_from_dict(g) for g in data["goals"]])
-    if kind == "any_of":
-        return AnyOfGoal([goal_from_dict(g) for g in data["goals"]])
-    raise GoalError(f"unknown goal type {kind!r}")
+    return AnyOfGoal([goal_from_dict(g) for g in data["goals"]])

@@ -35,7 +35,7 @@ from ..data import (
     start_term_for_semesters,
 )
 from ..data.brandeis import EVALUATION_END_TERM, course_rows
-from ..errors import BudgetExceededError, CourseNavigatorError, GoalError
+from ..errors import BudgetExceededError, CatalogError, CourseNavigatorError, GoalError
 from ..obs import (
     DecisionRecorder,
     ExplorationBudget,
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     deadline_cmd.add_argument(
         "--count-only",
         action="store_true",
-        help="report the exact path count via the merged DAG (no enumeration)",
+        help="report the exact path count via the frontier DP (no enumeration)",
     )
 
     goal_cmd = sub.add_parser(
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     goal_cmd.add_argument(
         "--count-only",
         action="store_true",
-        help="report the exact goal-path count via the merged DAG",
+        help="report the exact goal-path count via the frontier DP (no enumeration)",
     )
     _add_explain_option(goal_cmd)
 
@@ -324,7 +324,7 @@ def _goal(args: argparse.Namespace) -> Goal:
                 raise GoalError(f"{path}: invalid JSON: {exc}") from None
         try:
             return goal_from_dict(data)
-        except GoalError as exc:
+        except (GoalError, CatalogError) as exc:
             raise GoalError(f"{path}: {exc}") from None
     if args.goal_courses:
         return CourseSetGoal(args.goal_courses)

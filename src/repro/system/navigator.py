@@ -33,8 +33,8 @@ from ..core import (
     ReliabilityRanking,
     TimeRanking,
     WorkloadRanking,
-    count_deadline_paths,
-    count_goal_paths,
+    frontier_count_deadline_paths,
+    frontier_count_goal_paths,
     generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
@@ -280,15 +280,15 @@ class CourseNavigator:
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
     ) -> int:
-        """Exact deadline-driven path count via the merged DAG."""
-        return count_deadline_paths(
+        """Exact deadline-driven path count via the frontier DP."""
+        return frontier_count_deadline_paths(
             self._catalog,
             start_term,
             end_term,
             completed=completed,
             config=config,
             obs=self._obs,
-        )
+        ).path_count
 
     def count_goal(
         self,
@@ -298,17 +298,17 @@ class CourseNavigator:
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
     ) -> int:
-        """Exact goal-driven path count via the merged DAG."""
-        return count_goal_paths(
+        """Exact goal-driven path count via the frontier DP."""
+        return frontier_count_goal_paths(
             self._catalog,
             start_term,
             goal,
             end_term,
             completed=completed,
             config=config,
-            cache=self._cache,
             obs=self._obs,
-        )
+            cache=self._cache,
+        ).path_count
 
     # -- transcript auditing ------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from ..catalog import Catalog
-from ..core import ExplorationConfig, RankedResult, count_goal_paths
+from ..core import ExplorationConfig, RankedResult, frontier_count_goal_paths
 from ..core.expansion import Expander
 from ..errors import ExplorationError
 from ..graph.path import LearningPath
@@ -143,14 +143,14 @@ class PlanningSession:
 
     def routes_remaining(self) -> int:
         """Exact number of goal routes from the current status."""
-        return count_goal_paths(
+        return frontier_count_goal_paths(
             self._navigator.catalog,
             self._status.term,
             self._goal,
             self._deadline,
             completed=self._status.completed,
             config=self._config,
-        )
+        ).path_count
 
     def preview(self, *course_ids: str) -> SelectionPreview:
         """Score a candidate selection without committing to it.
@@ -163,14 +163,14 @@ class PlanningSession:
         satisfied = self._goal.is_satisfied(child.completed)
         routes = 0
         if not satisfied:
-            routes = count_goal_paths(
+            routes = frontier_count_goal_paths(
                 self._navigator.catalog,
                 child.term,
                 self._goal,
                 self._deadline,
                 completed=child.completed,
                 config=self._config,
-            )
+            ).path_count
         return SelectionPreview(
             selection=selection,
             next_term_options=child.options,

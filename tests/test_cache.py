@@ -24,7 +24,6 @@ from repro.core import (
     generate_goal_driven,
     generate_ranked,
 )
-from repro.core.counting import count_goal_paths
 from repro.core.frontier import frontier_count_goal_paths
 from repro.core.pruning import (
     AvailabilityPruner,
@@ -291,23 +290,16 @@ class TestEquivalence:
         catalog = brandeis_catalog()
         goal = brandeis_major_goal()
         cache = ExplorationCache()
-        base_count = count_goal_paths(catalog, START, goal, END, config=CONFIG)
-        base_frontier = frontier_count_goal_paths(
-            catalog, START, goal, END, config=CONFIG
-        )
+        navigator = CourseNavigator(catalog, cache=cache)
+        base = frontier_count_goal_paths(catalog, START, goal, END, config=CONFIG)
         for _ in range(2):
-            assert (
-                count_goal_paths(
-                    catalog, START, goal, END, config=CONFIG, cache=cache
-                )
-                == base_count
+            cached = frontier_count_goal_paths(
+                catalog, START, goal, END, config=CONFIG, cache=cache
             )
-            assert (
-                frontier_count_goal_paths(
-                    catalog, START, goal, END, config=CONFIG, cache=cache
-                ).path_count
-                == base_frontier.path_count
-            )
+            assert cached.path_count == base.path_count
+            assert cached.terminal_path_counts == base.terminal_path_counts
+            assert cached.pruning_stats == base.pruning_stats
+            assert navigator.count_goal(START, goal, END, config=CONFIG) == base.path_count
 
     def test_random_catalogs_property(self):
         for seed in (3, 11, 2016):

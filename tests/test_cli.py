@@ -112,6 +112,22 @@ class TestGoalCommand:
         assert code == 0
         assert "905 goal paths" in out
 
+    def test_count_only_max_nodes(self, capsys):
+        # Table 1 at 4 semesters visits 4,716 distinct statuses.
+        code, out, err = run_cli(
+            capsys,
+            "goal",
+            "--start", "Fall 2013",
+            "--end", "Fall 2015",
+            "--count-only",
+            "--max-nodes", "100",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: exploration budget exceeded: nodes limit 100 reached (observed 101)"
+        ]
+
 
 class TestRankedCommand:
     def test_top_k(self, capsys, tmp_path, fig3_catalog):
@@ -410,11 +426,41 @@ class TestIoErrors:
                 '{"courses": [{"course_id": "A", "prereq": {"op": "xor"}}]}',
                 "course 'A': unknown prerequisite op 'xor'",
             ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "prereq": '
+                '{"op": "kof", "k": -1, "children": []}}]}',
+                "course 'A': prerequisite {'op': 'kof', 'k': -1, 'children': []}: "
+                "k must be a non-negative int, got -1",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A"}], "schedule": {"A": ["Autumn 2012"]}}',
+                "schedule entry 'A': unknown season 'Autumn'",
+            ),
             ("--goal-file", "{ not json", "invalid JSON"),
             (
                 "--goal-file",
                 '{"type": "degree", "groups": [{"name": "core", "required": 1}]}',
                 "requirement group {'name': 'core', 'required': 1} lacks 'courses'",
+            ),
+            ("--goal-file", "[1, 2]", "goal [1, 2] is not an object"),
+            ("--goal-file", '{"type": "degree"}', "goal {'type': 'degree'} lacks 'groups'"),
+            ("--goal-file", '{"type": "all_of"}', "goal {'type': 'all_of'} lacks 'goals'"),
+            (
+                "--goal-file",
+                '{"type": "course_set"}',
+                "goal {'type': 'course_set'} lacks 'courses'",
+            ),
+            (
+                "--goal-file",
+                '{"type": "expression"}',
+                "goal {'type': 'expression'} lacks 'expression'",
+            ),
+            (
+                "--goal-file",
+                '{"type": "expression", "expression": {"op": "xor"}}',
+                "unknown prerequisite op 'xor'",
             ),
         ],
         ids=[
@@ -422,8 +468,16 @@ class TestIoErrors:
             "course-id",
             "course-op-id",
             "prereq-op",
+            "kof-negative-k",
+            "schedule-term",
             "goal-json",
             "group-courses",
+            "goal-not-object",
+            "goal-groups",
+            "goal-goals",
+            "goal-courses",
+            "goal-expression",
+            "goal-expression-op",
         ],
     )
     def test_malformed_input_is_one_error_line(
@@ -496,7 +550,10 @@ class TestLiveTelemetryFlags:
 
     @pytest.mark.parametrize(
         "command, start, run",
-        [("goal", "Fall 2013", "goal_dag"), ("deadline", "Spring 2014", "deadline_dag")],
+        [
+            ("goal", "Fall 2013", "frontier_goal"),
+            ("deadline", "Spring 2014", "frontier_deadline"),
+        ],
     )
     def test_count_only_runs_are_instrumented(self, capsys, tmp_path, command, start, run):
         metrics_path = tmp_path / "metrics.prom"

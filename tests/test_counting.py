@@ -1,4 +1,4 @@
-"""Tests for merged-DAG counting and frontier-DP counting."""
+"""Tests for the merged-status DAG and frontier-DP counting."""
 
 import pytest
 
@@ -6,15 +6,16 @@ from repro.core import (
     ExplorationConfig,
     build_deadline_dag,
     build_goal_dag,
-    count_deadline_paths,
-    count_goal_paths,
     frontier_count_deadline_paths,
     frontier_count_goal_paths,
     generate_deadline_driven,
     generate_goal_driven,
 )
+from repro.data import brandeis_catalog, brandeis_major_goal, start_term_for_semesters
+from repro.data.brandeis import EVALUATION_END_TERM
 from repro.errors import BudgetExceededError, ExplorationError
 from repro.requirements import CourseSetGoal
+from repro.system import CourseNavigator
 
 from .conftest import F11, F12, S12, S13
 
@@ -39,7 +40,7 @@ class TestDeadlineDagOnFig3:
         assert dag.distinct_statuses == 9
 
     def test_convenience_wrapper(self, fig3_catalog):
-        assert count_deadline_paths(fig3_catalog, F11, S13) == 3
+        assert CourseNavigator(fig3_catalog).count_deadline(F11, S13) == 3
 
     def test_budget(self, fig3_catalog):
         with pytest.raises(BudgetExceededError):
@@ -64,12 +65,12 @@ class TestGoalDagOnFig3:
         assert dag.pruning_stats.total >= 1
 
     def test_convenience_wrapper(self, fig3_catalog):
-        assert count_goal_paths(fig3_catalog, F11, GOAL, F12) == 1
+        assert CourseNavigator(fig3_catalog).count_goal(F11, GOAL, F12) == 1
 
     def test_no_pruners_same_count(self, fig3_catalog):
-        assert count_goal_paths(fig3_catalog, F11, GOAL, F12) == build_goal_dag(
-            fig3_catalog, F11, GOAL, F12, pruners=[]
-        ).path_count
+        assert frontier_count_goal_paths(
+            fig3_catalog, F11, GOAL, F12
+        ).path_count == build_goal_dag(fig3_catalog, F11, GOAL, F12, pruners=[]).path_count
 
 
 class TestFrontierOnFig3:
@@ -109,3 +110,27 @@ class TestFrontierOnFig3:
             frontier_count_goal_paths(fig3_catalog, S13, GOAL, F11)
         with pytest.raises(ExplorationError):
             frontier_count_deadline_paths(fig3_catalog, F11, S13, completed={"99Z"})
+
+
+class TestMaxNodesBoundary:
+    """``config.max_nodes`` bounds distinct statuses, the same in both
+    engines: Table 1 at 4 semesters visits 4,716 of them."""
+
+    @pytest.mark.parametrize(
+        "engine", [build_goal_dag, frontier_count_goal_paths], ids=["dag", "frontier"]
+    )
+    def test_limit_counts_distinct_statuses(self, engine):
+        catalog, goal = brandeis_catalog(), brandeis_major_goal()
+        start = start_term_for_semesters(4)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            engine(
+                catalog, start, goal, EVALUATION_END_TERM,
+                config=ExplorationConfig(max_nodes=4715),
+            )
+        error = excinfo.value
+        assert (error.kind, error.limit, error.observed) == ("nodes", 4715, 4716)
+        result = engine(
+            catalog, start, goal, EVALUATION_END_TERM,
+            config=ExplorationConfig(max_nodes=4716),
+        )
+        assert result.path_count == 905

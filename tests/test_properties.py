@@ -8,7 +8,8 @@ equivalences on hundreds of randomly generated catalogs:
 * **Lemma 2 (top-k correctness)** — best-first generation returns the
   k cheapest goal paths, matching a brute-force sort of the full set.
 * **Counting equivalence** — the tree, merged-DAG, and frontier-DP
-  algorithms agree on every path count.
+  algorithms agree on every path count, and the frontier publishes the
+  DAG's node, edge, merge, terminal and prune counters.
 * **Output validity** — every generated path respects schedules,
   prerequisites, and the per-term cap.
 """
@@ -28,6 +29,7 @@ from repro.core import (
     generate_ranked,
 )
 from repro.data import GeneratorSettings, random_catalog, random_course_set_goal
+from repro.obs import MetricsRegistry, Observability
 from repro.semester import Term
 
 START = Term(2011, "Fall")
@@ -50,8 +52,28 @@ _CONFIGS = st.builds(
 )
 
 
+_RUN_COUNTERS = {
+    "repro_nodes_created_total",
+    "repro_edges_created_total",
+    "repro_merged_hits_total",
+    "repro_terminals_total",
+    "repro_prune_events_total",
+}
+
+
 def _selection_set(result):
     return {path.selections for path in result.paths()}
+
+
+def _published(run):
+    """The run counters ``run(obs)`` publishes, read through a registry."""
+    registry = MetricsRegistry()
+    run(Observability(metrics=registry))
+    return {
+        (metric["name"], tuple(sorted(metric["labels"].items()))): metric["value"]
+        for metric in registry.snapshot()["metrics"]
+        if metric["name"] in _RUN_COUNTERS
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,6 +109,40 @@ def test_tree_dag_frontier_goal_counts_agree(seed, settings_, config, horizon):
     dag = build_goal_dag(catalog, START, goal, end, config=config)
     frontier = frontier_count_goal_paths(catalog, START, goal, end, config=config)
     assert tree.path_count == dag.path_count == frontier.path_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    settings_=_SETTINGS,
+    config=_CONFIGS,
+    horizon=st.integers(1, 4),
+    with_goal=st.booleans(),
+)
+def test_frontier_publishes_the_dag_counters(seed, settings_, config, horizon, with_goal):
+    catalog = random_catalog(seed, settings_)
+    end = START + horizon
+    if with_goal:
+        goal = random_course_set_goal(catalog, seed + 1, size=2)
+        dag = _published(
+            lambda obs: build_goal_dag(catalog, START, goal, end, config=config, obs=obs)
+        )
+        frontier = _published(
+            lambda obs: frontier_count_goal_paths(
+                catalog, START, goal, end, config=config, obs=obs
+            )
+        )
+    else:
+        dag = _published(
+            lambda obs: build_deadline_dag(catalog, START, end, config=config, obs=obs)
+        )
+        frontier = _published(
+            lambda obs: frontier_count_deadline_paths(
+                catalog, START, end, config=config, obs=obs
+            )
+        )
+    assert ("repro_nodes_created_total", ()) in dag
+    assert frontier == dag
 
 
 @settings(max_examples=40, deadline=None)

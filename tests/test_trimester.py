@@ -6,7 +6,7 @@ import pytest
 from repro.core import (
     ExplorationConfig,
     TimeRanking,
-    count_goal_paths,
+    frontier_count_goal_paths,
     generate_goal_driven,
     generate_ranked,
 )
@@ -63,7 +63,7 @@ class TestExplorationOnTrimesters:
     def test_goal_paths_exist(self, catalog, minor):
         start = LAKESIDE_FIRST_TERM
         end = start + 6  # two calendar years of trimesters
-        count = count_goal_paths(catalog, start, minor, end)
+        count = frontier_count_goal_paths(catalog, start, minor, end).path_count
         assert count > 0
 
     def test_summer_attendance_speeds_completion(self, catalog, minor):
