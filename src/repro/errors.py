@@ -147,4 +147,6 @@ class RunCancelledError(BudgetExceededError):
 
 
 class InvalidConfigError(ExplorationError, ValueError):
-    """An :class:`~repro.core.config.ExplorationConfig` field is invalid."""
+    """An exploration setting is invalid: an
+    :class:`~repro.core.config.ExplorationConfig` field, a budget limit or
+    a telemetry server port."""

@@ -61,9 +61,7 @@ from .profiling import (
 )
 from .runtime import (
     NULL_OBSERVABILITY,
-    SPAN_METRIC_NAME,
     Observability,
-    SpanMetricsSink,
     current_observability,
 )
 from .server import PROMETHEUS_CONTENT_TYPE, MetricsServer
@@ -74,7 +72,6 @@ from .tracing import (
     NullTracer,
     Span,
     SpanSink,
-    Stopwatch,
     Tracer,
 )
 
@@ -87,7 +84,6 @@ __all__ = [
     "SpanSink",
     "InMemorySink",
     "JsonlSink",
-    "Stopwatch",
     # metrics
     "MetricsRegistry",
     "Counter",
@@ -120,7 +116,5 @@ __all__ = [
     # bundle
     "Observability",
     "NULL_OBSERVABILITY",
-    "SpanMetricsSink",
-    "SPAN_METRIC_NAME",
     "current_observability",
 ]

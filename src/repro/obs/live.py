@@ -41,7 +41,7 @@ import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
-from ..errors import BudgetExceededError, RunCancelledError
+from ..errors import BudgetExceededError, InvalidConfigError, RunCancelledError
 
 __all__ = [
     "ProgressSnapshot",
@@ -420,6 +420,8 @@ class ExplorationBudget:
     attribute reads and an integer compare); wall-clock runs every tick
     too (one ``perf_counter``); the comparatively expensive memory probe
     runs once every ``check_interval`` ticks via a generation counter.
+    A negative or NaN limit raises :class:`~repro.errors.InvalidConfigError`;
+    zero is allowed (the first tick past it fails).
 
     On violation the budget raises
     :class:`~repro.errors.BudgetExceededError` carrying the tracker's
@@ -454,6 +456,13 @@ class ExplorationBudget:
     ):
         if check_interval < 1:
             raise ValueError(f"check_interval must be >= 1, got {check_interval}")
+        for name, limit in (
+            ("wall_seconds", wall_seconds),
+            ("max_nodes", max_nodes),
+            ("max_memory_bytes", max_memory_bytes),
+        ):
+            if limit is not None and not limit >= 0:
+                raise InvalidConfigError(f"budget {name} must be >= 0, got {limit}")
         self.wall_seconds = wall_seconds
         self.max_nodes = max_nodes
         self.max_memory_bytes = max_memory_bytes
@@ -534,41 +543,10 @@ class ExplorationBudget:
             if used > self.max_memory_bytes:
                 self._fail("memory bytes", self.max_memory_bytes, used, stats, progress)
 
-    def check(self, stats=None, progress: Optional[ProgressTracker] = None) -> None:
-        """An unconditional full check (memory included), tick-free."""
-        if self._cancel_reason is not None:
-            self._fail_cancelled(stats, progress)
-        if self.max_nodes is not None and stats is not None:
-            if stats.nodes_created > self.max_nodes:
-                self._fail("nodes", self.max_nodes, stats.nodes_created, stats, progress)
-        if self.wall_seconds is not None and self._armed_at is not None:
-            elapsed = self._clock() - self._armed_at
-            if elapsed > self.wall_seconds:
-                self._fail("wall seconds", self.wall_seconds, elapsed, stats, progress)
-        if self.max_memory_bytes is not None:
-            used = _process_memory_bytes()
-            if used > self.max_memory_bytes:
-                self._fail("memory bytes", self.max_memory_bytes, used, stats, progress)
-
     # -- failure assembly ----------------------------------------------------
 
-    def _final_snapshot(
-        self, progress: Optional[ProgressTracker]
-    ) -> Optional[ProgressSnapshot]:
-        if progress is None:
-            return None
-        return progress.snapshot(budget=self)
-
     def _fail(self, kind, limit, observed, stats, progress) -> None:
-        if stats is not None:
-            stats.stop_timer()
-        raise BudgetExceededError(
-            kind,
-            limit,
-            observed,
-            progress=self._final_snapshot(progress),
-            partial_stats=stats,
-        )
+        raise budget_exceeded(kind, limit, observed, stats, progress, self)
 
     def _fail_cancelled(self, stats, progress) -> None:
         reason = self._cancel_reason or "cancelled"
@@ -578,7 +556,7 @@ class ExplorationBudget:
             stats.stop_timer()
         raise RunCancelledError(
             reason,
-            progress=self._final_snapshot(progress),
+            progress=progress.snapshot(budget=self) if progress is not None else None,
             partial_stats=stats,
         )
 

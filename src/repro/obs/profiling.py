@@ -16,8 +16,10 @@ The engine charges wall time to named **phases** while it runs:
 Phase times are **inclusive** — ``prune`` contains its ``prune:*`` and any
 ``flow`` time spent inside it — so sub-phases explain their parent rather
 than summing with it.  :class:`PhaseBreakdown` is the cheap accumulator
-(one dict entry per phase); the same durations also feed a per-phase
-histogram in the metrics registry when one is attached.
+(one dict entry per phase).  Each phase entry is measured once (by its
+span when tracing is on), and that one value also feeds the
+``repro_phase_duration_seconds{phase}`` histogram when a metrics registry
+is attached, so the breakdown, the histogram and the span durations agree.
 
 :func:`capture_peak_memory` wraps ``tracemalloc`` for optional per-run
 peak-RSS-style accounting (allocation tracking costs 2-4x run time, so it
@@ -69,12 +71,6 @@ class PhaseBreakdown:
 
     def __bool__(self) -> bool:
         return bool(self._seconds)
-
-    def merge(self, other: "PhaseBreakdown") -> "PhaseBreakdown":
-        """Fold another breakdown into this one; returns self."""
-        for phase, seconds in other._seconds.items():
-            self.add(phase, seconds, other._counts.get(phase, 0))
-        return self
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """JSON-serializable ``{phase: {seconds, count}}`` snapshot."""

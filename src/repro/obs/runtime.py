@@ -5,10 +5,17 @@ separate tracer/metrics/profiler arguments.  It fans each phase out to
 whichever backends are attached:
 
 * a span per phase on the tracer (when tracing is enabled),
-* an observation in the per-phase duration histogram (when a metrics
-  registry is attached),
+* an observation in the per-phase duration histogram
+  ``repro_phase_duration_seconds{phase}`` (when a metrics registry is
+  attached),
 * an entry in the in-process :class:`~repro.obs.profiling.PhaseBreakdown`
   (always, when the bundle is enabled at all).
+
+Each phase entry is timed **once**: with tracing on, the span's own
+duration is the measurement; otherwise one ``perf_counter`` pair is.  All
+three backends receive that one value, so a phase's span durations,
+histogram and breakdown agree exactly.  Run durations live in the
+``run:*`` spans and ``repro_exploration_seconds_total``.
 
 ``Observability()`` with no arguments is **disabled**: ``phase()`` and
 ``run()`` return a shared no-op context manager and the engine's hot
@@ -44,45 +51,13 @@ from .explain import DecisionRecorder
 from .live import ExplorationBudget, ProgressTracker
 from .metrics import Histogram, MetricsRegistry
 from .profiling import PHASE_METRIC_NAME, PhaseBreakdown, capture_peak_memory
-from .tracing import NULL_SPAN, NULL_TRACER, SpanSink, Tracer
+from .tracing import NULL_SPAN, NULL_TRACER, Tracer
 
 __all__ = [
     "Observability",
     "NULL_OBSERVABILITY",
-    "SpanMetricsSink",
-    "SPAN_METRIC_NAME",
     "current_observability",
 ]
-
-#: Histogram family the tracer→metrics bridge observes into (label ``name``).
-SPAN_METRIC_NAME = "repro_span_duration_seconds"
-
-
-class SpanMetricsSink(SpanSink):
-    """Bridges the tracer into a metrics registry.
-
-    Every finished span's duration lands in the
-    ``repro_span_duration_seconds{name=...}`` histogram, so Prometheus
-    exposition covers exactly what a JSONL trace covers — per-span-name
-    duration distributions — without parsing the trace offline.  One
-    histogram series per span name, resolved once and cached.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self._histograms: Dict[str, Histogram] = {}
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        name = record["name"]
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                SPAN_METRIC_NAME,
-                "wall seconds per finished span, by span name",
-                labels={"name": name},
-            )
-            self._histograms[name] = histogram
-        histogram.observe(record["duration"])
 
 _ACTIVE: "ContextVar[Optional[Observability]]" = ContextVar(
     "repro_active_observability", default=None
@@ -118,7 +93,12 @@ class _Activation:
 
 
 class _PhaseScope:
-    """Times one phase entry and fans it out to span/histogram/breakdown."""
+    """Times one phase entry and fans it out to span/histogram/breakdown.
+
+    The entry is timed once: by the span when tracing is on (its
+    ``duration_seconds`` is the elapsed time), else by one
+    ``perf_counter`` pair.  The breakdown and histogram get that value.
+    """
 
     __slots__ = ("_obs", "_name", "_attributes", "_span", "_started_at")
 
@@ -130,16 +110,19 @@ class _PhaseScope:
     def __enter__(self):
         obs = self._obs
         if obs.tracer.enabled:
-            self._span = obs.tracer.span(self._name, **self._attributes)
-            self._span.__enter__()
-        else:
-            self._span = NULL_SPAN
+            span = self._span = obs.tracer.span(self._name, **self._attributes)
+            return span.__enter__()
+        self._span = None
         self._started_at = time.perf_counter()
-        return self._span
+        return NULL_SPAN
 
     def __exit__(self, exc_type, exc_val, exc_tb) -> bool:
-        elapsed = time.perf_counter() - self._started_at
-        self._span.__exit__(exc_type, exc_val, exc_tb)
+        span = self._span
+        if span is None:
+            elapsed = time.perf_counter() - self._started_at
+        else:
+            span.__exit__(exc_type, exc_val, exc_tb)
+            elapsed = span.duration_seconds
         obs = self._obs
         obs.phases.add(self._name, elapsed)
         histogram = obs._phase_histogram(self._name)
@@ -222,9 +205,7 @@ class Observability:
         carry a snapshot.
 
     With no backend at all the bundle is ``enabled == False`` and every
-    hook degrades to a shared no-op.  When both a real tracer and a
-    metrics registry are attached, a :class:`SpanMetricsSink` bridge is
-    added automatically so span durations appear in the registry too.
+    hook degrades to a shared no-op.
     """
 
     __slots__ = (
@@ -268,11 +249,6 @@ class Observability:
         )
         self.last_memory = None
         self._histograms: Dict[str, Optional[Histogram]] = {}
-        if self.tracer.enabled and metrics is not None and not any(
-            isinstance(sink, SpanMetricsSink) and sink.registry is metrics
-            for sink in self.tracer._sinks
-        ):
-            self.tracer.add_sink(SpanMetricsSink(metrics))
 
     # -- scopes --------------------------------------------------------------
 

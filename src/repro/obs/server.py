@@ -29,6 +29,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from ..errors import InvalidConfigError
 from .live import ExplorationBudget, ProgressTracker
 from .metrics import MetricsRegistry
 
@@ -104,7 +105,8 @@ class MetricsServer:
         Optional :class:`~repro.obs.live.ExplorationBudget` whose state is
         embedded in ``/progress`` responses.
     host, port:
-        Bind address; ``port=0`` asks the OS for an ephemeral port.
+        Bind address; ``port=0`` asks the OS for an ephemeral port.  A
+        port outside 0–65535 raises :class:`~repro.errors.InvalidConfigError`.
     """
 
     def __init__(
@@ -115,6 +117,8 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        if not 0 <= port <= 65535:
+            raise InvalidConfigError(f"port must be in 0-65535, got {port}")
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         # The handler reads these through self.server (one server instance

@@ -34,53 +34,7 @@ __all__ = [
     "SpanSink",
     "InMemorySink",
     "JsonlSink",
-    "Stopwatch",
 ]
-
-
-class Stopwatch:
-    """A reusable ``perf_counter`` stopwatch with context-manager sugar.
-
-    ``elapsed`` accumulates across ``start``/``stop`` pairs, so one
-    stopwatch can time several disjoint intervals; :meth:`read` peeks at
-    the running total without stopping.
-    """
-
-    __slots__ = ("elapsed", "_started_at")
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._started_at: Optional[float] = None
-
-    def start(self) -> "Stopwatch":
-        """Begin (or resume) timing; returns self for chaining."""
-        self._started_at = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Fold the running interval into ``elapsed`` and return it."""
-        if self._started_at is not None:
-            self.elapsed += time.perf_counter() - self._started_at
-            self._started_at = None
-        return self.elapsed
-
-    def read(self) -> float:
-        """``elapsed`` including the still-running interval, if any."""
-        if self._started_at is None:
-            return self.elapsed
-        return self.elapsed + time.perf_counter() - self._started_at
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently timing an interval."""
-        return self._started_at is not None
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> bool:
-        self.stop()
-        return False
 
 
 class SpanSink:

@@ -22,6 +22,7 @@ catalog; pass ``--catalog FILE.json`` (a file produced by
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -621,36 +622,34 @@ def _dispatch(args: argparse.Namespace) -> int:
     args._metrics = (
         MetricsRegistry() if (metrics_path or serve_port is not None) else None
     )
-    wall_budget = getattr(args, "wall_budget", None)
-    node_budget = getattr(args, "node_budget", None)
-    memory_budget_mb = getattr(args, "memory_budget_mb", None)
-    args._budget = (
-        ExplorationBudget(
-            wall_seconds=wall_budget,
-            max_nodes=node_budget,
-            max_memory_bytes=(
-                int(memory_budget_mb * 1024 * 1024)
-                if memory_budget_mb is not None
-                else None
-            ),
-        )
-        if (wall_budget, node_budget, memory_budget_mb) != (None, None, None)
-        else None
-    )
-    # The tracker backs the TTY line, the /progress endpoint, and the
-    # partial snapshot attached to budget aborts — any of those wants it.
-    args._progress = (
-        ProgressTracker()
+    args._budget = None
+    args._progress = None
+    server: Optional[MetricsServer] = None
+    printer: Optional[ProgressPrinter] = None
+    try:
+        # Built inside the try so a bad limit is one error line, exit 2.
+        wall_budget = getattr(args, "wall_budget", None)
+        node_budget = getattr(args, "node_budget", None)
+        memory_budget_mb = getattr(args, "memory_budget_mb", None)
+        if (wall_budget, node_budget, memory_budget_mb) != (None, None, None):
+            args._budget = ExplorationBudget(
+                wall_seconds=wall_budget,
+                max_nodes=node_budget,
+                # NaN and inf pass through unconverted (the budget rejects NaN).
+                max_memory_bytes=(
+                    int(memory_budget_mb * 1024 * 1024)
+                    if memory_budget_mb is not None and math.isfinite(memory_budget_mb)
+                    else memory_budget_mb
+                ),
+            )
+        # The tracker backs the TTY line, the /progress endpoint, and the
+        # partial snapshot attached to budget aborts — any of those wants it.
         if (
             getattr(args, "progress", False)
             or serve_port is not None
             or args._budget is not None
-        )
-        else None
-    )
-    server: Optional[MetricsServer] = None
-    printer: Optional[ProgressPrinter] = None
-    try:
+        ):
+            args._progress = ProgressTracker()
         if trace_path:
             args._tracer = Tracer(sinks=[JsonlSink(trace_path)])
         if explain_path:

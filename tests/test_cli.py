@@ -618,6 +618,35 @@ class TestLiveTelemetryFlags:
         assert 'repro_runs_total{kind="goal_driven"} 1' in text
 
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--wall-budget", "-5"),
+            ("--wall-budget", "nan"),
+            ("--memory-budget-mb", "-1"),
+            ("--memory-budget-mb", "nan"),
+            ("--node-budget", "-1"),
+            ("--serve-metrics", "-1"),
+            ("--serve-metrics", "70000"),
+        ],
+    )
+    def test_bad_limit_is_one_error_line(self, capsys, tmp_path, fig3_catalog, flag, value):
+        path = tmp_path / "cat.json"
+        save_catalog(fig3_catalog, path)
+        code, out, err = run_cli(
+            capsys,
+            "goal",
+            "--catalog", str(path),
+            "--start", "Fall 2011",
+            "--end", "Fall 2012",
+            "--goal-courses", "11A", "29A", "21A",
+            flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -27,7 +27,7 @@ from repro.core import (
 from repro.core.frontier import frontier_count_deadline_paths, frontier_count_goal_paths
 from repro.core.ranking import TimeRanking
 from repro.data import brandeis_catalog, brandeis_major_goal
-from repro.errors import BudgetExceededError, RunCancelledError
+from repro.errors import BudgetExceededError, InvalidConfigError, RunCancelledError
 from repro.obs import (
     ExplorationBudget,
     MetricsRegistry,
@@ -293,10 +293,14 @@ class TestExplorationBudget:
         with pytest.raises(BudgetExceededError):
             budget.tick()  # tick 100 probes
 
-    def test_check_probes_memory_unconditionally(self):
-        budget = ExplorationBudget(max_memory_bytes=1, check_interval=10**6).arm()
-        with pytest.raises(BudgetExceededError):
-            budget.check()
+    @pytest.mark.parametrize(
+        "limit", ["wall_seconds", "max_nodes", "max_memory_bytes"]
+    )
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_negative_or_nan_limit_rejected(self, limit, value):
+        with pytest.raises(InvalidConfigError):
+            ExplorationBudget(**{limit: value})
+        assert ExplorationBudget(**{limit: 0}).enabled
 
     def test_cancel_from_another_thread(self):
         budget = ExplorationBudget()
@@ -581,6 +585,11 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError) as info:
                 _get(server.url + "/progress")
             assert info.value.code == 404
+
+    @pytest.mark.parametrize("port", [-1, 65536])
+    def test_port_out_of_range_rejected(self, port):
+        with pytest.raises(InvalidConfigError, match="0-65535"):
+            MetricsServer(port=port)
 
     def test_close_is_idempotent(self):
         server = MetricsServer(registry=MetricsRegistry()).start()

@@ -2,7 +2,7 @@
 
 Covers the tracer (nesting, sinks, error annotation), the metrics
 registry (instruments, Prometheus exposition, JSON snapshot round-trip),
-the profiling helpers (PhaseBreakdown, Stopwatch, peak-memory capture),
+the profiling helpers (PhaseBreakdown, peak-memory capture),
 the Observability bundle, and the engine integration: a traced run emits
 the expected span forest and the disabled path changes nothing about the
 results.
@@ -27,7 +27,6 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     PhaseBreakdown,
-    Stopwatch,
     Tracer,
     capture_peak_memory,
     current_observability,
@@ -145,31 +144,6 @@ class TestTracer:
             NULL_TRACER.add_sink(InMemorySink())
 
 
-class TestStopwatch:
-    def test_accumulates_across_intervals(self):
-        watch = Stopwatch()
-        watch.start()
-        first = watch.stop()
-        watch.start()
-        total = watch.stop()
-        assert total >= first >= 0.0
-        assert watch.elapsed == total
-
-    def test_context_manager(self):
-        watch = Stopwatch()
-        with watch:
-            assert watch.running
-        assert not watch.running
-        assert watch.elapsed >= 0.0
-
-    def test_read_while_running(self):
-        watch = Stopwatch().start()
-        assert watch.read() >= 0.0
-        assert watch.running
-        watch.stop()
-        assert watch.read() == watch.elapsed
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -279,17 +253,6 @@ class TestPhaseBreakdown:
         assert phases.count("expand") == 2
         assert phases.phases == ["prune", "expand"]  # most expensive first
 
-    def test_merge(self):
-        a = PhaseBreakdown()
-        a.add("expand", 1.0)
-        b = PhaseBreakdown()
-        b.add("expand", 0.5, count=3)
-        b.add("flow", 0.1)
-        a.merge(b)
-        assert a.seconds("expand") == pytest.approx(1.5)
-        assert a.count("expand") == 4
-        assert a.seconds("flow") == pytest.approx(0.1)
-
     def test_as_dict_round_trips_through_json(self):
         phases = PhaseBreakdown()
         phases.add("expand", 0.5)
@@ -379,58 +342,16 @@ class TestObservability:
         assert gauge.value == obs.last_memory.peak_bytes
         assert gauge.value > 0
 
-    def test_span_metrics_bridge_observes_durations(self):
-        from repro.obs import SPAN_METRIC_NAME
-
-        registry = MetricsRegistry()
+    def test_shared_tracer_publishes_only_into_its_registry(self):
         tracer = Tracer(sinks=[InMemorySink()])
-        Observability(tracer=tracer, metrics=registry)
-        with tracer.span("expand"):
-            pass
-        with tracer.span("expand"):
-            pass
-        with tracer.span("flow"):
-            pass
-        expand = registry.get(SPAN_METRIC_NAME, labels={"name": "expand"})
-        flow = registry.get(SPAN_METRIC_NAME, labels={"name": "flow"})
-        assert expand.count == 2
-        assert flow.count == 1
-        assert expand.sum >= 0.0
-
-    def test_span_metrics_bridge_attached_once(self):
-        from repro.obs import SpanMetricsSink
-
-        registry = MetricsRegistry()
-        tracer = Tracer(sinks=[InMemorySink()])
-        Observability(tracer=tracer, metrics=registry)
-        Observability(tracer=tracer, metrics=registry)  # same pair again
-        bridges = [
-            sink
-            for sink in tracer._sinks
-            if isinstance(sink, SpanMetricsSink) and sink.registry is registry
-        ]
-        assert len(bridges) == 1
-
-    def test_span_metrics_bridge_needs_both_backends(self):
-        from repro.obs import SpanMetricsSink
-
-        tracer = Tracer(sinks=[InMemorySink()])
-        Observability(tracer=tracer)  # no registry: nothing to bridge into
-        assert not any(isinstance(s, SpanMetricsSink) for s in tracer._sinks)
-
-    def test_engine_run_feeds_span_histogram(self):
-        from repro.obs import SPAN_METRIC_NAME
-
-        registry = MetricsRegistry()
-        obs = Observability(tracer=Tracer(sinks=[InMemorySink()]), metrics=registry)
+        idle, used = MetricsRegistry(), MetricsRegistry()
+        Observability(tracer=tracer, metrics=idle)
+        obs = Observability(tracer=tracer, metrics=used)
         generate_goal_driven(
             brandeis_catalog(), START, brandeis_major_goal(), END, obs=obs
         )
-        run_histogram = registry.get(
-            SPAN_METRIC_NAME, labels={"name": "run:goal_driven"}
-        )
-        assert run_histogram.count == 1
-        assert registry.get(SPAN_METRIC_NAME, labels={"name": "prune"}).count > 0
+        assert len(idle) == 0
+        assert used.get("repro_runs_total", labels={"kind": "goal_driven"}).value == 1
 
     def test_record_run_stats_publishes_counters(self):
         from repro.core import ExplorationStats
@@ -511,6 +432,25 @@ class TestEngineIntegration:
         names = {record["name"] for record in sink.records}
         assert {"run:frontier_goal", "expand", "merge", "prune"} <= names
         assert count.path_count > 0
+
+    def test_phase_timings_agree_across_backends(self, catalog, major_goal):
+        sink = InMemorySink()
+        registry = MetricsRegistry()
+        obs = Observability(tracer=Tracer(sinks=[sink]), metrics=registry)
+        generate_goal_driven(catalog, START, major_goal, END, obs=obs)
+        spans = [r for r in sink.records if not r["name"].startswith("run:")]
+        names = {r["name"] for r in spans}
+        assert {"expand", "prune", "flow"} <= names
+        assert set(obs.phases.phases) == names
+        for name in names:
+            durations = [r["duration"] for r in spans if r["name"] == name]
+            histogram = registry.get(
+                "repro_phase_duration_seconds", labels={"phase": name}
+            )
+            assert histogram.count == len(durations) == obs.phases.count(name)
+            total = sum(durations)
+            assert math.isclose(histogram.sum, total, rel_tol=1e-9)
+            assert math.isclose(obs.phases.seconds(name), total, rel_tol=1e-9)
 
     def test_metrics_capture_run_counters(self, catalog, major_goal):
         registry = MetricsRegistry()
