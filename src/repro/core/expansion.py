@@ -5,14 +5,15 @@ status, enumerate the legal selections ``W`` and produce the successor
 statuses ``(s+1, X ∪ W, Y')``.  :class:`Expander` centralizes that step —
 option-set computation, the per-term cap, avoid-lists, the empty-selection
 policy, and the schedule override — so the algorithms differ only in
-*which* nodes they expand and when they stop.
+*which* nodes they expand and when they stop.  Its statuses derive ``Y``
+on first read, so only expanded nodes pay for their option set.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, FrozenSet, Iterator, Tuple
 
-from ..catalog import Catalog
+from ..catalog import Catalog, Schedule
 from ..graph.status import EnrollmentStatus
 from ..semester import Term
 from .config import ExplorationConfig
@@ -75,6 +76,11 @@ class Expander:
         """The active configuration."""
         return self._config
 
+    @property
+    def schedule(self) -> Schedule:
+        """The effective schedule: ``config.schedule`` or the catalog's."""
+        return self._schedule
+
     # -- status construction -------------------------------------------------
 
     def options(self, completed: AbstractSet[str], term: Term) -> FrozenSet[str]:
@@ -92,35 +98,9 @@ class Expander:
     def initial_status(
         self, term: Term, completed: AbstractSet[str] = frozenset()
     ) -> EnrollmentStatus:
-        """The start node ``n_1``: ``(s, X, Y)`` with ``Y`` derived."""
-        completed = frozenset(completed)
-        return EnrollmentStatus(
-            term=term, completed=completed, options=self.options(completed, term)
-        )
-
-    def bare_status(
-        self, term: Term, completed: AbstractSet[str] = frozenset()
-    ) -> EnrollmentStatus:
-        """A status *without* its option set derived.
-
-        Deriving ``Y`` is the expander's single most expensive step, and a
-        status that is about to terminate (goal satisfied, deadline
-        reached, pruned by a bound that only reads ``(s, X)``) never looks
-        at it.  Callers on that fast path build a bare status here and
-        upgrade survivors with :meth:`attach_options` only when expansion
-        is actually imminent.  Status equality/hashing ignores options, so
-        a bare status is interchangeable with the full one for lookups.
-        """
-        return EnrollmentStatus(term=term, completed=frozenset(completed))
-
-    def attach_options(self, status: EnrollmentStatus) -> EnrollmentStatus:
-        """``status`` with its option set ``Y`` derived (see
-        :meth:`bare_status`)."""
-        return EnrollmentStatus(
-            term=status.term,
-            completed=status.completed,
-            options=self.options(status.completed, status.term),
-        )
+        """The start node ``n_1`` (or a merged frontier state): ``(s, X, Y)``
+        with ``Y`` derived by :meth:`options` on first read."""
+        return EnrollmentStatus.deferred(term, frozenset(completed), self)
 
     # -- the expansion step ----------------------------------------------------
 
@@ -158,12 +138,8 @@ class Expander:
     def _child(
         self, status: EnrollmentStatus, selection: FrozenSet[str]
     ) -> EnrollmentStatus:
-        next_term = status.term + 1
-        completed = status.completed | selection
-        return EnrollmentStatus(
-            term=next_term,
-            completed=completed,
-            options=self.options(completed, next_term),
+        return EnrollmentStatus.deferred(
+            status.term + 1, status.completed | selection, self
         )
 
     def _empty_move_allowed(self, status: EnrollmentStatus, has_nonempty: bool) -> bool:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional
 
 from ..catalog import Catalog
-from ..graph.status import EnrollmentStatus
 from ..obs.runtime import Observability
 from ..requirements import Goal
 from ..semester import Term
@@ -70,15 +69,12 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
     """Layer-merged traversal: one dict of ``completed → multiplicity`` per
     term, each state decided once by ``step`` with its multiplicity.
 
-    A state stays a bare status (no option set) until it survives the
-    terminal and pruning checks, when the pruners allow it.  Stats count
-    what the merged DAG would hold: one node per distinct state, one edge
-    per child and one merge per child already in the next layer;
-    ``config.max_nodes`` bounds the distinct states seen.
+    Stats count what the merged DAG would hold: one node per distinct
+    state, one edge per child and one merge per child already in the next
+    layer; ``config.max_nodes`` bounds the distinct states seen.
     """
     expander = step.expander
     end_term = step.end_term
-    lazy_options = step.lazy_options
     max_nodes = step.config.max_nodes
     stats = step.stats
     obs = step.obs
@@ -103,15 +99,9 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
             for state, multiplicity in frontier.items():
                 # One node per decided state, so node budgets count states.
                 stats.record_node()
-                if lazy_options:
-                    status = expander.bare_status(term, state)
-                else:
-                    status = EnrollmentStatus(
-                        term=term, completed=state, options=expander.options(state, term)
-                    )
+                status = expander.initial_status(term, state)
                 kind = step.decide(status, multiplicity, multiplicity)
                 if kind is None:
-                    status = step.status
                     with obs.phase("expand"):
                         children = [
                             child.completed
@@ -184,7 +174,7 @@ def frontier_count_goal_paths(
     """
     step = NodeStep(
         "frontier_goal", catalog, start_term, end_term, completed, config,
-        goal=goal, pruners=pruners, obs=obs, cache=cache, lazy_options=True,
+        goal=goal, pruners=pruners, obs=obs, cache=cache,
     )
     return _run_frontier(step, max_frontier)
 
@@ -205,7 +195,6 @@ def frontier_count_deadline_paths(
     ``run:frontier_deadline``) as for :func:`frontier_count_goal_paths`.
     """
     step = NodeStep(
-        "frontier_deadline", catalog, start_term, end_term, completed, config,
-        obs=obs, lazy_options=True,
+        "frontier_deadline", catalog, start_term, end_term, completed, config, obs=obs
     )
     return _run_frontier(step, max_frontier)

@@ -24,7 +24,7 @@ import math
 from typing import AbstractSet, Any, Callable, List, Optional, Tuple
 
 from ..catalog import Catalog
-from ..errors import BudgetExceededError, ExplorationError
+from ..errors import BudgetExceededError, ExplorationError, UnknownCourseError
 from ..graph.status import EnrollmentStatus
 from ..obs.explain import DecisionEvent
 from ..obs.live import budget_exceeded
@@ -35,7 +35,6 @@ from ..semester import Term
 from .config import ExplorationConfig
 from .expansion import Expander
 from .pruning import (
-    AvailabilityPruner,
     Pruner,
     PruningContext,
     PruningStats,
@@ -68,17 +67,16 @@ class NodeStep:
         pruning, and the deadline and dead-end terminals are the outputs.
     pruners, obs, cache:
         As in the generators; ``pruners=None`` is the paper's stack.
-    lazy_options:
-        The traversal passes bare statuses (no ``Y``) and wants ``Y``
-        derived for survivors only.  Honoured when every pruner is a
-        built-in bound, which never reads ``Y``; read :attr:`lazy_options`
-        back to learn whether it is on.
+
+    Raises :class:`~repro.errors.UnknownCourseError` up front when the
+    schedule offers in ``[start_term, end_term]`` a course neither in the
+    catalog nor avoided, since a status derives ``Y`` only when read.
     """
 
     __slots__ = (
         "name", "start_term", "end_term", "completed", "config", "goal",
-        "pruners", "obs", "stats", "pruning_stats", "expander", "lazy_options",
-        "outputs", "floor", "status", "_time_pruner", "_transpositions",
+        "pruners", "obs", "stats", "pruning_stats", "expander",
+        "outputs", "floor", "_time_pruner", "_transpositions",
         "_describe", "_recorder", "_progress", "_budget",
     )
 
@@ -94,15 +92,23 @@ class NodeStep:
         pruners: Optional[List[Pruner]] = None,
         obs: Optional[Observability] = None,
         cache=None,
-        lazy_options: bool = False,
     ):
         config = config or ExplorationConfig()
         if end_term < start_term:
             raise ExplorationError(f"end term {end_term} precedes start term {start_term}")
         completed = frozenset(completed)
-        unknown = completed - catalog.course_ids()
+        known = catalog.course_ids()
+        unknown = completed - known
         if unknown:
             raise ExplorationError(f"completed courses not in catalog: {sorted(unknown)}")
+        expander = Expander(catalog, end_term, config, obs=obs)
+        ghosts = (
+            expander.schedule.offered_between(start_term, end_term)
+            - known
+            - config.avoid_courses
+        )
+        if ghosts:
+            raise UnknownCourseError(min(ghosts), context="schedule entry")
         if goal is None:
             pruners = []
         else:
@@ -126,11 +132,7 @@ class NodeStep:
         self.obs = obs if obs is not None else NULL_OBSERVABILITY
         #: The terminal kinds that are the run's output paths.
         self.outputs = ("goal",) if goal is not None else ("deadline", "dead_end")
-        self.lazy_options = lazy_options and all(
-            isinstance(p, (TimeBasedPruner, AvailabilityPruner)) for p in pruners
-        )
         self.floor = 0
-        self.status: Optional[EnrollmentStatus] = None
         self._time_pruner = time_pruner if config.enforce_min_selection else None
         self._transpositions = (
             cache.transposition_view(goal, end_term, config, pruners)
@@ -144,7 +146,7 @@ class NodeStep:
         self.stats = ExplorationStats()
         self.pruning_stats = PruningStats(self.stats.prune_events)
         self.stats.start_timer()
-        self.expander = Expander(catalog, end_term, config, obs=self.obs)
+        self.expander = expander
 
     # -- run lifecycle ---------------------------------------------------------
 
@@ -192,8 +194,7 @@ class NodeStep:
     ) -> Optional[str]:
         """Decide one node: its terminal kind, or ``None`` to expand it.
 
-        On ``None`` the traversal expands :attr:`status` (``status``, with
-        ``Y`` attached under :attr:`lazy_options`) with
+        On ``None`` the traversal expands ``status`` with
         ``required_minimum=`` :attr:`floor`, then calls :meth:`close`.
         ``multiplicity`` is how many tree nodes the node stands for (a
         merged frontier state); it weights the emitted output paths.
@@ -207,9 +208,6 @@ class NodeStep:
             return self._terminal("deadline", status, ref, multiplicity)
         if goal is not None and self._pruned(status, ref):
             return "pruned"
-        if self.lazy_options:
-            status = self.expander.attach_options(status)
-        self.status = status
 
         time_pruner = self._time_pruner
         if time_pruner is None:

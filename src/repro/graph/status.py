@@ -7,6 +7,10 @@ those two given a fixed catalog/schedule — so equality and hashing ignore
 ``options``.  That identification is what lets
 :class:`~repro.graph.dag.MergedStatusDag` collapse the paper's out-tree.
 
+``Y_i`` is only needed to expand a node (``W ⊆ Y_i``), and most generated
+nodes terminate or are pruned first, so a status built by the expander
+derives ``Y`` on first read of :attr:`~EnrollmentStatus.options`.
+
 Statuses are the single most-allocated object in the engine (one per tree
 node, one per frontier state per layer), so the class is a hand-rolled
 ``__slots__`` immutable rather than a dataclass: no per-instance
@@ -36,10 +40,11 @@ class EnrollmentStatus:
     options:
         ``Y_i`` — ids of courses the student may elect in ``term``
         (offered now, prerequisites met, not yet completed).  Derived data:
-        excluded from equality and hashing.
+        excluded from equality and hashing.  A status from
+        :meth:`deferred` derives it on first read.
     """
 
-    __slots__ = ("term", "completed", "options")
+    __slots__ = ("term", "completed", "_options", "_expander")
 
     def __init__(
         self,
@@ -58,7 +63,32 @@ class EnrollmentStatus:
             )
         object.__setattr__(self, "term", term)
         object.__setattr__(self, "completed", completed)
-        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "_options", options)
+        object.__setattr__(self, "_expander", None)
+
+    @classmethod
+    def deferred(
+        cls, term: Term, completed: FrozenSet[str], expander
+    ) -> "EnrollmentStatus":
+        """A status whose ``Y`` is ``expander.options(completed, term)``
+        (a :class:`~repro.core.expansion.Expander`), derived on first read
+        of :attr:`options`; ``completed`` must already be a frozenset."""
+        status = object.__new__(cls)
+        object.__setattr__(status, "term", term)
+        object.__setattr__(status, "completed", completed)
+        object.__setattr__(status, "_options", None)
+        object.__setattr__(status, "_expander", expander)
+        return status
+
+    @property
+    def options(self) -> FrozenSet[str]:
+        """``Y_i``, derived on first read for a :meth:`deferred` status."""
+        options = self._options
+        if options is None:
+            options = self._expander.options(self.completed, self.term)
+            object.__setattr__(self, "_options", options)
+            object.__setattr__(self, "_expander", None)
+        return options
 
     # -- frozen semantics ----------------------------------------------------
 
@@ -70,7 +100,8 @@ class EnrollmentStatus:
 
     def __reduce__(self):
         # __setattr__ is blocked, so pickling and copying go back through
-        # __init__ instead of restoring attributes one by one.
+        # __init__ instead of restoring attributes one by one; the copy
+        # carries ``Y`` (derived here if need be), never the expander.
         return (self.__class__, (self.term, self.completed, self.options))
 
     # -- identity (term, completed) — options are derived --------------------

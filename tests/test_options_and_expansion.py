@@ -2,6 +2,15 @@
 
 import pytest
 
+from repro.catalog import Schedule
+from repro.core import (
+    TimeRanking,
+    frontier_count_deadline_paths,
+    frontier_count_goal_paths,
+    generate_deadline_driven,
+    generate_goal_driven,
+    generate_ranked,
+)
 from repro.core.config import ExplorationConfig
 from repro.core.expansion import Expander
 from repro.core.options import (
@@ -9,7 +18,10 @@ from repro.core.options import (
     iter_selections,
     selection_count,
 )
-from repro.errors import InvalidConfigError
+from repro.data import brandeis_catalog, brandeis_major_goal, start_term_for_semesters
+from repro.data.brandeis import EVALUATION_END_TERM
+from repro.errors import InvalidConfigError, UnknownCourseError
+from repro.obs import InMemorySink, MetricsRegistry, Observability, Tracer
 from repro.semester import Term
 
 from .conftest import F11, F12, S12, S13
@@ -181,3 +193,96 @@ class TestExpander:
         )
         root = expander.initial_status(F11)
         assert root.options == {"11A"}
+
+
+class TestOptionsOnFirstRead:
+    """Statuses derive ``Y`` on first read; schedule errors stay eager."""
+
+    def test_options_derived_once_on_first_read(self, fig3_catalog):
+        registry = MetricsRegistry()
+        expander = Expander(
+            fig3_catalog, S13, ExplorationConfig(), obs=Observability(metrics=registry)
+        )
+        derived = registry.get("repro_option_sets_computed_total")
+        root = expander.initial_status(F11)
+        assert derived.value == 0
+        children = dict(expander.successors(root))
+        assert derived.value == 1  # the root's, read to enumerate selections
+        child = children[frozenset({"11A", "29A"})]
+        assert child.options == {"21A"}
+        assert child.options == {"21A"}
+        assert derived.value == 2
+
+    # -- eager schedule errors -------------------------------------------------
+
+    GHOST = "GHOST 1a"
+    RUNS = {
+        "goal_tree": lambda cat, start, cfg, obs: generate_goal_driven(
+            cat, start, brandeis_major_goal(), EVALUATION_END_TERM, config=cfg, obs=obs
+        ).path_count,
+        "deadline_tree": lambda cat, start, cfg, obs: generate_deadline_driven(
+            cat, start, EVALUATION_END_TERM, config=cfg, obs=obs
+        ).path_count,
+        "ranked": lambda cat, start, cfg, obs: len(
+            generate_ranked(
+                cat, start, brandeis_major_goal(), EVALUATION_END_TERM, 3,
+                TimeRanking(), config=cfg, obs=obs,
+            )
+        ),
+        "frontier_goal": lambda cat, start, cfg, obs: frontier_count_goal_paths(
+            cat, start, brandeis_major_goal(), EVALUATION_END_TERM, config=cfg, obs=obs
+        ).path_count,
+        "frontier_deadline": lambda cat, start, cfg, obs: frontier_count_deadline_paths(
+            cat, start, EVALUATION_END_TERM, config=cfg, obs=obs
+        ).path_count,
+    }
+
+    def _ghost_config(self, catalog, **kwargs):
+        # The ghost is offered only at the deadline term, where no node is
+        # ever expanded, so deriving Y lazily would never meet it.
+        ghost = Schedule({self.GHOST: {EVALUATION_END_TERM}})
+        return ExplorationConfig(schedule=catalog.schedule.merged_with(ghost), **kwargs)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_unknown_scheduled_course_raises_before_the_first_node(self, run):
+        catalog = brandeis_catalog()
+        sink = InMemorySink()
+        obs = Observability(tracer=Tracer(sinks=[sink]))
+        start = start_term_for_semesters(4)
+        with pytest.raises(UnknownCourseError, match="schedule entry") as info:
+            self.RUNS[run](catalog, start, self._ghost_config(catalog), obs)
+        assert info.value.course_id == self.GHOST
+        assert sink.records == []  # the run span never opened
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_avoided_unknown_scheduled_course_runs(self, run):
+        catalog = brandeis_catalog()
+        start = start_term_for_semesters(3 if "deadline" in run else 4)
+        config = self._ghost_config(catalog, avoid_courses={self.GHOST})
+        expected = self.RUNS[run](catalog, start, ExplorationConfig(), None)
+        assert self.RUNS[run](catalog, start, config, None) == expected > 0
+
+    # -- one derivation per expanded node ------------------------------------------
+
+    @pytest.mark.parametrize(
+        "run, start, derived",
+        [
+            ("goal_tree", Term(2013, "Fall"), 119),
+            ("frontier_goal", Term(2013, "Fall"), 119),
+            ("frontier_deadline", Term(2014, "Spring"), 48),
+        ],
+    )
+    def test_option_sets_derived_only_for_expanded_nodes(self, run, start, derived):
+        registry = MetricsRegistry()
+        config = ExplorationConfig(max_courses_per_term=3)
+        self.RUNS[run](brandeis_catalog(), start, config, Observability(metrics=registry))
+
+        def value(name, **labels):
+            metric = registry.get(name, labels)
+            return metric.value if metric is not None else 0
+
+        assert value("repro_option_sets_computed_total") == derived
+        terminals = sum(
+            value("repro_terminals_total", kind=kind) for kind in ("goal", "deadline", "pruned")
+        )
+        assert derived == value("repro_nodes_created_total") - terminals

@@ -12,7 +12,12 @@ equivalences on hundreds of randomly generated catalogs:
   DAG's node, edge, merge, terminal and prune counters.
 * **Output validity** — every generated path respects schedules,
   prerequisites, and the per-term cap.
+* **Option sets on first read** — every status's ``Y`` equals the paper's
+  definition, whenever and by whomever it is first read.
 """
+
+import copy
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +33,8 @@ from repro.core import (
     generate_goal_driven,
     generate_ranked,
 )
+from repro.core.expansion import Expander
+from repro.core.pruning import AvailabilityPruner, PruningContext, TimeBasedPruner
 from repro.data import GeneratorSettings, random_catalog, random_course_set_goal
 from repro.obs import MetricsRegistry, Observability
 from repro.semester import Term
@@ -198,3 +205,139 @@ def test_goal_output_is_subset_of_deadline_prefixes(seed, settings_):
     for path in goal_paths.paths():
         assert goal.is_satisfied(path.end.completed)
         assert path.selections in deadline_prefixes
+
+
+def _paper_options(catalog, config, status):
+    """``Y_i`` straight from §2: not completed, not avoided, offered in
+    ``s_i`` and prerequisites met by ``X_i``."""
+    schedule = config.schedule if config.schedule is not None else catalog.schedule
+    return frozenset(
+        course_id
+        for course_id in catalog
+        if course_id not in status.completed
+        and course_id not in config.avoid_courses
+        and schedule.is_offered(course_id, status.term)
+        and catalog[course_id].prereq.evaluate(status.completed)
+    )
+
+
+@st.composite
+def _option_cases(draw):
+    """A random catalog plus a config with an avoid-list and, half the
+    time, a schedule override drawn from another catalog of the same ids."""
+    seed = draw(st.integers(0, 10_000))
+    settings_ = draw(_SETTINGS)
+    catalog = random_catalog(seed, settings_)
+    avoid = draw(st.frozensets(st.sampled_from(sorted(catalog)), max_size=2))
+    schedule = None
+    if draw(st.booleans()):
+        schedule = random_catalog(seed + 7, settings_).schedule
+    config = ExplorationConfig(
+        max_courses_per_term=draw(st.integers(min_value=1, max_value=3)),
+        empty_selection=draw(st.sampled_from(["auto", "always", "never"])),
+        avoid_courses=avoid,
+        schedule=schedule,
+    )
+    goal = random_course_set_goal(catalog, seed + 1, size=2)
+    return catalog, config, goal, START + draw(st.integers(1, 3))
+
+
+class _ReadsOptions:
+    """Mixin for a pruner or ranking that reads ``status.options`` (and
+    checks it against the definition) before deciding like the built-in."""
+
+    def _read(self, status):
+        assert status.options == _paper_options(self.catalog, self.config, status)
+
+
+class _TimePrunerReadingOptions(_ReadsOptions, TimeBasedPruner):
+    def should_prune(self, status):
+        self._read(status)
+        return super().should_prune(status)
+
+
+class _AvailabilityPrunerReadingOptions(_ReadsOptions, AvailabilityPruner):
+    def should_prune(self, status):
+        self._read(status)
+        return super().should_prune(status)
+
+
+class _TimeRankingReadingOptions(_ReadsOptions, TimeRanking):
+    def remaining_cost_bound(self, status, goal, config):
+        self._read(status)
+        return super().remaining_cost_bound(status, goal, config)
+
+
+def _reading(cls, catalog, config, *args):
+    instance = cls(*args)
+    instance.catalog, instance.config = catalog, config
+    return instance
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_option_cases())
+def test_every_status_derives_the_papers_options(case):
+    catalog, config, goal, end = case
+    trees = [
+        generate_goal_driven(catalog, START, goal, end, config=config).graph,
+        generate_deadline_driven(catalog, START, end, config=config).graph,
+    ]
+    statuses = [tree.status(node_id) for tree in trees for node_id in tree.node_ids()]
+    ranked = generate_ranked(catalog, START, goal, end, 5, TimeRanking(), config=config)
+    statuses += [status for path in ranked.paths for status in path.statuses]
+    for status in statuses:
+        assert status.options == _paper_options(catalog, config, status)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_option_cases())
+def test_pruners_and_rankings_may_read_options(case):
+    """Extensions that read ``Y`` see the right set in every engine and
+    leave every output unchanged."""
+    catalog, config, goal, end = case
+    context = PruningContext(catalog=catalog, goal=goal, end_term=end, config=config)
+
+    def pruners():
+        return [
+            _reading(_TimePrunerReadingOptions, catalog, config, context),
+            _reading(_AvailabilityPrunerReadingOptions, catalog, config, context),
+        ]
+
+    tree = generate_goal_driven(catalog, START, goal, end, config=config)
+    reading = generate_goal_driven(catalog, START, goal, end, config=config, pruners=pruners())
+    assert _selection_set(reading) == _selection_set(tree)
+    assert reading.stats.terminals == tree.stats.terminals
+
+    frontier = frontier_count_goal_paths(catalog, START, goal, end, config=config)
+    reading = frontier_count_goal_paths(
+        catalog, START, goal, end, config=config, pruners=pruners()
+    )
+    assert reading.terminal_path_counts == frontier.terminal_path_counts
+
+    ranked = generate_ranked(catalog, START, goal, end, 5, TimeRanking(), config=config)
+    reading = generate_ranked(
+        catalog, START, goal, end, 5,
+        _reading(_TimeRankingReadingOptions, catalog, config),
+        config=config, pruners=pruners(),
+    )
+    assert reading.costs == ranked.costs
+    assert reading.paths == ranked.paths
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_option_cases(), depth=st.integers(0, 2))
+def test_unread_options_survive_pickle_and_copy(case, depth):
+    catalog, config, _goal, end = case
+    expander = Expander(catalog, end, config)
+    completed = frozenset(sorted(catalog)[:depth])
+    for clone in (
+        lambda status: pickle.loads(pickle.dumps(status)),
+        copy.copy,
+        copy.deepcopy,
+    ):
+        status = expander.initial_status(START, completed)
+        expected = _paper_options(catalog, config, status)
+        copied = clone(status)
+        assert copied == status
+        assert copied.options == status.options == expected
+    assert b"Expander" not in pickle.dumps(expander.initial_status(START, completed))
