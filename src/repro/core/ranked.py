@@ -225,6 +225,9 @@ def generate_ranked(
                     )
                     children += 1
             step.close(status, node, children, len(frontier))
+        # Free the open nodes before the run scope closes, so the
+        # collector pass it ends with scans what the run returns, not them.
+        frontier.clear()
 
     step.finish()
     return RankedResult(

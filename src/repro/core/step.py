@@ -16,11 +16,24 @@ The run's mode is one fact: with a goal, the ``goal`` terminals are the
 output paths; without one, every maximal path (``deadline`` and
 ``dead_end``) is.  With observability off the kernel allocates nothing per
 node: kinds are interned strings and the floor is an attribute.
+
+The run scope :meth:`NodeStep.start` returns also pauses CPython's cyclic
+garbage collector.  A run allocates tens of thousands of long-lived
+containers (statuses, frozensets, child lists, heap entries) and frees
+them by reference counting; it makes no cyclic garbage, so the
+generational passes its allocations trigger only rescan live state.  The
+pause is process-wide and counted, so nested runs and runs overlapping in
+several threads keep it until the last one ends; that exit restores the
+collector's state from before the first, and when the collector was on it
+pays the one young-generation pass the pause deferred inside the run.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import threading
+from contextlib import contextmanager
 from typing import AbstractSet, Any, Callable, List, Optional, Tuple
 
 from ..catalog import Catalog
@@ -47,6 +60,38 @@ from .pruning import (
 from .stats import ExplorationStats
 
 __all__ = ["NodeStep"]
+
+# The collector is process-wide, so the count of runs pausing it is too.
+_gc_lock = threading.Lock()
+_gc_paused_runs = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _collector_paused(scope):
+    """Enter ``scope`` (a run scope) with the cyclic collector paused."""
+    global _gc_paused_runs, _gc_was_enabled
+    with scope as span:
+        with _gc_lock:
+            if not _gc_paused_runs:
+                _gc_was_enabled = gc.isenabled()
+                gc.disable()
+            _gc_paused_runs += 1
+        try:
+            yield span
+        finally:
+            with _gc_lock:
+                _gc_paused_runs -= 1
+                last = not _gc_paused_runs
+                collect = last and _gc_was_enabled
+                if collect:
+                    gc.enable()
+                elif last:
+                    gc.disable()  # even if a plug-in enabled it mid-run
+            # Outside the lock: a finalizer the pass runs may start a run.
+            if collect:
+                gc.collect(0)
+
 
 #: ``describe(ref, kind) -> (node_id, parent_id, selection, extra_detail)``.
 Describe = Callable[[Any, str], Optional[Tuple[int, Optional[int], Tuple[str, ...], Any]]]
@@ -151,7 +196,8 @@ class NodeStep:
     # -- run lifecycle ---------------------------------------------------------
 
     def start(self, describe: Optional[Describe] = None, **attributes: Any):
-        """Begin the run and return its ``run:<name>`` scope to enter.
+        """Begin the run and return its ``run:<name>`` scope to enter; the
+        cyclic garbage collector is paused inside it (see the module notes).
 
         ``describe(ref, kind)`` names a node in decision events: it returns
         ``(node_id, parent_id, selection, extra_detail)``, or ``None`` to
@@ -165,8 +211,10 @@ class NodeStep:
             self._progress.begin_run(self.name, horizon=int(self.end_term - self.start_term))
         if self._budget is not None:
             self._budget.arm()
-        return self.obs.run(
-            self.name, start=str(self.start_term), end=str(self.end_term), **attributes
+        return _collector_paused(
+            self.obs.run(
+                self.name, start=str(self.start_term), end=str(self.end_term), **attributes
+            )
         )
 
     def finish(self) -> None:

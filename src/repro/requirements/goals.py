@@ -219,6 +219,31 @@ class RequirementGroup:
         return hash((self.name, self.course_ids, self.required))
 
 
+def _augment(
+    course_id: str,
+    memberships: Mapping[str, Tuple[int, ...]],
+    capacities: List[int],
+    holders: List[List[str]],
+    visited: List[bool],
+) -> bool:
+    """One augmenting-path search of :meth:`DegreeGoal._match` for
+    ``course_id``; its state comes in as arguments, so a search leaves no
+    self-referencing closure behind for the cyclic collector."""
+    for index in memberships[course_id]:
+        if visited[index]:
+            continue
+        visited[index] = True
+        members = holders[index]
+        if len(members) < capacities[index]:
+            members.append(course_id)
+            return True
+        for slot, other in enumerate(members):
+            if _augment(other, memberships, capacities, holders, visited):
+                members[slot] = course_id
+                return True
+    return False
+
+
 class DegreeGoal(Goal):
     """A degree requirement: several k-of-group rules, no double counting.
 
@@ -343,29 +368,13 @@ class DegreeGoal(Goal):
         capacities = [required for _, required in self._seat_groups]
         holders: List[List[str]] = [[] for _ in capacities]
         seats = sum(capacities)
-
-        def augment(course_id: str) -> bool:
-            for index in memberships[course_id]:
-                if visited[index]:
-                    continue
-                visited[index] = True
-                members = holders[index]
-                if len(members) < capacities[index]:
-                    members.append(course_id)
-                    return True
-                for slot, other in enumerate(members):
-                    if augment(other):
-                        members[slot] = course_id
-                        return True
-            return False
-
         filled = 0
         for course_id in sorted(relevant):
             if filled == seats:
                 break
             if course_id in memberships:
                 visited = [False] * len(capacities)
-                filled += augment(course_id)
+                filled += _augment(course_id, memberships, capacities, holders, visited)
         return holders
 
     def is_satisfied(self, completed: AbstractSet[str]) -> bool:

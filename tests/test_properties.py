@@ -14,9 +14,12 @@ equivalences on hundreds of randomly generated catalogs:
   prerequisites, and the per-term cap.
 * **Option sets on first read** — every status's ``Y`` equals the paper's
   definition, whenever and by whomever it is first read.
+* **No cyclic garbage** — engine runs pause the cyclic collector, so
+  every run must free all it allocates by reference counting.
 """
 
 import copy
+import gc
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -35,8 +38,10 @@ from repro.core import (
 )
 from repro.core.expansion import Expander
 from repro.core.pruning import AvailabilityPruner, PruningContext, TimeBasedPruner
+from repro.cache import ExplorationCache
 from repro.data import GeneratorSettings, random_catalog, random_course_set_goal
 from repro.obs import MetricsRegistry, Observability
+from repro.requirements import DegreeGoal, RequirementGroup
 from repro.semester import Term
 
 START = Term(2011, "Fall")
@@ -341,3 +346,74 @@ def test_unread_options_survive_pickle_and_copy(case, depth):
         assert copied == status
         assert copied.options == status.options == expected
     assert b"Expander" not in pickle.dumps(expander.initial_status(START, completed))
+
+
+_ENGINE_RUNS = (
+    lambda catalog, goal, end, config, cache: generate_goal_driven(
+        catalog, START, goal, end, config=config, cache=cache
+    ),
+    lambda catalog, goal, end, config, cache: generate_ranked(
+        catalog, START, goal, end, 5, TimeRanking(), config=config, cache=cache
+    ),
+    lambda catalog, goal, end, config, cache: frontier_count_goal_paths(
+        catalog, START, goal, end, config=config, cache=cache
+    ),
+    lambda catalog, goal, end, config, cache: build_goal_dag(
+        catalog, START, goal, end, config=config
+    ),
+    lambda catalog, goal, end, config, cache: generate_deadline_driven(
+        catalog, START, end, config=config
+    ),
+    lambda catalog, goal, end, config, cache: frontier_count_deadline_paths(
+        catalog, START, end, config=config
+    ),
+    lambda catalog, goal, end, config, cache: build_deadline_dag(
+        catalog, START, end, config=config
+    ),
+)
+
+
+def _overlapping_goal(catalog, seed):
+    """A two-group degree goal whose groups share courses (when the
+    catalog has more than one), so its seat counts run the matcher."""
+    ids = sorted(catalog.course_ids())
+    first, second = ids[: (len(ids) + 1) // 2 + 1], ids[len(ids) // 2 :]
+    return DegreeGoal(
+        (
+            RequirementGroup("first", first, min(2, len(first))),
+            RequirementGroup("second", second, 1 + seed % min(2, len(second))),
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    settings_=_SETTINGS,
+    config=_CONFIGS,
+    horizon=st.integers(1, 3),
+    overlapping=st.booleans(),
+    cached=st.booleans(),
+)
+def test_engine_runs_leave_no_cyclic_garbage(
+    seed, settings_, config, horizon, overlapping, cached
+):
+    catalog = random_catalog(seed, settings_)
+    end = START + horizon
+    # A fresh goal and cache per run, built before the collector is turned
+    # off and kept alive through the check: both memoize, and building a
+    # goal is not a run.
+    if overlapping:
+        goals = [_overlapping_goal(catalog, seed) for _ in _ENGINE_RUNS]
+    else:
+        goals = [random_course_set_goal(catalog, seed + 1, size=2) for _ in _ENGINE_RUNS]
+    caches = [ExplorationCache() if cached else None for _ in _ENGINE_RUNS]
+    gc.collect()
+    gc.disable()
+    try:
+        for run, goal, cache in zip(_ENGINE_RUNS, goals, caches):
+            run(catalog, goal, end, config, cache)
+            assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
