@@ -3,17 +3,17 @@
 Runs the Table 2 scalability workload (the Brandeis CS major,
 ``--semesters`` terms back from Fall 2015, m = 3) three ways:
 
-* ``uncached`` — ``cache=None``, the engine exactly as before the
-  subsystem existed;
-* ``cold`` — a fresh :class:`~repro.cache.ExplorationCache` per run
-  (first-query cost: every layer misses, then fills);
+* ``uncached`` — the goal as built, no memo;
+* ``cold`` — the goal wrapped by a fresh
+  :class:`~repro.cache.ExplorationCache` per run (first-query cost: the
+  memo misses, then fills);
 * ``warm`` — one shared cache, pre-warmed by an untimed run (the
   steady interactive state: the same student re-running a query).
 
-Every run builds a **fresh goal object**, because ``DegreeGoal`` memoizes
-its max-flow seat computations internally per instance — reusing one goal
-across repeats would hand the uncached variant a warm flow cache and blur
-the comparison.  Repeats are interleaved (round-robin) so thermal drift
+Every run builds a **fresh goal object** and wraps it with
+``cache.wrap_goal(goal)``, as a library caller does: ``DegreeGoal`` keeps
+a private seat memo per instance, and reusing one goal across repeats
+would hand the uncached variant a warm one and blur the comparison.  Repeats are interleaved (round-robin) so thermal drift
 spreads evenly, and every variant's path count is asserted equal: the
 cache must buy time, never answers.
 
@@ -57,15 +57,15 @@ def _timed_run(
     catalog, start, config, cache: Optional[ExplorationCache]
 ) -> Tuple[float, object]:
     goal = brandeis_major_goal()  # fresh: no internal seats memo carry-over
+    if cache is not None:
+        goal = cache.wrap_goal(goal)
     begin = time.perf_counter()
-    result = generate_goal_driven(
-        catalog, start, goal, EVALUATION_END_TERM, config=config, cache=cache
-    )
+    result = generate_goal_driven(catalog, start, goal, EVALUATION_END_TERM, config=config)
     return time.perf_counter() - begin, result
 
 
 def _flow_snapshot(cache: ExplorationCache) -> Tuple[int, int]:
-    return cache.flow.memo.hits, cache.flow.memo.misses
+    return cache.flow.hits, cache.flow.misses
 
 
 def run_benchmark(
@@ -95,8 +95,8 @@ def run_benchmark(
             elapsed, result = _timed_run(catalog, start, config, cache)
             times[name].append(elapsed)
             if name == "warm":
-                hits = cache.flow.memo.hits - before[0]
-                misses = cache.flow.memo.misses - before[1]
+                hits = cache.flow.hits - before[0]
+                misses = cache.flow.misses - before[1]
                 total = hits + misses
                 warm_hit_rates.append(hits / total if total else 0.0)
             previous = path_counts.setdefault(name, result.path_count)

@@ -34,7 +34,7 @@ Package map (details in DESIGN.md):
 - :mod:`repro.system` — the CourseNavigator façade, visualizer, CLI
 - :mod:`repro.analysis` — containment checks and path statistics
 - :mod:`repro.obs` — span tracing, metrics registry, phase profiling
-- :mod:`repro.cache` — flow/eval memos and transposition tables (library only)
+- :mod:`repro.cache` — the goal memo a navigator applies (library only)
 """
 
 from .semester import AcademicCalendar, SPRING_FALL, Term, term_range

@@ -1,10 +1,9 @@
-"""The bounded LRU memo every cache layer is built on.
+"""The bounded LRU memo behind the goal cache.
 
 One deliberately small primitive: an :class:`collections.OrderedDict`
 used as an LRU map, with hit/miss/eviction accounting that can be wired
-live into :mod:`repro.obs` counters.  Keys are whatever tuple the layer
-chooses (goal fingerprints, identity tokens, frozensets); values are the
-memoized results.
+live into :mod:`repro.obs` counters.  Keys are whatever hashable the
+caller chooses; values are the memoized results.
 
 Like the rest of the engine, a memo is written by the single exploration
 thread; other threads only ever read the counters (via the metrics

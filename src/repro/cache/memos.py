@@ -1,180 +1,60 @@
-"""The in-memory memo layers: flow results, evaluation results, goals.
+"""The goal memo: :class:`CachedGoal` and the :class:`ExplorationCache`
+that hands it out.
 
-Three cooperating pieces:
+The goal-driven search asks its goal two questions per node (§4.2):
+``is_satisfied`` (the terminal test and availability pruning's §4.2.2
+best-case check) and ``remaining_courses`` (``left_i`` of §4.2.1).
+:class:`CachedGoal` answers both from one bounded :class:`LRUMemo`, keyed
+by ``(question, goal fingerprint, completed)``.  Keying on the content
+*fingerprint* rather than the object means a degree goal rebuilt per
+query still reuses every prior answer.  The two questions are memoized
+separately: for the composite goals ``remaining_courses`` is an
+admissible bound rather than an exact count, so neither answer may be
+derived from the other without changing results.
 
-* :class:`FlowMemo` — memoizes what the pruning strategies ask of a goal:
-  ``remaining_courses`` (the max-flow-backed ``left_i`` of §4.2.1) and
-  ``is_satisfied`` (the terminal test and availability pruning's §4.2.2
-  best-case check), keyed by ``(goal fingerprint, completed)``.  Keying on
-  the *fingerprint* rather than the object means a degree goal rebuilt
-  per query still reuses every prior answer.
-
-* :class:`EvalMemo` — memoizes catalog-level evaluation: the
-  availability pruner's offered-in-remaining-semesters window and
-  prerequisite-expression DNF conversion.  Option sets are not held here:
-  :meth:`~repro.catalog.Catalog.eligible_courses` compiles ``Y`` to
-  prerequisite clause masks and memoises it exactly on the slice of the
-  completed set each term can read, cache or no cache.  Keys use
-  *identity tokens* for schedule objects: hashing a schedule's full
-  offering map on every lookup would cost more than the lookup saves, so
-  each distinct object is assigned a small integer token once (a strong
-  reference is kept so tokens can never be recycled onto a different
-  object).
-
-* :class:`CachedGoal` — a transparent :class:`~repro.requirements.Goal`
-  wrapper that routes ``is_satisfied``/``remaining_courses`` through a
-  :class:`FlowMemo`.  Satisfaction and remaining-count are memoized
-  *separately*: for the composite goals, ``remaining_courses`` is an
-  admissible bound rather than an exact count, so neither answer may be
-  derived from the other without changing results.
+The engines never see the cache: :class:`~repro.system.CourseNavigator`
+wraps the goal once per query, and a library caller passes
+``cache.wrap_goal(goal)`` as the goal.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Tuple
+import hashlib
+import json
+from typing import AbstractSet, Any, Dict, FrozenSet, Optional
 
 from ..requirements import Goal
-from ..semester import Term
-from .fingerprint import goal_fingerprint
 from .memo import LRUMemo
 
-__all__ = ["FlowMemo", "EvalMemo", "CachedGoal"]
+__all__ = ["CachedGoal", "ExplorationCache", "goal_fingerprint"]
 
-#: Default entry bounds: generous enough that the paper-scale workloads
+#: Default entry bound: generous enough that the paper-scale workloads
 #: (Table 2 tops out well under a million distinct completed-sets) never
 #: evict, small enough to bound memory on runaway horizons.
 DEFAULT_FLOW_CAPACITY = 200_000
-#: Offered windows and DNFs are tiny key spaces (one entry per term window
-#: / per distinct expression), so the eval layer's bound is small.
-DEFAULT_EVAL_CAPACITY = 4096
 
 
-class FlowMemo:
-    """Memoized goal queries, keyed by ``(kind, goal fingerprint, completed)``."""
-
-    __slots__ = ("memo",)
-
-    #: Entry kinds (the first element of every key).
-    REMAINING = "left"
-    SATISFIED = "sat"
-
-    def __init__(self, capacity: Optional[int] = DEFAULT_FLOW_CAPACITY):
-        self.memo = LRUMemo("flow", capacity)
-
-    def lookup_remaining(
-        self, fingerprint: str, completed: FrozenSet[str]
-    ) -> Tuple[bool, Any]:
-        """Cached ``remaining_courses`` answer, if any."""
-        return self.memo.lookup((self.REMAINING, fingerprint, completed))
-
-    def store_remaining(
-        self, fingerprint: str, completed: FrozenSet[str], value: float
-    ) -> None:
-        self.memo.store((self.REMAINING, fingerprint, completed), value)
-
-    def lookup_satisfied(
-        self, fingerprint: str, completed: FrozenSet[str]
-    ) -> Tuple[bool, Any]:
-        """Cached ``is_satisfied`` answer, if any."""
-        return self.memo.lookup((self.SATISFIED, fingerprint, completed))
-
-    def store_satisfied(
-        self, fingerprint: str, completed: FrozenSet[str], value: bool
-    ) -> None:
-        self.memo.store((self.SATISFIED, fingerprint, completed), value)
-
-
-class EvalMemo:
-    """Shared catalog-level evaluation caches (one per exploration cache).
-
-    Every pruner instance built against the same
-    :class:`~repro.cache.ExplorationCache` routes through this object, so
-    goal and ranked runs over the same catalog compute each offered-window
-    exactly once between them.
-    """
-
-    __slots__ = ("offered_memo", "dnf_memo", "_tokens", "_next_token")
-
-    def __init__(self, capacity: Optional[int] = DEFAULT_EVAL_CAPACITY):
-        self.offered_memo = LRUMemo("eval_offered", capacity)
-        self.dnf_memo = LRUMemo("eval_dnf", capacity)
-        self._tokens: Dict[int, Tuple[int, Any]] = {}
-        self._next_token = itertools.count()
-
-    @property
-    def memos(self) -> List[LRUMemo]:
-        """The constituent memos (for metrics binding and stats)."""
-        return [self.offered_memo, self.dnf_memo]
-
-    def token(self, obj: Any) -> int:
-        """A stable small-integer identity token for ``obj``.
-
-        Tokens replace expensive content hashes (``Schedule.__hash__``
-        rebuilds a frozenset of its whole offering map) in memo keys.  The
-        table keeps a strong reference, so an object's id can never be
-        reused for a different token while this memo is alive.
-        """
-        entry = self._tokens.get(id(obj))
-        if entry is not None:
-            return entry[0]
-        token = next(self._next_token)
-        self._tokens[id(obj)] = (token, obj)
-        return token
-
-    def offered_window(
-        self, schedule, first_term: Term, last_term: Term, avoid: FrozenSet[str]
-    ) -> FrozenSet[str]:
-        """Memoized availability window: everything offered in
-        ``[first_term, last_term]`` minus the avoid-list (§4.2.2's
-        best-case completion pool)."""
-        if last_term < first_term:
-            return frozenset()
-        key = (self.token(schedule), first_term, last_term, avoid)
-        found, value = self.offered_memo.lookup(key)
-        if found:
-            return value
-        value = schedule.offered_between(first_term, last_term) - avoid
-        self.offered_memo.store(key, value)
-        return value
-
-    def dnf(self, expression) -> FrozenSet[FrozenSet[str]]:
-        """Memoized :meth:`~repro.catalog.prereq.PrereqExpr.to_dnf`."""
-        key = self.token(expression)
-        found, value = self.dnf_memo.lookup(key)
-        if found:
-            return value
-        value = expression.to_dnf()
-        self.dnf_memo.store(key, value)
-        return value
+def goal_fingerprint(goal: Goal) -> str:
+    """SHA-256 of ``goal``'s canonical JSON form (sorted keys, no
+    whitespace), so structurally identical goals share one digest."""
+    canonical = json.dumps(goal.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class CachedGoal(Goal):
-    """A goal whose queries are served through a :class:`FlowMemo`.
+    """A goal whose queries are served through a shared :class:`LRUMemo`.
 
     Pure delegation otherwise: ``courses``/``describe``/``to_dict`` and
     equality/hash forward to the wrapped goal, so a cached goal is
-    indistinguishable from the original everywhere except speed.  For
-    :class:`~repro.requirements.ExpressionGoal` the wrapper may carry the
-    expression's pre-converted DNF and compute ``remaining_courses`` with
-    the exact formula of ``PrereqExpr.min_courses_to_satisfy`` — same
-    values, minus the per-call DNF conversion.
+    indistinguishable from the original everywhere except speed.
     """
 
-    def __init__(
-        self,
-        goal: Goal,
-        flow: FlowMemo,
-        fingerprint: Optional[str] = None,
-        dnf: Optional[FrozenSet[FrozenSet[str]]] = None,
-    ):
+    def __init__(self, goal: Goal, memo: LRUMemo):
         if isinstance(goal, CachedGoal):
             goal = goal.inner
         self._inner = goal
-        self._flow = flow
-        self._fingerprint = fingerprint or goal_fingerprint(goal)
-        self._dnf = dnf
+        self._memo = memo
+        self._fingerprint = goal_fingerprint(goal)
 
     @property
     def inner(self) -> Goal:
@@ -182,38 +62,24 @@ class CachedGoal(Goal):
         return self._inner
 
     @property
-    def fingerprint(self) -> str:
-        """The wrapped goal's content fingerprint (the memo key prefix)."""
-        return self._fingerprint
-
-    @property
-    def flow_memo(self) -> FlowMemo:
+    def memo(self) -> LRUMemo:
         """The memo serving this wrapper."""
-        return self._flow
+        return self._memo
 
     def is_satisfied(self, completed: AbstractSet[str]) -> bool:
-        completed = frozenset(completed)
-        found, value = self._flow.lookup_satisfied(self._fingerprint, completed)
-        if found:
-            return value
-        value = self._inner.is_satisfied(completed)
-        self._flow.store_satisfied(self._fingerprint, completed, value)
+        key = ("sat", self._fingerprint, frozenset(completed))
+        found, value = self._memo.lookup(key)
+        if not found:
+            value = self._inner.is_satisfied(key[2])
+            self._memo.store(key, value)
         return value
 
     def remaining_courses(self, completed: AbstractSet[str]) -> float:
-        completed = frozenset(completed)
-        found, value = self._flow.lookup_remaining(self._fingerprint, completed)
-        if found:
-            return value
-        if self._dnf is not None:
-            # min_courses_to_satisfy, verbatim, over the pre-converted DNF.
-            if self._dnf:
-                value = min(len(conjunction - completed) for conjunction in self._dnf)
-            else:
-                value = math.inf
-        else:
-            value = self._inner.remaining_courses(completed)
-        self._flow.store_remaining(self._fingerprint, completed, value)
+        key = ("left", self._fingerprint, frozenset(completed))
+        found, value = self._memo.lookup(key)
+        if not found:
+            value = self._inner.remaining_courses(key[2])
+            self._memo.store(key, value)
         return value
 
     def courses(self) -> FrozenSet[str]:
@@ -235,3 +101,83 @@ class CachedGoal(Goal):
 
     def __repr__(self) -> str:
         return f"CachedGoal({self._inner!r})"
+
+
+class ExplorationCache:
+    """One goal memo shared by every query over one catalog.
+
+    Parameters
+    ----------
+    flow_capacity:
+        LRU entry bound of the memo (``None`` = unbounded).
+
+    Guarantee: caching is *output-invisible*.  The memo replays a
+    previously computed pure function of its key, so path sets, counts,
+    statistics and decision streams are identical with the cache on or
+    off (``tests/test_cache.py`` and ``tests/test_golden.py`` enforce
+    this).  Like the engine itself, a cache is written from the single
+    exploration thread.
+    """
+
+    def __init__(self, flow_capacity: Optional[int] = DEFAULT_FLOW_CAPACITY):
+        self.flow = LRUMemo("flow", flow_capacity)
+        self._metrics = None
+        self._wrapped: Dict[int, CachedGoal] = {}
+
+    def wrap_goal(self, goal: Goal) -> Goal:
+        """A :class:`CachedGoal` over ``goal`` backed by this cache's memo.
+
+        Idempotent (wrapping a wrap returns it unchanged) and stable per
+        goal object, so repeated queries reuse one wrapper and fingerprint
+        the goal once.  The wrapper holds the goal, so its id cannot be
+        recycled while the entry lives.
+        """
+        if isinstance(goal, CachedGoal) and goal.memo is self.flow:
+            return goal
+        wrapped = self._wrapped.get(id(goal))
+        if wrapped is None:
+            wrapped = CachedGoal(goal, self.flow)
+            self._wrapped[id(goal)] = wrapped
+        return wrapped
+
+    def bind_metrics(self, registry) -> None:
+        """Emit hit/miss/eviction counters, labelled ``layer="flow"``, into
+        a :class:`~repro.obs.MetricsRegistry` (idempotent per registry).
+
+        Counts accumulated before binding are flushed in, so totals are
+        complete.
+        """
+        if registry is None or registry is self._metrics:
+            return
+        self._metrics = registry
+        labels = {"layer": "flow"}
+        self.flow.bind_counters(
+            registry.counter(
+                "repro_cache_hits_total", "cache lookups served from memory", labels
+            ),
+            registry.counter(
+                "repro_cache_misses_total", "cache lookups that had to compute", labels
+            ),
+            registry.counter(
+                "repro_cache_evictions_total", "cache entries dropped by the LRU bound", labels
+            ),
+        )
+
+    def counter_totals(self) -> Dict[str, Dict[str, int]]:
+        """Per-layer ``{hits, misses, evictions}`` totals, read from the
+        memo itself, so they are available without a bound registry.
+
+        The ``eval`` and ``transposition`` layers are gone; their keys stay,
+        always zero, for readers that still report them.
+        """
+        flow = self.flow
+        zero = {"hits": 0, "misses": 0, "evictions": 0}
+        return {
+            "flow": {"hits": flow.hits, "misses": flow.misses, "evictions": flow.evictions},
+            "eval": dict(zero),
+            "transposition": dict(zero),
+        }
+
+    def stats(self) -> Dict[str, Any]:
+        """A plain-dict snapshot of the memo."""
+        return {"flow": self.flow.stats()}

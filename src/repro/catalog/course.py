@@ -11,6 +11,7 @@ credits, and free-form tags (used by degree requirements, e.g. ``core`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable
 
@@ -18,6 +19,15 @@ from ..errors import CatalogError
 from .prereq import PrereqExpr, TRUE, from_dict as prereq_from_dict
 
 __all__ = ["Course"]
+
+
+def _is_amount(value: Any) -> bool:
+    """Whether ``value`` is a finite number >= 0: NaN fails both bounds, and
+    a value that is no number cannot be compared."""
+    try:
+        return 0 <= value < math.inf
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -36,9 +46,11 @@ class Course:
         (no prerequisites).
     workload_hours:
         Estimated weekly study hours ``w(c_i)`` — the quantity the paper's
-        workload-based ranking sums along a path.  Must be non-negative.
+        workload-based ranking sums along a path.  Must be a finite,
+        non-negative number.
     credits:
-        Credit hours; informational, and available to custom goals.
+        Credit hours; informational, and available to custom goals.  Must
+        be a finite, non-negative number.
     tags:
         Free-form labels (``core``, ``elective``, ``systems`` …) that degree
         goals and workload generators select on.
@@ -56,18 +68,27 @@ class Course:
 
     def __post_init__(self) -> None:
         if not isinstance(self.course_id, str) or not self.course_id.strip():
-            raise ValueError(f"course id must be a non-empty string, got {self.course_id!r}")
+            raise ValueError(f"course_id must be a non-empty string, got {self.course_id!r}")
         object.__setattr__(self, "course_id", self.course_id.strip())
         if not self.title:
             object.__setattr__(self, "title", self.course_id)
         if not isinstance(self.prereq, PrereqExpr):
             raise TypeError(f"prereq must be a PrereqExpr, got {self.prereq!r}")
-        if self.workload_hours < 0:
-            raise ValueError(f"workload_hours must be >= 0, got {self.workload_hours!r}")
-        if self.credits < 0:
-            raise ValueError(f"credits must be >= 0, got {self.credits!r}")
+        # NaN hours would break the workload ranking's cost order.
+        if not _is_amount(self.workload_hours):
+            raise ValueError(
+                f"workload_hours must be a finite number >= 0, got {self.workload_hours!r}"
+            )
+        if not _is_amount(self.credits):
+            raise ValueError(f"credits must be a finite number >= 0, got {self.credits!r}")
         if not isinstance(self.tags, frozenset):
-            object.__setattr__(self, "tags", frozenset(self.tags))
+            try:
+                tags = None if isinstance(self.tags, str) else frozenset(self.tags)
+            except TypeError:
+                tags = None
+            if tags is None or not all(isinstance(tag, str) for tag in tags):
+                raise ValueError(f"tags must be a list of strings, got {self.tags!r}")
+            object.__setattr__(self, "tags", tags)
         if self.course_id in self.prereq.courses():
             raise ValueError(f"course {self.course_id!r} lists itself as a prerequisite")
 
@@ -124,20 +145,19 @@ class Course:
         """Rebuild a course from :meth:`to_dict` output.
 
         Raises :class:`~repro.errors.CatalogError` naming the entry when it
-        has no ``course_id`` or a malformed prerequisite.
+        has no ``course_id``, a malformed prerequisite or a bad field value.
         """
         if not isinstance(data, dict) or "course_id" not in data:
             raise CatalogError(f"course entry {data!r} lacks 'course_id'")
         try:
-            prereq = prereq_from_dict(data.get("prereq", {"op": "true"}))
-        except CatalogError as exc:
+            return cls(
+                course_id=data["course_id"],
+                title=data.get("title", ""),
+                prereq=prereq_from_dict(data.get("prereq", {"op": "true"})),
+                workload_hours=data.get("workload_hours", 10.0),
+                credits=data.get("credits", 4),
+                tags=data.get("tags", ()),
+                description=data.get("description", ""),
+            )
+        except (CatalogError, ValueError) as exc:
             raise CatalogError(f"course {data['course_id']!r}: {exc}") from None
-        return cls(
-            course_id=data["course_id"],
-            title=data.get("title", ""),
-            prereq=prereq,
-            workload_hours=data.get("workload_hours", 10.0),
-            credits=data.get("credits", 4),
-            tags=frozenset(data.get("tags", ())),
-            description=data.get("description", ""),
-        )

@@ -49,12 +49,21 @@ __all__ = [
     "requires",
     "all_of",
     "any_of",
+    "min_courses_in_dnf",
 ]
 
 #: A DNF: a frozenset of conjunctions, each a frozenset of course ids.
 #: ``frozenset({frozenset()})`` is the always-true DNF; ``frozenset()`` is
 #: the unsatisfiable DNF.
 Dnf = FrozenSet[FrozenSet[str]]
+
+
+def min_courses_in_dnf(dnf: Dnf, completed: AbstractSet[str]) -> float:
+    """Fewest courses beyond ``completed`` that complete one conjunction of
+    ``dnf`` (``math.inf`` for the unsatisfiable DNF)."""
+    if not dnf:
+        return math.inf
+    return min(len(conj - completed) for conj in dnf)
 
 
 def _prune_absorbed(conjunctions: Iterable[FrozenSet[str]]) -> Dnf:
@@ -110,10 +119,7 @@ class PrereqExpr:
         Returns ``0`` when already satisfied and ``math.inf`` when the
         expression is unsatisfiable (:data:`FALSE`).  Exact, via DNF.
         """
-        dnf = self.to_dnf()
-        if not dnf:
-            return math.inf
-        return min(len(conj - completed) for conj in dnf)
+        return min_courses_in_dnf(self.to_dnf(), completed)
 
     def is_satisfiable(self) -> bool:
         """Whether any completed-course set satisfies the expression."""

@@ -159,7 +159,6 @@ def frontier_count_goal_paths(
     pruners: Optional[List[Pruner]] = None,
     max_frontier: Optional[int] = None,
     obs: Optional[Observability] = None,
-    cache=None,
 ) -> FrontierCount:
     """Exact goal-driven path count with one-layer memory.
 
@@ -168,13 +167,11 @@ def frontier_count_goal_paths(
     ``max_frontier`` the widest layer, raising
     :class:`~repro.errors.BudgetExceededError` beyond either.  ``obs`` is an
     optional :class:`~repro.obs.runtime.Observability` bundle (span
-    ``run:frontier_goal`` with ``expand``/``merge``/``prune`` phases);
-    ``cache`` an optional :class:`~repro.cache.ExplorationCache`
-    (count-identical, like all cached runs).
+    ``run:frontier_goal`` with ``expand``/``merge``/``prune`` phases).
     """
     step = NodeStep(
         "frontier_goal", catalog, start_term, end_term, completed, config,
-        goal=goal, pruners=pruners, obs=obs, cache=cache,
+        goal=goal, pruners=pruners, obs=obs,
     )
     return _run_frontier(step, max_frontier)
 

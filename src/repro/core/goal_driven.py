@@ -71,7 +71,6 @@ def generate_goal_driven(
     config: Optional[ExplorationConfig] = None,
     pruners: Optional[List[Pruner]] = None,
     obs: Optional[Observability] = None,
-    cache=None,
 ) -> GoalDrivenResult:
     """Generate every learning path that satisfies ``goal`` by ``end_term``.
 
@@ -92,11 +91,6 @@ def generate_goal_driven(
         enabled, the run emits a ``run:goal_driven`` span with nested
         ``expand``/``prune``/``flow`` phases and publishes the finished
         stats to the metrics registry.
-    cache:
-        Optional :class:`~repro.cache.ExplorationCache`.  Goal queries
-        and pruning verdicts are then memoized (within the run and across
-        runs sharing the cache) — output-identical to the uncached run,
-        including decision streams.
 
     Returns
     -------
@@ -106,7 +100,7 @@ def generate_goal_driven(
     """
     step = NodeStep(
         "goal_driven", catalog, start_term, end_term, completed, config,
-        goal=goal, pruners=pruners, obs=obs, cache=cache,
+        goal=goal, pruners=pruners, obs=obs,
     )
     return GoalDrivenResult(
         graph=grow_tree(step), stats=step.stats, pruning_stats=step.pruning_stats

@@ -67,10 +67,6 @@ class PruningContext:
     goal: Goal
     end_term: Term
     config: ExplorationConfig
-    #: Optional :class:`~repro.cache.ExplorationCache`; when present,
-    #: strategies route shareable computations (the availability window)
-    #: through its memos instead of private per-instance dicts.
-    cache: Optional[Any] = None
 
     @property
     def schedule(self) -> Schedule:
@@ -210,24 +206,13 @@ class AvailabilityPruner(Pruner):
 
     def _offered_from(self, term: Term) -> FrozenSet[str]:
         """Courses offered in any remaining semester ``[term, d − 1]``,
-        minus the avoid-list (cached per term).
-
-        With a :class:`~repro.cache.ExplorationCache` on the context, the
-        window is computed in its shared eval memo — so every pruner
-        instance across deadline/goal/ranked runs over the same catalog
-        shares one computation — and the per-instance dict becomes a
-        lookup-free first level.
-        """
+        minus the avoid-list (cached per term)."""
         cached = self._offered_cache.get(term)
         if cached is not None:
             return cached
         context = self._context
         last_useful = context.end_term - 1
-        if context.cache is not None:
-            offered = context.cache.eval.offered_window(
-                context.schedule, term, last_useful, context.config.avoid_courses
-            )
-        elif last_useful < term:
+        if last_useful < term:
             offered = frozenset()
         else:
             offered = (

@@ -110,7 +110,6 @@ def generate_ranked(
     config: Optional[ExplorationConfig] = None,
     pruners: Optional[List[Pruner]] = None,
     obs: Optional[Observability] = None,
-    cache=None,
 ) -> RankedResult:
     """The top-``k`` goal paths under ``ranking``, best first.
 
@@ -129,10 +128,6 @@ def generate_ranked(
         Optional :class:`~repro.obs.runtime.Observability`; when enabled,
         the run emits a ``run:ranked`` span whose ``rank`` phases cover
         edge-cost and admissible-bound evaluation.
-    cache:
-        Optional :class:`~repro.cache.ExplorationCache`; memoizes goal
-        queries (including the rankings' ``remaining_cost_bound`` flow
-        solves) and pruning verdicts.  Output-identical.
 
     Returns
     -------
@@ -149,7 +144,7 @@ def generate_ranked(
         raise ExplorationError(f"k must be >= 1, got {k}")
     step = NodeStep(
         "ranked", catalog, start_term, end_term, completed, config,
-        goal=goal, pruners=pruners, obs=obs, cache=cache,
+        goal=goal, pruners=pruners, obs=obs,
     )
     goal = step.goal
     config = step.config

@@ -3,12 +3,11 @@
 Goal-driven search adds a goal test and sound pruning to deadline-driven
 expansion, and ranked search only changes the order in which nodes are
 expanded (§4.1–4.3).  :class:`NodeStep` decides each node for all of them:
-budget tick; goal test, then deadline test; the pruner stack (through the
-cache's transposition table when one is attached); the strategic-selection
-floor ``min_i`` and the selections it suppresses.  It records every
-outcome in the run's stats (which the pruning stats read), progress and
-decision events, so the engines keep only their traversal order: DFS tree
-(:mod:`~repro.core.deadline`), DFS over merged statuses
+budget tick; goal test, then deadline test; the pruner stack; the
+strategic-selection floor ``min_i`` and the selections it suppresses.  It
+records every outcome in the run's stats (which the pruning stats read),
+progress and decision events, so the engines keep only their traversal
+order: DFS tree (:mod:`~repro.core.deadline`), DFS over merged statuses
 (:mod:`~repro.core.counting`), best-first (:mod:`~repro.core.ranked`) and
 layer-merged (:mod:`~repro.core.frontier`).
 
@@ -110,7 +109,7 @@ class NodeStep:
     goal:
         The goal, or ``None`` for a deadline-driven run: no goal test, no
         pruning, and the deadline and dead-end terminals are the outputs.
-    pruners, obs, cache:
+    pruners, obs:
         As in the generators; ``pruners=None`` is the paper's stack.
 
     Raises :class:`~repro.errors.UnknownCourseError` up front when the
@@ -121,8 +120,8 @@ class NodeStep:
     __slots__ = (
         "name", "start_term", "end_term", "completed", "config", "goal",
         "pruners", "obs", "stats", "pruning_stats", "expander",
-        "outputs", "floor", "_time_pruner", "_transpositions",
-        "_describe", "_recorder", "_progress", "_budget",
+        "outputs", "floor", "_time_pruner", "_describe", "_recorder",
+        "_progress", "_budget",
     )
 
     def __init__(
@@ -136,7 +135,6 @@ class NodeStep:
         goal: Optional[Goal] = None,
         pruners: Optional[List[Pruner]] = None,
         obs: Optional[Observability] = None,
-        cache=None,
     ):
         config = config or ExplorationConfig()
         if end_term < start_term:
@@ -156,16 +154,10 @@ class NodeStep:
             raise UnknownCourseError(min(ghosts), context="schedule entry")
         if goal is None:
             pruners = []
-        else:
-            if cache is not None:
-                goal = cache.wrap_goal(goal)
-            if pruners is None:
-                pruners = default_pruners(
-                    PruningContext(
-                        catalog=catalog, goal=goal, end_term=end_term, config=config,
-                        cache=cache,
-                    )
-                )
+        elif pruners is None:
+            pruners = default_pruners(
+                PruningContext(catalog=catalog, goal=goal, end_term=end_term, config=config)
+            )
         time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
         self.name = run
         self.start_term = start_term
@@ -179,11 +171,6 @@ class NodeStep:
         self.outputs = ("goal",) if goal is not None else ("deadline", "dead_end")
         self.floor = 0
         self._time_pruner = time_pruner if config.enforce_min_selection else None
-        self._transpositions = (
-            cache.transposition_view(goal, end_term, config, pruners)
-            if cache is not None and pruners
-            else None
-        )
         self._describe: Optional[Describe] = None
         self._recorder = None
         self._progress = self.obs.progress
@@ -309,11 +296,7 @@ class NodeStep:
         recorder = self._recorder
         # Not calling a disabled bundle's phase() saves its **attributes dict.
         with obs.phase("prune") if obs.enabled else NULL_SPAN:
-            if self._transpositions is not None:
-                name, verdicts = self._transpositions.consult(
-                    self.pruners, status, obs, want_verdicts=recorder is not None
-                )
-            elif recorder is None:
+            if recorder is None:
                 firing = first_firing_pruner(self.pruners, status, obs)
                 name = firing.name if firing is not None else None
                 verdicts = None

@@ -39,7 +39,7 @@ from typing import (
     Tuple,
 )
 
-from ..catalog.prereq import PrereqExpr, from_dict as prereq_from_dict
+from ..catalog.prereq import PrereqExpr, from_dict as prereq_from_dict, min_courses_in_dnf
 from ..errors import GoalError
 from ..obs.runtime import current_observability
 
@@ -133,7 +133,8 @@ class ExpressionGoal(Goal):
 
     The paper lets users state goal requirements "as a boolean expression on
     the student's enrollment status"; this wraps the same expression AST the
-    prerequisite conditions use.  ``remaining_courses`` is exact via DNF.
+    prerequisite conditions use.  ``remaining_courses`` is exact via DNF,
+    converted once on first use.
     """
 
     def __init__(self, expression: PrereqExpr, label: str = ""):
@@ -141,6 +142,7 @@ class ExpressionGoal(Goal):
             raise GoalError(f"expected PrereqExpr, got {expression!r}")
         self._expression = expression
         self._label = label
+        self._dnf = None
 
     @property
     def expression(self) -> PrereqExpr:
@@ -151,7 +153,9 @@ class ExpressionGoal(Goal):
         return self._expression.evaluate(completed)
 
     def remaining_courses(self, completed: AbstractSet[str]) -> float:
-        return self._expression.min_courses_to_satisfy(completed)
+        if self._dnf is None:
+            self._dnf = self._expression.to_dnf()
+        return min_courses_in_dnf(self._dnf, completed)
 
     def courses(self) -> FrozenSet[str]:
         return self._expression.courses()
@@ -222,13 +226,13 @@ class RequirementGroup:
 def _augment(
     course_id: str,
     memberships: Mapping[str, Tuple[int, ...]],
-    capacities: List[int],
+    capacities: Tuple[int, ...],
     holders: List[List[str]],
     visited: List[bool],
 ) -> bool:
-    """One augmenting-path search of :meth:`DegreeGoal._match` for
-    ``course_id``; its state comes in as arguments, so a search leaves no
-    self-referencing closure behind for the cyclic collector."""
+    """One augmenting-path search of :func:`_match` for ``course_id``; its
+    state comes in as arguments, so a search leaves no self-referencing
+    closure behind for the cyclic collector."""
     for index in memberships[course_id]:
         if visited[index]:
             continue
@@ -242,6 +246,38 @@ def _augment(
                 members[slot] = course_id
                 return True
     return False
+
+
+def _match(
+    memberships: Mapping[str, Tuple[int, ...]],
+    capacities: Tuple[int, ...],
+    relevant: AbstractSet[str],
+) -> List[List[str]]:
+    """A maximum assignment of ``relevant`` courses to group seats.
+
+    Returns the courses held by each active group.  Each course in sorted
+    order gets one augmenting-path search (Kuhn's algorithm with group
+    capacities): a group with a free seat takes it; a full group lets one
+    of its courses move to another group still unvisited.
+    """
+    holders: List[List[str]] = [[] for _ in capacities]
+    seats = sum(capacities)
+    filled = 0
+    for course_id in sorted(relevant):
+        if filled == seats:
+            break
+        if course_id in memberships:
+            visited = [False] * len(capacities)
+            filled += _augment(course_id, memberships, capacities, holders, visited)
+    return holders
+
+
+def _matched_seats(
+    memberships: Mapping[str, Tuple[int, ...]],
+    capacities: Tuple[int, ...],
+    relevant: FrozenSet[str],
+) -> int:
+    return sum(len(members) for members in _match(memberships, capacities, relevant))
 
 
 class DegreeGoal(Goal):
@@ -283,25 +319,26 @@ class DegreeGoal(Goal):
         active = [g for g in self._groups if g.required > 0]
         self._seat_names = tuple(g.name for g in active)
         self._seat_groups = tuple((g.course_ids, g.required) for g in active)
+        self._capacities = tuple(g.required for g in active)
         memberships: Dict[str, Tuple[int, ...]] = {}
         for index, group in enumerate(active):
             for course_id in group.course_ids:
                 memberships[course_id] = memberships.get(course_id, ()) + (index,)
         self._memberships = memberships
         self._disjoint = all(len(indices) == 1 for indices in memberships.values())
-        if self._disjoint:
-            self._count_seats = self._closed_form_seats
-        else:
+        if not self._disjoint:
+            # The memo wraps a function of the compiled groups, not a bound
+            # method, so the goal holds no reference cycle and is freed by
+            # reference counting alone.
             self._seat_memo = functools.lru_cache(maxsize=self._MATCH_MEMO_SIZE)(
-                self._matched_seats
+                functools.partial(_matched_seats, memberships, self._capacities)
             )
-            self._count_seats = self._overlapping_seats
         # A course set can never fill more seats than it has members, so the
         # goal is unsatisfiable iff even the full course universe cannot.
         self._satisfiable = self._count_seats(self._all_courses) >= self._total_required
 
     def __reduce__(self):
-        # The compiled seat counter holds bound methods; rebuild it.
+        # The seat memo is a compiled cache, not state; rebuild it.
         return (type(self), (self._groups, self._name))
 
     @property
@@ -342,40 +379,15 @@ class DegreeGoal(Goal):
         with obs.phase("flow", method=method):
             return self._count_seats(completed)
 
-    def _closed_form_seats(self, completed: AbstractSet[str]) -> int:
-        filled = 0
-        for course_ids, required in self._seat_groups:
-            taken = len(course_ids.intersection(completed))
-            filled += taken if taken < required else required
-        return filled
-
-    def _overlapping_seats(self, completed: AbstractSet[str]) -> int:
+    def _count_seats(self, completed: AbstractSet[str]) -> int:
+        if self._disjoint:
+            filled = 0
+            for course_ids, required in self._seat_groups:
+                taken = len(course_ids.intersection(completed))
+                filled += taken if taken < required else required
+            return filled
         # The memo key is always a frozenset, whatever set type came in.
         return self._seat_memo(self._all_courses.intersection(completed))
-
-    def _matched_seats(self, relevant: FrozenSet[str]) -> int:
-        return sum(len(members) for members in self._match(relevant))
-
-    def _match(self, relevant: AbstractSet[str]) -> List[List[str]]:
-        """A maximum assignment of ``relevant`` courses to group seats.
-
-        Returns the courses held by each active group.  Each course in
-        sorted order gets one augmenting-path search (Kuhn's algorithm with
-        group capacities): a group with a free seat takes it; a full group
-        lets one of its courses move to another group still unvisited.
-        """
-        memberships = self._memberships
-        capacities = [required for _, required in self._seat_groups]
-        holders: List[List[str]] = [[] for _ in capacities]
-        seats = sum(capacities)
-        filled = 0
-        for course_id in sorted(relevant):
-            if filled == seats:
-                break
-            if course_id in memberships:
-                visited = [False] * len(capacities)
-                filled += _augment(course_id, memberships, capacities, holders, visited)
-        return holders
 
     def is_satisfied(self, completed: AbstractSet[str]) -> bool:
         return self._filled_seats(completed) >= self._total_required
@@ -389,7 +401,9 @@ class DegreeGoal(Goal):
         """A maximum ``{course_id: group name}`` assignment — the audit view
         a front-end shows the student.  Courses are matched in sorted
         order, so the answer never depends on set iteration order."""
-        holders = self._match(self._all_courses.intersection(completed))
+        holders = _match(
+            self._memberships, self._capacities, self._all_courses.intersection(completed)
+        )
         return dict(
             sorted(
                 (course_id, self._seat_names[index])

@@ -94,10 +94,11 @@ class CourseNavigator:
         or another thread cancels it.
     cache:
         Optional :class:`~repro.cache.ExplorationCache`.  Every goal run
-        this navigator performs shares it, so repeated queries over the
-        one catalog reuse seat counts and pruning verdicts — with
-        identical outputs (the cache only replays pure functions).
-        Deadline runs have no goal and do not use it.
+        this navigator performs asks the goal through it
+        (``cache.wrap_goal(goal)``), so repeated queries over the one
+        catalog reuse ``left_i`` and satisfaction answers — with identical
+        outputs (the cache only replays pure functions).  Deadline runs
+        have no goal and do not use it.
         When a ``metrics`` registry is also given, cache hit/miss/eviction
         counters are emitted into it.
 
@@ -162,6 +163,10 @@ class CourseNavigator:
         return self._cache
 
     # -- configuration helpers ------------------------------------------------
+
+    def _goal(self, goal: Goal) -> Goal:
+        """``goal``, answered through the cache when there is one."""
+        return goal if self._cache is None else self._cache.wrap_goal(goal)
 
     def _config(
         self,
@@ -235,13 +240,12 @@ class CourseNavigator:
         return generate_goal_driven(
             self._catalog,
             start_term,
-            goal,
+            self._goal(goal),
             end_term,
             completed=completed,
             config=self._config(config, max_courses_per_term, avoid_courses, max_nodes),
             pruners=pruners,
             obs=self._obs,
-            cache=self._cache,
         )
 
     def explore_ranked(
@@ -261,14 +265,13 @@ class CourseNavigator:
         return generate_ranked(
             self._catalog,
             start_term,
-            goal,
+            self._goal(goal),
             end_term,
             k,
             self.resolve_ranking(ranking),
             completed=completed,
             config=self._config(config, max_courses_per_term, avoid_courses, max_nodes),
             obs=self._obs,
-            cache=self._cache,
         )
 
     # -- counting mode ---------------------------------------------------------------
@@ -302,12 +305,11 @@ class CourseNavigator:
         return frontier_count_goal_paths(
             self._catalog,
             start_term,
-            goal,
+            self._goal(goal),
             end_term,
             completed=completed,
             config=config,
             obs=self._obs,
-            cache=self._cache,
         ).path_count
 
     # -- transcript auditing ------------------------------------------------------------

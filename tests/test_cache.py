@@ -1,23 +1,16 @@
-"""Tests for the query-acceleration subsystem (repro.cache).
+"""Tests for the goal memo (repro.cache).
 
 Covers the LRU memo primitive, goal fingerprints, the CachedGoal
 wrapper, the headline equivalence property — byte-identical path sets,
 counts, prune-decision streams and explain audits with and without a
-cache, across the generators, cold and warm — plus LRU eviction under
-tiny capacities and metrics binding.
+cached goal, across the generators and the navigator, cold and warm —
+plus LRU eviction under tiny capacities and metrics binding.
 """
-
-import math
 
 import pytest
 
-from repro.cache import (
-    CachedGoal,
-    ExplorationCache,
-    LRUMemo,
-    goal_fingerprint,
-    pruner_signature,
-)
+from repro.cache import CachedGoal, ExplorationCache, LRUMemo, goal_fingerprint
+from repro.catalog.prereq import PrereqExpr, TRUE
 from repro.core import (
     ExplorationConfig,
     generate_deadline_driven,
@@ -25,11 +18,6 @@ from repro.core import (
     generate_ranked,
 )
 from repro.core.frontier import frontier_count_goal_paths
-from repro.core.pruning import (
-    AvailabilityPruner,
-    PruningContext,
-    TimeBasedPruner,
-)
 from repro.core.ranking import TimeRanking
 from repro.data import (
     brandeis_catalog,
@@ -48,6 +36,11 @@ CONFIG = ExplorationConfig(max_courses_per_term=3)
 SMALL_GOAL = CourseSetGoal({"COSI 11a", "COSI 21a", "COSI 29a"})
 
 
+def ranked_keys(result):
+    """``(cost, path)`` pairs of a ranked result, best first."""
+    return [(cost, str(path)) for cost, path in result.ranked()]
+
+
 def path_keys(result):
     """An order-insensitive, content-complete key for a path collection."""
     return sorted(
@@ -61,10 +54,15 @@ def path_keys(result):
     )
 
 
+def cached(goal, cache):
+    """``goal`` as a library caller passes it: wrapped when cached."""
+    return goal if cache is None else cache.wrap_goal(goal)
+
+
 def run_goal(catalog, goal, cache=None, recorder=None, start=START, end=END):
     obs = Observability(decisions=recorder) if recorder is not None else None
     return generate_goal_driven(
-        catalog, start, goal, end, config=CONFIG, obs=obs, cache=cache
+        catalog, start, cached(goal, cache), end, config=CONFIG, obs=obs
     )
 
 
@@ -133,17 +131,6 @@ class TestFingerprints:
         assert a != b
         assert a == goal_fingerprint(CourseSetGoal({"COSI 11a"}))
 
-    def test_pruner_signature_orders_matter(self):
-        catalog = brandeis_catalog()
-        context = PruningContext(
-            catalog=catalog, goal=SMALL_GOAL, end_term=END, config=CONFIG
-        )
-        time_p = TimeBasedPruner(context)
-        avail_p = AvailabilityPruner(context)
-        assert pruner_signature([time_p, avail_p]) != pruner_signature(
-            [avail_p, time_p]
-        )
-
 
 # ---------------------------------------------------------------------------
 # CachedGoal
@@ -172,27 +159,7 @@ class TestCachedGoal:
             assert wrapped.remaining_courses(completed) == goal.remaining_courses(
                 completed
             )
-        assert cache.flow.memo.hits > 0
-
-    def test_expression_goal_dnf_fast_path(self):
-        catalog = brandeis_catalog()
-        from repro.catalog.prereq import TRUE
-
-        expression = next(
-            course.prereq for course in catalog.courses() if course.prereq is not TRUE
-        )
-        expr_goal = ExpressionGoal(expression, label="prereq")
-        cache = ExplorationCache()
-        wrapped = cache.wrap_goal(expr_goal)
-        for completed in (frozenset(), frozenset({"COSI 11a"}), catalog.course_ids()):
-            expected = expr_goal.remaining_courses(frozenset(completed))
-            got = wrapped.remaining_courses(frozenset(completed))
-            assert got == expected or (
-                math.isinf(got) and math.isinf(expected)
-            )
-            assert wrapped.is_satisfied(frozenset(completed)) == expr_goal.is_satisfied(
-                frozenset(completed)
-            )
+        assert cache.flow.hits > 0
 
     def test_wrap_is_idempotent_and_stable(self):
         cache = ExplorationCache()
@@ -230,18 +197,10 @@ class TestEquivalence:
         base_events = [e.as_dict() for e in base_rec.events]
         assert [e.as_dict() for e in cold_rec.events] == base_events
         assert [e.as_dict() for e in warm_rec.events] == base_events
-        # the warm run actually reused transposed verdicts
-        assert cache.transposition.memo.hits > 0
-        assert cache.flow.memo.hits > 0
-        # Option sets are memoised by the catalog, not the cache; the eval
-        # layer keeps only offered windows and DNFs.
-        assert cache.eval.memos == [cache.eval.offered_memo, cache.eval.dnf_memo]
-        assert not hasattr(cache.eval, "options_memo")
-        assert cache.eval.offered_memo.misses > 0
+        assert cache.flow.hits > 0
 
     def test_goal_driven_without_recorder_matches_recorded(self):
-        # boolean-only transposition entries (stored by an unrecorded run)
-        # must upgrade cleanly when a recorder appears later
+        # answers memoized by an unrecorded run serve a recorded one
         catalog = brandeis_catalog()
         cache = ExplorationCache()
         quiet = run_goal(catalog, brandeis_major_goal(), cache=cache)
@@ -259,18 +218,15 @@ class TestEquivalence:
     def test_ranked_identical(self):
         catalog = brandeis_catalog()
         base = generate_ranked(
-            catalog, START, brandeis_major_goal(), END, 5, TimeRanking(),
-            config=CONFIG,
+            catalog, START, brandeis_major_goal(), END, 5, TimeRanking(), config=CONFIG
         )
         cache = ExplorationCache()
         for _ in range(2):  # cold then warm
-            cached = generate_ranked(
-                catalog, START, brandeis_major_goal(), END, 5, TimeRanking(),
-                config=CONFIG, cache=cache,
+            warm = generate_ranked(
+                catalog, START, cache.wrap_goal(brandeis_major_goal()), END, 5,
+                TimeRanking(), config=CONFIG,
             )
-            assert [
-                (cost, str(path)) for cost, path in cached.ranked()
-            ] == [(cost, str(path)) for cost, path in base.ranked()]
+            assert ranked_keys(warm) == ranked_keys(base)
 
     def test_deadline_identical(self):
         # Deadline runs have no goal: a navigator's cache is never consulted.
@@ -284,7 +240,7 @@ class TestEquivalence:
         assert cached.path_count == base.path_count
         assert path_keys(cached) == path_keys(base)
         assert navigator.count_deadline(START, end, config=config) == base.path_count
-        assert all(memo.hits == memo.misses == 0 for memo in cache.memos)
+        assert cache.flow.hits == cache.flow.misses == 0
 
     def test_counting_and_frontier_identical(self):
         catalog = brandeis_catalog()
@@ -293,12 +249,12 @@ class TestEquivalence:
         navigator = CourseNavigator(catalog, cache=cache)
         base = frontier_count_goal_paths(catalog, START, goal, END, config=CONFIG)
         for _ in range(2):
-            cached = frontier_count_goal_paths(
-                catalog, START, goal, END, config=CONFIG, cache=cache
+            count = frontier_count_goal_paths(
+                catalog, START, cache.wrap_goal(goal), END, config=CONFIG
             )
-            assert cached.path_count == base.path_count
-            assert cached.terminal_path_counts == base.terminal_path_counts
-            assert cached.pruning_stats == base.pruning_stats
+            assert count.path_count == base.path_count
+            assert count.terminal_path_counts == base.terminal_path_counts
+            assert count.pruning_stats == base.pruning_stats
             assert navigator.count_goal(START, goal, END, config=CONFIG) == base.path_count
 
     def test_random_catalogs_property(self):
@@ -313,14 +269,12 @@ class TestEquivalence:
             )
             cache = ExplorationCache()
             for _ in range(2):
-                cached = generate_goal_driven(
-                    catalog, start, goal, end, config=config, cache=cache
+                warm = generate_goal_driven(
+                    catalog, start, cache.wrap_goal(goal), end, config=config
                 )
-                assert cached.path_count == base.path_count
-                assert path_keys(cached) == path_keys(base)
-                assert (
-                    cached.pruning_stats.as_dict() == base.pruning_stats.as_dict()
-                )
+                assert warm.path_count == base.path_count
+                assert path_keys(warm) == path_keys(base)
+                assert warm.pruning_stats.as_dict() == base.pruning_stats.as_dict()
 
     def test_shared_cache_across_distinct_goals_stays_correct(self):
         # two goals through one cache must not cross-contaminate
@@ -334,6 +288,27 @@ class TestEquivalence:
             assert run_goal(catalog, goal_a, cache=cache).path_count == base_a.path_count
             assert run_goal(catalog, goal_b, cache=cache).path_count == base_b.path_count
 
+    def test_navigator_cache_identical_and_reused(self):
+        # The navigator wraps each query's goal; its three goal tasks match
+        # an uncached navigator's, and a repeat is served from the memo.
+        catalog = brandeis_catalog()
+        goal = brandeis_major_goal()
+
+        def queries(navigator):
+            return (
+                path_keys(navigator.explore_goal(START, goal, END, config=CONFIG)),
+                ranked_keys(navigator.explore_ranked(START, goal, END, 5, config=CONFIG)),
+                navigator.count_goal(START, goal, END, config=CONFIG),
+            )
+
+        expected = queries(CourseNavigator(catalog))
+        cache = ExplorationCache()
+        navigator = CourseNavigator(catalog, cache=cache)
+        assert queries(navigator) == expected
+        hits = cache.flow.hits
+        assert queries(navigator) == expected
+        assert cache.flow.hits > hits
+
 
 # ---------------------------------------------------------------------------
 # eviction under pressure
@@ -343,15 +318,13 @@ class TestEviction:
     def test_tiny_capacities_still_exact(self):
         catalog = brandeis_catalog()
         base = run_goal(catalog, brandeis_major_goal())
-        cache = ExplorationCache(
-            flow_capacity=32, eval_capacity=32, transposition_capacity=32
-        )
+        cache = ExplorationCache(flow_capacity=32)
         for _ in range(2):
             cached = run_goal(catalog, brandeis_major_goal(), cache=cache)
             assert cached.path_count == base.path_count
             assert path_keys(cached) == path_keys(base)
-        assert cache.flow.memo.evictions > 0
-        assert len(cache.flow.memo) <= 32
+        assert cache.flow.evictions > 0
+        assert len(cache.flow) <= 32
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +344,13 @@ class TestMetrics:
         assert "repro_cache_hits_total" in text
         assert "repro_cache_misses_total" in text
         assert "repro_cache_evictions_total" in text
-        assert 'layer="flow"' in text and 'layer="transposition"' in text
+        assert 'layer="flow"' in text
+        assert 'layer="eval"' not in text and 'layer="transposition"' not in text
+        totals = cache.counter_totals()
+        assert totals["flow"]["hits"] == cache.flow.hits
+        # The gone layers' keys stay, always zero, for benchmark readers.
+        zero = {"hits": 0, "misses": 0, "evictions": 0}
+        assert totals["eval"] == totals["transposition"] == zero
         snapshot = registry.snapshot()
         flow_hits = sum(
             m["value"]
@@ -379,7 +358,7 @@ class TestMetrics:
             if m["name"] == "repro_cache_hits_total"
             and m["labels"].get("layer") == "flow"
         )
-        assert flow_hits == cache.flow.memo.hits > 0
+        assert flow_hits == cache.flow.hits > 0
 
     def test_late_binding_flushes_backlog(self):
         catalog = brandeis_catalog()
@@ -396,41 +375,38 @@ class TestMetrics:
         assert misses > 0
 
 
+
 # ---------------------------------------------------------------------------
-# the shared offered-window memo (satellite: hoisted per-pruner cache)
+# ExpressionGoal converts its expression once, cache or no cache
 
 
-class TestSharedOfferedWindow:
-    def test_fresh_pruner_instances_share_windows(self):
-        # each pruner keeps a lookup-free per-instance dict, but the window
-        # computation itself lives in the shared eval memo: a second pruner
-        # (as a new run would build) starts with an empty dict yet hits
-        catalog = brandeis_catalog()
-        cache = ExplorationCache()
-        context = PruningContext(
-            catalog=catalog, goal=SMALL_GOAL, end_term=END, config=CONFIG,
-            cache=cache,
-        )
-        first = AvailabilityPruner(context)
-        second = AvailabilityPruner(context)
-        window = first._offered_from(START)
-        assert cache.eval.offered_memo.misses == 1
-        assert second._offered_from(START) == window
-        assert cache.eval.offered_memo.hits == 1
-        # the per-instance first level absorbs repeats without memo traffic
-        first._offered_from(START)
-        assert cache.eval.offered_memo.hits == 1
+class CountingExpr(PrereqExpr):
+    """Delegates to ``inner``, counting ``to_dnf`` conversions."""
 
-    def test_offered_window_matches_schedule(self):
-        catalog = brandeis_catalog()
-        cache = ExplorationCache()
-        window = cache.eval.offered_window(
-            catalog.schedule, Term(2013, "Fall"), Term(2014, "Spring"), frozenset()
+    def __init__(self, inner):
+        self.inner = inner
+        self.conversions = 0
+
+    def to_dnf(self):
+        self.conversions += 1
+        return self.inner.to_dnf()
+
+    def evaluate(self, completed):
+        return self.inner.evaluate(completed)
+
+    def courses(self):
+        return self.inner.courses()
+
+
+def test_expression_goal_converts_to_dnf_once():
+    catalog = brandeis_catalog()
+    expression = next(
+        course.prereq for course in catalog.courses() if course.prereq is not TRUE
+    )
+    counting = CountingExpr(expression)
+    goal = ExpressionGoal(counting)
+    for completed in (frozenset(), frozenset({"COSI 11a"}), catalog.course_ids()) * 5:
+        assert goal.remaining_courses(completed) == expression.min_courses_to_satisfy(
+            completed
         )
-        expected = catalog.schedule.offered_between(
-            Term(2013, "Fall"), Term(2014, "Spring")
-        )
-        assert window == frozenset(expected)
-        assert cache.eval.offered_window(
-            catalog.schedule, Term(2014, "Spring"), Term(2013, "Fall"), frozenset()
-        ) == frozenset()
+    assert counting.conversions == 1

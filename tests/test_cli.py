@@ -438,6 +438,41 @@ class TestIoErrors:
                 '{"courses": [{"course_id": "A"}], "schedule": {"A": ["Autumn 2012"]}}',
                 "schedule entry 'A': unknown season 'Autumn'",
             ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "workload_hours": "abc"}]}',
+                "course 'A': workload_hours must be a finite number >= 0, got 'abc'",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "workload_hours": -1}]}',
+                "course 'A': workload_hours must be a finite number >= 0, got -1",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "workload_hours": NaN}]}',
+                "course 'A': workload_hours must be a finite number >= 0, got nan",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "workload_hours": Infinity}]}',
+                "course 'A': workload_hours must be a finite number >= 0, got inf",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "credits": null}]}',
+                "course 'A': credits must be a finite number >= 0, got None",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": 123}]}',
+                "course 123: course_id must be a non-empty string, got 123",
+            ),
+            (
+                "--catalog",
+                '{"courses": [{"course_id": "A", "tags": 5}]}',
+                "course 'A': tags must be a list of strings, got 5",
+            ),
             ("--goal-file", "{ not json", "invalid JSON"),
             (
                 "--goal-file",
@@ -470,6 +505,13 @@ class TestIoErrors:
             "prereq-op",
             "kof-negative-k",
             "schedule-term",
+            "workload-not-number",
+            "workload-negative",
+            "workload-nan",
+            "workload-infinite",
+            "credits-null",
+            "course-id-not-string",
+            "tags-not-list",
             "goal-json",
             "group-courses",
             "goal-not-object",

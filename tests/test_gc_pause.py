@@ -11,6 +11,7 @@ rankings, constraints) run inside the pause, so they observe
 import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -271,3 +272,28 @@ def test_seat_matching_leaves_no_cyclic_garbage():
         "COSI 29a": "systems",
     }
     assert remaining == 1
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        (
+            RequirementGroup("core", ["COSI 11a", "COSI 12b"], 2),
+            RequirementGroup("electives", ["COSI 21a", "COSI 29a"], 1),
+        ),
+        (
+            RequirementGroup("systems", ["COSI 21a", "COSI 29a", "COSI 12b"], 2),
+            RequirementGroup("theory", ["COSI 21a", "COSI 12b"], 1),
+        ),
+    ],
+    ids=["disjoint", "overlapping"],
+)
+def test_a_dropped_degree_goal_is_freed_without_the_collector(groups):
+    """A goal holds no reference cycle, so dropping it frees it at once even
+    with the collector paused (as it is for the length of every run)."""
+    gc.disable()
+    goal = DegreeGoal(groups)
+    assert goal.remaining_courses(frozenset({"COSI 21a", "COSI 12b"})) >= 0
+    ref = weakref.ref(goal)
+    del goal
+    assert ref() is None

@@ -4,8 +4,8 @@ Each case runs one engine on the bundled Brandeis catalog and hashes a
 canonical JSON rendering of what a caller can see: decision streams,
 ``graph_to_json`` exports (whose DAG node ids pin insertion order), run
 statistics, pruning tallies and final progress snapshots.  The goal tree
-and the ranked search also run with a cold and a warm
-:class:`~repro.cache.ExplorationCache`; each must match its uncached
+and the ranked search also run with their goal wrapped by a cold and a
+warm :class:`~repro.cache.ExplorationCache`; each must match its uncached
 digests.  A refactor that changes any output — an extra decision, a
 reordered DAG node, a shifted prune credit — fails here by name.
 
@@ -70,15 +70,15 @@ def _events(recorder: DecisionRecorder):
     return [event.as_dict() for event in recorder.events]
 
 
+def _goal(cache):
+    goal = brandeis_major_goal()
+    return goal if cache is None else cache.wrap_goal(goal)
+
+
 def _goal_tree(cache) -> Dict[str, Any]:
     obs, recorder, progress = _observed()
     result = generate_goal_driven(
-        brandeis_catalog(),
-        start_term_for_semesters(4),
-        brandeis_major_goal(),
-        END,
-        obs=obs,
-        cache=cache,
+        brandeis_catalog(), start_term_for_semesters(4), _goal(cache), END, obs=obs
     )
     return {
         "explain": _events(recorder),
@@ -106,12 +106,11 @@ def _ranked(cache=None) -> Dict[str, Any]:
     result = generate_ranked(
         brandeis_catalog(),
         start_term_for_semesters(4),
-        brandeis_major_goal(),
+        _goal(cache),
         END,
         k=25,
         ranking=TimeRanking(),
         obs=obs,
-        cache=cache,
     )
     return {
         "explain": _events(recorder),

@@ -349,25 +349,25 @@ def test_unread_options_survive_pickle_and_copy(case, depth):
 
 
 _ENGINE_RUNS = (
-    lambda catalog, goal, end, config, cache: generate_goal_driven(
-        catalog, START, goal, end, config=config, cache=cache
-    ),
-    lambda catalog, goal, end, config, cache: generate_ranked(
-        catalog, START, goal, end, 5, TimeRanking(), config=config, cache=cache
-    ),
-    lambda catalog, goal, end, config, cache: frontier_count_goal_paths(
-        catalog, START, goal, end, config=config, cache=cache
-    ),
-    lambda catalog, goal, end, config, cache: build_goal_dag(
+    lambda catalog, goal, end, config: generate_goal_driven(
         catalog, START, goal, end, config=config
     ),
-    lambda catalog, goal, end, config, cache: generate_deadline_driven(
+    lambda catalog, goal, end, config: generate_ranked(
+        catalog, START, goal, end, 5, TimeRanking(), config=config
+    ),
+    lambda catalog, goal, end, config: frontier_count_goal_paths(
+        catalog, START, goal, end, config=config
+    ),
+    lambda catalog, goal, end, config: build_goal_dag(
+        catalog, START, goal, end, config=config
+    ),
+    lambda catalog, goal, end, config: generate_deadline_driven(
         catalog, START, end, config=config
     ),
-    lambda catalog, goal, end, config, cache: frontier_count_deadline_paths(
+    lambda catalog, goal, end, config: frontier_count_deadline_paths(
         catalog, START, end, config=config
     ),
-    lambda catalog, goal, end, config, cache: build_deadline_dag(
+    lambda catalog, goal, end, config: build_deadline_dag(
         catalog, START, end, config=config
     ),
 )
@@ -400,19 +400,20 @@ def test_engine_runs_leave_no_cyclic_garbage(
 ):
     catalog = random_catalog(seed, settings_)
     end = START + horizon
-    # A fresh goal and cache per run, built before the collector is turned
-    # off and kept alive through the check: both memoize, and building a
-    # goal is not a run.
+    # A fresh goal (wrapped by a fresh cache) per run, built before the
+    # collector is turned off and kept alive through the check: both
+    # memoize, and building a goal is not a run.
     if overlapping:
         goals = [_overlapping_goal(catalog, seed) for _ in _ENGINE_RUNS]
     else:
         goals = [random_course_set_goal(catalog, seed + 1, size=2) for _ in _ENGINE_RUNS]
-    caches = [ExplorationCache() if cached else None for _ in _ENGINE_RUNS]
+    if cached:
+        goals = [ExplorationCache().wrap_goal(goal) for goal in goals]
     gc.collect()
     gc.disable()
     try:
-        for run, goal, cache in zip(_ENGINE_RUNS, goals, caches):
-            run(catalog, goal, end, config, cache)
+        for run, goal in zip(_ENGINE_RUNS, goals):
+            run(catalog, goal, end, config)
             assert not gc.isenabled()
         assert gc.collect() == 0
     finally:
