@@ -2,9 +2,9 @@
 
 Not a paper table — these quantify the decisions DESIGN.md calls out:
 
-1. **Representation**: the paper's out-tree vs. the merged-status DAG vs.
-   the frontier DP, on the same goal-driven workload.  (Why the tree runs
-   out of memory and the alternatives don't.)
+1. **Representation**: the paper's out-tree vs. the frontier DP over
+   merged statuses, on the same goal-driven workload.  (Why the tree runs
+   out of memory and the frontier doesn't.)
 2. **Pruning strategy stack**: each strategy alone, both (paper order),
    and both reversed — path output must be identical (soundness), work
    saved differs.
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import (
     ExplorationConfig,
-    build_goal_dag,
     frontier_count_goal_paths,
     generate_goal_driven,
 )
@@ -54,13 +53,6 @@ class TestRepresentationAblation:
             time.perf_counter() - began, tree.path_count, tree.graph.num_nodes,
         )
         began = time.perf_counter()
-        dag = build_goal_dag(
-            catalog, start_term, major_goal, EVALUATION_END_TERM, config=paper_config
-        )
-        results["merged DAG"] = (
-            time.perf_counter() - began, dag.path_count, dag.dag.num_nodes,
-        )
-        began = time.perf_counter()
         frontier = frontier_count_goal_paths(
             catalog, start_term, major_goal, EVALUATION_END_TERM, config=paper_config
         )
@@ -84,12 +76,10 @@ class TestRepresentationAblation:
         counts = {count for _t, count, _s in representation_results.values()}
         assert len(counts) == 1
 
-    def test_merged_forms_store_less(self, representation_results):
+    def test_frontier_stores_less(self, representation_results):
         tree_nodes = representation_results["tree (paper)"][2]
-        dag_nodes = representation_results["merged DAG"][2]
         frontier_peak = representation_results["frontier DP"][2]
-        assert dag_nodes <= tree_nodes
-        assert frontier_peak <= dag_nodes
+        assert frontier_peak <= tree_nodes
 
 
 class TestPrunerStackAblation:
@@ -288,17 +278,13 @@ class TestFlowSolverAblation:
 
 
 @pytest.mark.benchmark(group="ablation-representation")
-@pytest.mark.parametrize("representation", ["tree", "dag", "frontier"])
+@pytest.mark.parametrize("representation", ["tree", "frontier"])
 def test_bench_representation(
     benchmark, catalog, major_goal, paper_config, start_term, representation
 ):
     def run():
         if representation == "tree":
             return generate_goal_driven(
-                catalog, start_term, major_goal, EVALUATION_END_TERM, config=paper_config
-            ).path_count
-        if representation == "dag":
-            return build_goal_dag(
                 catalog, start_term, major_goal, EVALUATION_END_TERM, config=paper_config
             ).path_count
         return frontier_count_goal_paths(

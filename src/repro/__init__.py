@@ -28,8 +28,9 @@ Package map (details in DESIGN.md):
 - :mod:`repro.catalog` — courses, prerequisite expressions, schedules
 - :mod:`repro.parsing` — registrar-text parsers and catalog JSON I/O
 - :mod:`repro.requirements` — goals and the max-flow ``left_i`` substrate
-- :mod:`repro.graph` — learning graphs (tree + merged DAG), paths, export
-- :mod:`repro.core` — deadline-driven / goal-driven / ranked generation
+- :mod:`repro.graph` — the learning graph (an out-tree), paths, export
+- :mod:`repro.core` — deadline-driven / goal-driven / ranked generation,
+  frontier path counting
 - :mod:`repro.data` — the synthetic evaluation dataset and generators
 - :mod:`repro.system` — the CourseNavigator façade, visualizer, CLI
 - :mod:`repro.analysis` — containment checks and path statistics
@@ -63,7 +64,7 @@ from .requirements import (
     Goal,
     RequirementGroup,
 )
-from .graph import EnrollmentStatus, LearningGraph, LearningPath, MergedStatusDag
+from .graph import EnrollmentStatus, LearningGraph, LearningPath
 from .core import (
     ExplorationConfig,
     RankedResult,
@@ -122,7 +123,6 @@ __all__ = [
     "EnrollmentStatus",
     "LearningPath",
     "LearningGraph",
-    "MergedStatusDag",
     # core
     "ExplorationConfig",
     "generate_deadline_driven",

@@ -9,16 +9,15 @@ tested:
 * :func:`branching_profile` — per-term option-set sizes and the predicted
   vs. actual branching factor;
 * :func:`graph_shape` — node/edge/terminal counts per term for a built
-  tree or merged DAG.
+  tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from ..core.options import selection_count
-from ..graph.dag import MergedStatusDag
 from ..graph.learning_graph import LearningGraph
 from ..semester import Term
 
@@ -49,20 +48,7 @@ class TermBranching:
         )
 
 
-def _statuses_and_out_degrees(graph: Union[LearningGraph, MergedStatusDag]):
-    if isinstance(graph, LearningGraph):
-        for node_id in graph.node_ids():
-            yield graph.status(node_id), graph.out_degree(node_id)
-    elif isinstance(graph, MergedStatusDag):
-        for key in graph.nodes():
-            yield graph.status(key), len(graph.successors(key))
-    else:
-        raise TypeError(f"expected LearningGraph or MergedStatusDag, got {graph!r}")
-
-
-def branching_profile(
-    graph: Union[LearningGraph, MergedStatusDag], max_per_term: int
-) -> List[TermBranching]:
+def branching_profile(graph: LearningGraph, max_per_term: int) -> List[TermBranching]:
     """Per-term branching statistics for a built graph.
 
     ``predicted_branches`` applies the paper's combination-count formula
@@ -70,9 +56,12 @@ def branching_profile(
     the algorithm created (smaller when terminals stop expansion or
     pruning fires).
     """
+    if not isinstance(graph, LearningGraph):
+        raise TypeError(f"expected LearningGraph, got {graph!r}")
     buckets: Dict[Term, TermBranching] = {}
     option_totals: Dict[Term, int] = {}
-    for status, out_degree in _statuses_and_out_degrees(graph):
+    for node_id in graph.node_ids():
+        status = graph.status(node_id)
         bucket = buckets.get(status.term)
         if bucket is None:
             bucket = TermBranching(term=status.term, min_options=len(status.options))
@@ -84,7 +73,7 @@ def branching_profile(
         bucket.max_options = max(bucket.max_options, size)
         option_totals[status.term] += size
         bucket.predicted_branches += selection_count(size, max_per_term)
-        bucket.actual_branches += out_degree
+        bucket.actual_branches += graph.out_degree(node_id)
     for term, bucket in buckets.items():
         bucket.mean_options = option_totals[term] / bucket.statuses
     return [buckets[term] for term in sorted(buckets)]
@@ -104,34 +93,21 @@ class GraphShape:
         return max(self.nodes_per_term, key=lambda t: (self.nodes_per_term[t], t.ordinal))
 
 
-def graph_shape(graph: Union[LearningGraph, MergedStatusDag]) -> GraphShape:
+def graph_shape(graph: LearningGraph) -> GraphShape:
     """Node/edge/terminal counts, bucketed per term."""
+    if not isinstance(graph, LearningGraph):
+        raise TypeError(f"expected LearningGraph, got {graph!r}")
     terminals: Dict[str, int] = {}
     per_term: Dict[Term, int] = {}
-    if isinstance(graph, LearningGraph):
-        for node_id in graph.node_ids():
-            term = graph.status(node_id).term
-            per_term[term] = per_term.get(term, 0) + 1
-            kind = graph.terminal_kind(node_id)
-            if kind:
-                terminals[kind] = terminals.get(kind, 0) + 1
-        return GraphShape(
-            nodes=graph.num_nodes,
-            edges=graph.num_edges,
-            terminals=terminals,
-            nodes_per_term=per_term,
-        )
-    if isinstance(graph, MergedStatusDag):
-        for key in graph.nodes():
-            term = graph.status(key).term
-            per_term[term] = per_term.get(term, 0) + 1
-            kind = graph.terminal_kind(key)
-            if kind:
-                terminals[kind] = terminals.get(kind, 0) + 1
-        return GraphShape(
-            nodes=graph.num_nodes,
-            edges=graph.num_edges,
-            terminals=terminals,
-            nodes_per_term=per_term,
-        )
-    raise TypeError(f"expected LearningGraph or MergedStatusDag, got {graph!r}")
+    for node_id in graph.node_ids():
+        term = graph.status(node_id).term
+        per_term[term] = per_term.get(term, 0) + 1
+        kind = graph.terminal_kind(node_id)
+        if kind:
+            terminals[kind] = terminals.get(kind, 0) + 1
+    return GraphShape(
+        nodes=graph.num_nodes,
+        edges=graph.num_edges,
+        terminals=terminals,
+        nodes_per_term=per_term,
+    )

@@ -122,23 +122,18 @@ class ExplorationCache:
     def __init__(self, flow_capacity: Optional[int] = DEFAULT_FLOW_CAPACITY):
         self.flow = LRUMemo("flow", flow_capacity)
         self._metrics = None
-        self._wrapped: Dict[int, CachedGoal] = {}
 
     def wrap_goal(self, goal: Goal) -> Goal:
         """A :class:`CachedGoal` over ``goal`` backed by this cache's memo.
 
-        Idempotent (wrapping a wrap returns it unchanged) and stable per
-        goal object, so repeated queries reuse one wrapper and fingerprint
-        the goal once.  The wrapper holds the goal, so its id cannot be
-        recycled while the entry lives.
+        Idempotent: wrapping a wrap returns it unchanged.  Each call
+        otherwise builds a new wrapper, and the cache keeps none of them,
+        so a goal is freed with its last wrapper; every wrapper of equal
+        goals shares answers, because the memo keys on the fingerprint.
         """
         if isinstance(goal, CachedGoal) and goal.memo is self.flow:
             return goal
-        wrapped = self._wrapped.get(id(goal))
-        if wrapped is None:
-            wrapped = CachedGoal(goal, self.flow)
-            self._wrapped[id(goal)] = wrapped
-        return wrapped
+        return CachedGoal(goal, self.flow)
 
     def bind_metrics(self, registry) -> None:
         """Emit hit/miss/eviction counters, labelled ``layer="flow"``, into

@@ -11,8 +11,7 @@ Three generators, matching Section 4:
   best-first search.
 
 plus the frontier DP (:mod:`repro.core.frontier`), which counts paths
-exactly over merged statuses where the paper's tree explodes, and the
-merged-status DAG (:mod:`repro.core.counting`), a graph output.  Every
+exactly over merged statuses where the paper's tree explodes.  Every
 engine takes its per-node decision from one kernel,
 :class:`~repro.core.step.NodeStep`, and differs only in traversal order.
 """
@@ -51,7 +50,6 @@ from .rankings_extra import (
     SpreadPenaltyRanking,
 )
 from .ranked import RankedResult, generate_ranked
-from .counting import CountResult, build_deadline_dag, build_goal_dag
 from .frontier import (
     FrontierCount,
     frontier_count_deadline_paths,
@@ -89,9 +87,6 @@ __all__ = [
     "ForbiddenCombination",
     "RequiredCompanions",
     "TermBlackout",
-    "CountResult",
-    "build_deadline_dag",
-    "build_goal_dag",
     "FrontierCount",
     "frontier_count_goal_paths",
     "frontier_count_deadline_paths",

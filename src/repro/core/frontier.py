@@ -15,10 +15,12 @@ selections into the next layer.  Peak memory is the widest single layer
 rather than every status ever visited, and per-state storage is one
 frozenset and one integer: this fills Table 2's large rows without the
 authors' 32 GB server.  Every path count goes through here (benchmarks,
-``CourseNavigator.count_*``, planning sessions, ``--count-only``); it
-follows the merged DAG's rules (:mod:`repro.core.counting`: nodes, edges,
-merges, ``max_nodes``) and gives exactly the tree algorithms' counts
-(property-tested), including identical pruning behaviour.
+``CourseNavigator.count_*``, planning sessions, ``--count-only``).  It
+counts each distinct ``(term, completed)`` status once as a node, each
+distinct transition out of it as an edge and each edge into an existing
+status as a merge; ``max_nodes`` bounds distinct statuses.  It gives
+exactly the tree algorithms' counts (property-tested), including
+identical pruning behaviour.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
     """Layer-merged traversal: one dict of ``completed → multiplicity`` per
     term, each state decided once by ``step`` with its multiplicity.
 
-    Stats count what the merged DAG would hold: one node per distinct
-    state, one edge per child and one merge per child already in the next
-    layer; ``config.max_nodes`` bounds the distinct states seen.
+    Stats count the out-tree with equal statuses merged: one node per
+    distinct state, one edge per child and one merge per child already in
+    the next layer; ``config.max_nodes`` bounds the distinct states seen.
     """
     expander = step.expander
     end_term = step.end_term

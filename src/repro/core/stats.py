@@ -121,7 +121,7 @@ class ExplorationStats:
         self.prune_events[pruner_name] = self.prune_events.get(pruner_name, 0) + count
 
     def record_merge(self) -> None:
-        """Count one status-merge hit (merged DAG and frontier only)."""
+        """Count one status-merge hit (frontier only)."""
         self.merged_hits += 1
 
     def merge(self, other: "ExplorationStats") -> "ExplorationStats":

@@ -7,9 +7,8 @@ budget tick; goal test, then deadline test; the pruner stack; the
 strategic-selection floor ``min_i`` and the selections it suppresses.  It
 records every outcome in the run's stats (which the pruning stats read),
 progress and decision events, so the engines keep only their traversal
-order: DFS tree (:mod:`~repro.core.deadline`), DFS over merged statuses
-(:mod:`~repro.core.counting`), best-first (:mod:`~repro.core.ranked`) and
-layer-merged (:mod:`~repro.core.frontier`).
+order: DFS tree (:mod:`~repro.core.deadline`), best-first
+(:mod:`~repro.core.ranked`) and layer-merged (:mod:`~repro.core.frontier`).
 
 The run's mode is one fact: with a goal, the ``goal`` terminals are the
 output paths; without one, every maximal path (``deadline`` and

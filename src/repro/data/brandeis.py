@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from ..catalog import Catalog, Course, HistoricalOfferingModel, Schedule
 from ..catalog.patterns import build_schedule, pattern_terms
+from ..errors import InvalidConfigError
 from ..parsing.prereq_parser import parse_prerequisites
 from ..requirements import DegreeGoal
 from ..semester import Term
@@ -164,10 +165,12 @@ def start_term_for_semesters(semesters: int, end_term: Term = EVALUATION_END_TER
     ``N`` counts course-taking terms: the exploration runs from the start
     status through ``N`` transitions, with goals checked at the ``end_term``
     status.  Example: 6 semesters ending Fall '15 start at Fall '12 — the
-    §5.2 transcript-comparison period.
+    §5.2 transcript-comparison period.  Raises
+    :class:`~repro.errors.InvalidConfigError` (a ``ValueError``) for
+    ``semesters < 1``.
     """
     if semesters < 1:
-        raise ValueError(f"semesters must be >= 1, got {semesters}")
+        raise InvalidConfigError(f"semesters must be >= 1, got {semesters}")
     return end_term - semesters
 
 

@@ -1,6 +1,6 @@
 """Seeded random catalog generation.
 
-Property tests (pruning soundness, tree/DAG count equivalence, top-k
+Property tests (pruning soundness, tree/frontier count equivalence, top-k
 correctness) and scaling ablations need many *small*, *valid*, *varied*
 catalogs rather than the one fixed Brandeis dataset.  This generator
 produces them deterministically from a seed:

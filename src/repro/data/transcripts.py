@@ -26,7 +26,7 @@ from typing import AbstractSet, List, Optional
 from ..catalog import Catalog
 from ..core.config import ExplorationConfig
 from ..core.expansion import Expander
-from ..errors import ExplorationError
+from ..errors import ExplorationError, InvalidConfigError
 from ..graph.path import LearningPath
 from ..requirements import Goal
 from ..semester import Term
@@ -110,7 +110,8 @@ def simulate_transcripts(
     Parameters
     ----------
     count:
-        Number of graduating transcripts to collect (paper: 83).
+        Number of graduating transcripts to collect (paper: 83); a
+        negative count raises :class:`~repro.errors.InvalidConfigError`.
     seed:
         RNG seed; the same seed reproduces the same student body.
     max_attempts:
@@ -127,6 +128,8 @@ def simulate_transcripts(
         at the first goal-satisfying status (mirroring where the
         goal-driven generator terminates its paths).
     """
+    if count < 0:
+        raise InvalidConfigError(f"students must be >= 0, got {count}")
     config = config or ExplorationConfig()
     max_attempts = max_attempts if max_attempts is not None else 200 * count
     policy = policy or RequirementsSeekingPolicy()

@@ -148,5 +148,5 @@ class RunCancelledError(BudgetExceededError):
 
 class InvalidConfigError(ExplorationError, ValueError):
     """An exploration setting is invalid: an
-    :class:`~repro.core.config.ExplorationConfig` field, a budget limit or
-    a telemetry server port."""
+    :class:`~repro.core.config.ExplorationConfig` field, a budget limit, a
+    telemetry server port, a horizon length or a transcript count."""

@@ -11,9 +11,6 @@ path* is a time-ordered node sequence.  This package provides:
 * :class:`~repro.graph.learning_graph.LearningGraph` — the out-tree that
   Algorithm 1 literally builds (a fresh node per expansion, so leaves ↔
   paths, which is why the paper runs out of memory at 6 semesters).
-* :class:`~repro.graph.dag.MergedStatusDag` — an extension that merges
-  nodes with identical ``(semester, completed)`` keys, enabling exact path
-  *counting* at horizons where materializing the tree is infeasible.
 * :mod:`~repro.graph.export` — DOT / JSON serialization for the paper's
   Learning Path Visualizer.
 """
@@ -21,11 +18,9 @@ path* is a time-ordered node sequence.  This package provides:
 from .status import EnrollmentStatus
 from .path import LearningPath
 from .learning_graph import LearningGraph
-from .dag import MergedStatusDag
 
 __all__ = [
     "EnrollmentStatus",
     "LearningPath",
     "LearningGraph",
-    "MergedStatusDag",
 ]

@@ -3,16 +3,14 @@
 The paper's front-end renders learning graphs; this module provides the
 interchange half of that: Graphviz DOT (for figures like the paper's
 Fig. 1/3) and JSON (for web front-ends).  Both exporters work on the tree
-:class:`~repro.graph.learning_graph.LearningGraph` and on the merged
-:class:`~repro.graph.dag.MergedStatusDag`.
+:class:`~repro.graph.learning_graph.LearningGraph`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
-from .dag import MergedStatusDag
 from .learning_graph import LearningGraph
 
 __all__ = ["graph_to_dot", "graph_to_json", "write_dot", "write_json"]
@@ -33,7 +31,15 @@ def _selection_label(selection) -> str:
     return "{" + ", ".join(sorted(selection)) + "}"
 
 
-def _tree_to_dot(graph: LearningGraph, max_nodes: int) -> str:
+def graph_to_dot(graph: LearningGraph, max_nodes: int = 500) -> str:
+    """Render a learning graph as Graphviz DOT.
+
+    Terminal nodes are color-coded by kind; graphs larger than
+    ``max_nodes`` are truncated with an ellipsis node so a figure of an
+    exploded graph stays renderable.
+    """
+    if not isinstance(graph, LearningGraph):
+        raise TypeError(f"expected LearningGraph, got {graph!r}")
     lines = [
         "digraph learning_graph {",
         "  rankdir=LR;",
@@ -64,109 +70,41 @@ def _tree_to_dot(graph: LearningGraph, max_nodes: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dag_to_dot(dag: MergedStatusDag, max_nodes: int) -> str:
-    lines = [
-        "digraph learning_dag {",
-        "  rankdir=LR;",
-        '  node [shape=box, style="rounded,filled", fillcolor=white, fontsize=10];',
-    ]
-    keys = list(dag.nodes())[:max_nodes]
-    index = {key: i for i, key in enumerate(keys)}
-    for key, i in index.items():
-        status = dag.status(key)
-        completed = ", ".join(sorted(status.completed)) or "∅"
-        label = f"{status.term.short}\\nX={{{completed}}}"
-        kind = dag.terminal_kind(key)
-        color = _TERMINAL_COLORS.get(kind or "", "white")
-        lines.append(f'  s{i} [label="{_escape(label)}", fillcolor={color}];')
-    for key, i in index.items():
-        for selection, child in dag.successors(key).items():
-            if child not in index:
-                continue
-            label = _selection_label(selection)
-            lines.append(
-                f'  s{i} -> s{index[child]} [label="{_escape(label)}", fontsize=9];'
-            )
-    if dag.num_nodes > len(keys):
-        lines.append(
-            f'  truncated [label="… {dag.num_nodes - len(keys)} more nodes", shape=plaintext];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_dot(
-    graph: Union[LearningGraph, MergedStatusDag], max_nodes: int = 500
-) -> str:
-    """Render a learning graph (tree or DAG) as Graphviz DOT.
-
-    Terminal nodes are color-coded by kind; graphs larger than
-    ``max_nodes`` are truncated with an ellipsis node so a figure of an
-    exploded graph stays renderable.
-    """
-    if isinstance(graph, LearningGraph):
-        return _tree_to_dot(graph, max_nodes)
-    if isinstance(graph, MergedStatusDag):
-        return _dag_to_dot(graph, max_nodes)
-    raise TypeError(f"expected LearningGraph or MergedStatusDag, got {graph!r}")
-
-
-def graph_to_json(graph: Union[LearningGraph, MergedStatusDag]) -> Dict[str, Any]:
+def graph_to_json(graph: LearningGraph) -> Dict[str, Any]:
     """A JSON-serializable node/edge dump of the graph."""
+    if not isinstance(graph, LearningGraph):
+        raise TypeError(f"expected LearningGraph, got {graph!r}")
     nodes: List[Dict[str, Any]] = []
     edges: List[Dict[str, Any]] = []
-    if isinstance(graph, LearningGraph):
-        for node_id in graph.node_ids():
-            status = graph.status(node_id)
-            nodes.append(
+    for node_id in graph.node_ids():
+        status = graph.status(node_id)
+        nodes.append(
+            {
+                "id": node_id,
+                "term": str(status.term),
+                "completed": sorted(status.completed),
+                "options": sorted(status.options),
+                "terminal": graph.terminal_kind(node_id),
+            }
+        )
+        for child in graph.children(node_id):
+            edges.append(
                 {
-                    "id": node_id,
-                    "term": str(status.term),
-                    "completed": sorted(status.completed),
-                    "options": sorted(status.options),
-                    "terminal": graph.terminal_kind(node_id),
+                    "from": node_id,
+                    "to": child,
+                    "selection": sorted(graph.selection_into(child)),
                 }
             )
-            for child in graph.children(node_id):
-                edges.append(
-                    {
-                        "from": node_id,
-                        "to": child,
-                        "selection": sorted(graph.selection_into(child)),
-                    }
-                )
-        return {"kind": "tree", "nodes": nodes, "edges": edges}
-    if isinstance(graph, MergedStatusDag):
-        keys = list(graph.nodes())
-        index = {key: i for i, key in enumerate(keys)}
-        for key, i in index.items():
-            status = graph.status(key)
-            nodes.append(
-                {
-                    "id": i,
-                    "term": str(status.term),
-                    "completed": sorted(status.completed),
-                    "options": sorted(status.options),
-                    "terminal": graph.terminal_kind(key),
-                }
-            )
-            for selection, child in graph.successors(key).items():
-                edges.append(
-                    {"from": i, "to": index[child], "selection": sorted(selection)}
-                )
-        return {"kind": "dag", "nodes": nodes, "edges": edges}
-    raise TypeError(f"expected LearningGraph or MergedStatusDag, got {graph!r}")
+    return {"kind": "tree", "nodes": nodes, "edges": edges}
 
 
-def write_dot(
-    graph: Union[LearningGraph, MergedStatusDag], path: str, max_nodes: int = 500
-) -> None:
+def write_dot(graph: LearningGraph, path: str, max_nodes: int = 500) -> None:
     """Write :func:`graph_to_dot` output to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(graph_to_dot(graph, max_nodes=max_nodes))
 
 
-def write_json(graph: Union[LearningGraph, MergedStatusDag], path: str) -> None:
+def write_json(graph: LearningGraph, path: str) -> None:
     """Write :func:`graph_to_json` output to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(graph_to_json(graph), handle, indent=2)

@@ -18,8 +18,8 @@ mark why expansion stopped there:
   pruned leaves are *not* output paths).
 
 The tree representation is deliberately faithful to the paper — including
-its memory behaviour.  Use :class:`~repro.graph.dag.MergedStatusDag` when
-you only need path counts at large horizons.
+its memory behaviour.  Use the frontier DP (:mod:`repro.core.frontier`)
+when you only need path counts at large horizons.
 """
 
 from __future__ import annotations

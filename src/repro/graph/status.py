@@ -4,8 +4,9 @@ Per Section 2, a status is ``(s_i, X_i, Y_i)``: the semester, the completed
 course set, and the derived option set.  Two statuses are *the same state*
 when their semester and completed set coincide — ``Y`` is a function of
 those two given a fixed catalog/schedule — so equality and hashing ignore
-``options``.  That identification is what lets
-:class:`~repro.graph.dag.MergedStatusDag` collapse the paper's out-tree.
+``options``.  That identification is what lets the frontier DP
+(:mod:`repro.core.frontier`) merge the paper's out-tree into one layer
+of distinct statuses per term.
 
 ``Y_i`` is only needed to expand a node (``W ⊆ Y_i``), and most generated
 nodes terminate or are pruned first, so a status built by the expander
@@ -21,7 +22,7 @@ node, one per frontier state per layer), so the class is a hand-rolled
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from typing import FrozenSet, Tuple
+from typing import FrozenSet
 
 from ..semester import Term
 
@@ -119,11 +120,6 @@ class EnrollmentStatus:
             f"EnrollmentStatus(term={self.term!r}, "
             f"completed={self.completed!r}, options={self.options!r})"
         )
-
-    @property
-    def key(self) -> Tuple[Term, FrozenSet[str]]:
-        """The identity ``(term, completed)`` used for status merging."""
-        return (self.term, self.completed)
 
     def after_selection(
         self, selection: FrozenSet[str], options: FrozenSet[str] = frozenset()

@@ -8,11 +8,10 @@ with any output channel.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from ..catalog import Catalog, OfferingModel
 from ..core.ranked import RankedResult
-from ..graph.dag import MergedStatusDag
 from ..graph.learning_graph import LearningGraph
 from ..graph.path import LearningPath
 
@@ -94,7 +93,10 @@ def render_ranked(
     return "\n".join(blocks)
 
 
-def _render_tree(graph: LearningGraph, max_nodes: int) -> str:
+def render_graph(graph: LearningGraph, max_nodes: int = 200) -> str:
+    """An indented text dump of a learning graph."""
+    if not isinstance(graph, LearningGraph):
+        raise TypeError(f"expected LearningGraph, got {graph!r}")
     lines: List[str] = []
     count = 0
 
@@ -116,33 +118,3 @@ def _render_tree(graph: LearningGraph, max_nodes: int) -> str:
     if count >= max_nodes and graph.num_nodes > max_nodes:
         lines.append(f"… truncated at {max_nodes} of {graph.num_nodes} nodes")
     return "\n".join(lines)
-
-
-def _render_dag(dag: MergedStatusDag, max_nodes: int) -> str:
-    lines: List[str] = []
-    for i, key in enumerate(dag.nodes()):
-        if i >= max_nodes:
-            lines.append(f"… truncated at {max_nodes} of {dag.num_nodes} statuses")
-            break
-        status = dag.status(key)
-        kind = dag.terminal_kind(key)
-        tag = f"  [{kind}]" if kind else ""
-        lines.append(f"{status.describe()}{tag}")
-        for selection, child in sorted(dag.successors(key).items(), key=lambda kv: sorted(kv[0])):
-            child_status = dag.status(child)
-            lines.append(
-                f"    --{{{', '.join(sorted(selection))}}}--> "
-                f"{child_status.term.short} |X|={len(child_status.completed)}"
-            )
-    return "\n".join(lines)
-
-
-def render_graph(
-    graph: Union[LearningGraph, MergedStatusDag], max_nodes: int = 200
-) -> str:
-    """An indented text dump of a learning graph (tree or merged DAG)."""
-    if isinstance(graph, LearningGraph):
-        return _render_tree(graph, max_nodes)
-    if isinstance(graph, MergedStatusDag):
-        return _render_dag(graph, max_nodes)
-    raise TypeError(f"expected LearningGraph or MergedStatusDag, got {graph!r}")

@@ -7,6 +7,8 @@ cached goal, across the generators and the navigator, cold and warm —
 plus LRU eviction under tiny capacities and metrics binding.
 """
 
+import weakref
+
 import pytest
 
 from repro.cache import CachedGoal, ExplorationCache, LRUMemo, goal_fingerprint
@@ -165,9 +167,22 @@ class TestCachedGoal:
         cache = ExplorationCache()
         goal = SMALL_GOAL
         wrapped = cache.wrap_goal(goal)
-        assert cache.wrap_goal(goal) is wrapped
+        again = cache.wrap_goal(goal)
+        assert again == wrapped and again.memo is wrapped.memo is cache.flow
         assert cache.wrap_goal(wrapped) is wrapped
         assert wrapped == goal and hash(wrapped) == hash(goal)
+
+    def test_wrapped_goal_is_freed_with_its_wrapper(self):
+        cache = ExplorationCache()
+        goal = brandeis_major_goal()
+        ref = weakref.ref(goal)
+        wrapped = cache.wrap_goal(goal)
+        assert wrapped.is_satisfied(frozenset()) is False
+        del goal, wrapped
+        assert ref() is None
+        # A wrapper of an equal goal built later still reads the answer.
+        cache.wrap_goal(brandeis_major_goal()).is_satisfied(frozenset())
+        assert cache.flow.hits == 1
 
 
 # ---------------------------------------------------------------------------

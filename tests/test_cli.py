@@ -171,6 +171,16 @@ class TestTranscriptsCommand:
         assert code == 0
         assert "5/5 paths contained" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--semesters", "0"), ("--semesters", "-2"), ("--students", "-1")],
+    )
+    def test_bad_argument_is_one_error_line(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "transcripts", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestAuditCommand:
     def test_unsatisfied_audit_exits_one(self, capsys):

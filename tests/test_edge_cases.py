@@ -7,7 +7,6 @@ from repro.catalog.prereq import CourseReq
 from repro.core import (
     ExplorationConfig,
     TimeRanking,
-    build_goal_dag,
     frontier_count_goal_paths,
     generate_deadline_driven,
     generate_goal_driven,
@@ -84,10 +83,12 @@ class TestBudgets:
         assert result.graph.num_nodes == 9
 
     def test_dag_budget(self, fig3_catalog):
-        with pytest.raises(BudgetExceededError):
-            build_goal_dag(
+        # The frontier bounds the distinct statuses of the merged DAG.
+        with pytest.raises(BudgetExceededError) as excinfo:
+            frontier_count_goal_paths(
                 fig3_catalog, F11, GOAL, S13, config=ExplorationConfig(max_nodes=2)
             )
+        assert (excinfo.value.kind, excinfo.value.observed) == ("nodes", 3)
 
     def test_frontier_budget_is_clean_failure(self, fig3_catalog):
         with pytest.raises(BudgetExceededError) as excinfo:

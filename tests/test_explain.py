@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import (
     ExplorationConfig,
-    build_goal_dag,
     generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
@@ -456,15 +455,6 @@ class TestRecordingEquivalence:
         counts = recorder.report().counts_by_kind()
         assert sum(counts.values()) == recorded.graph.num_nodes
         assert counts["deadline"] + counts.get("dead_end", 0) == recorded.path_count
-
-    def test_counting_dag_records_no_decisions(self, catalog):
-        recorder = DecisionRecorder()
-        result = build_goal_dag(
-            catalog, START, brandeis_major_goal(), END,
-            obs=Observability(decisions=recorder),
-        )
-        assert result.path_count > 0
-        assert len(recorder) == 0
 
     def test_navigator_threads_recorder(self, catalog):
         recorder = DecisionRecorder()

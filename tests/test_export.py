@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import build_deadline_dag, generate_deadline_driven
+from repro.core import generate_deadline_driven
 from repro.graph.export import graph_to_dot, graph_to_json, write_dot, write_json
 
 from .conftest import F11, S13
@@ -13,11 +13,6 @@ from .conftest import F11, S13
 @pytest.fixture
 def tree(fig3_catalog):
     return generate_deadline_driven(fig3_catalog, F11, S13).graph
-
-
-@pytest.fixture
-def dag(fig3_catalog):
-    return build_deadline_dag(fig3_catalog, F11, S13).dag
 
 
 class TestDot:
@@ -40,14 +35,6 @@ class TestDot:
     def test_tree_truncation(self, tree):
         dot = graph_to_dot(tree, max_nodes=3)
         assert "more nodes" in dot
-
-    def test_dag_dot(self, dag):
-        dot = graph_to_dot(dag)
-        assert dot.startswith("digraph learning_dag {")
-        assert dot.count(" -> ") == dag.num_edges
-
-    def test_dag_truncation(self, dag):
-        assert "more nodes" in graph_to_dot(dag, max_nodes=2)
 
     def test_bad_type(self):
         with pytest.raises(TypeError):
@@ -75,21 +62,14 @@ class TestJson:
         kinds = {node["terminal"] for node in data["nodes"]}
         assert "deadline" in kinds and "dead_end" in kinds
 
-    def test_dag_json(self, dag):
-        data = graph_to_json(dag)
-        assert data["kind"] == "dag"
-        assert len(data["nodes"]) == dag.num_nodes
-        assert len(data["edges"]) == dag.num_edges
-
-    def test_json_serializable(self, tree, dag):
+    def test_json_serializable(self, tree):
         json.dumps(graph_to_json(tree))
-        json.dumps(graph_to_json(dag))
 
-    def test_write_json(self, dag, tmp_path):
+    def test_write_json(self, tree, tmp_path):
         path = tmp_path / "graph.json"
-        write_json(dag, str(path))
+        write_json(tree, str(path))
         with open(path) as handle:
-            assert json.load(handle)["kind"] == "dag"
+            assert json.load(handle)["kind"] == "tree"
 
     def test_bad_type(self):
         with pytest.raises(TypeError):

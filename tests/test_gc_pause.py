@@ -19,8 +19,6 @@ from repro.core import (
     ExplorationConfig,
     SelectionConstraint,
     TimeRanking,
-    build_deadline_dag,
-    build_goal_dag,
     frontier_count_deadline_paths,
     frontier_count_goal_paths,
     generate_deadline_driven,
@@ -102,18 +100,11 @@ ENGINES = {
     "frontier_count_deadline_paths": lambda catalog, goal, config: (
         frontier_count_deadline_paths(catalog, START, END, config=config)
     ),
-    "build_goal_dag": lambda catalog, goal, config: build_goal_dag(
-        catalog, START, goal, END, config=config
-    ),
-    "build_deadline_dag": lambda catalog, goal, config: build_deadline_dag(
-        catalog, START, END, config=config
-    ),
 }
 GOAL_ENGINES = {
     "generate_goal_driven",
     "generate_ranked",
     "frontier_count_goal_paths",
-    "build_goal_dag",
 }
 
 

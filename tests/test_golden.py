@@ -2,12 +2,12 @@
 
 Each case runs one engine on the bundled Brandeis catalog and hashes a
 canonical JSON rendering of what a caller can see: decision streams,
-``graph_to_json`` exports (whose DAG node ids pin insertion order), run
+``graph_to_json`` exports (whose tree node ids pin expansion order), run
 statistics, pruning tallies and final progress snapshots.  The goal tree
 and the ranked search also run with their goal wrapped by a cold and a
 warm :class:`~repro.cache.ExplorationCache`; each must match its uncached
 digests.  A refactor that changes any output — an extra decision, a
-reordered DAG node, a shifted prune credit — fails here by name.
+reordered tree node, a shifted prune credit — fails here by name.
 
 Timing fields (``elapsed_seconds``, ``eta_seconds``) are dropped before
 hashing.
@@ -26,8 +26,6 @@ import pytest
 
 from repro import DecisionRecorder, ExplorationCache, Observability, TimeRanking
 from repro.core import (
-    build_deadline_dag,
-    build_goal_dag,
     frontier_count_deadline_paths,
     frontier_count_goal_paths,
     generate_deadline_driven,
@@ -124,37 +122,6 @@ def _ranked(cache=None) -> Dict[str, Any]:
     }
 
 
-def _goal_dag() -> Dict[str, Any]:
-    obs, _, progress = _observed(explain=False)
-    result = build_goal_dag(
-        brandeis_catalog(),
-        start_term_for_semesters(4),
-        brandeis_major_goal(),
-        END,
-        obs=obs,
-    )
-    return {
-        "graph": graph_to_json(result.dag),
-        "count": result.path_count,
-        "stats": _stats(result.stats),
-        "pruning": result.pruning_stats.as_dict(),
-        "progress": _snapshot(progress),
-    }
-
-
-def _deadline_dag() -> Dict[str, Any]:
-    obs, _, progress = _observed(explain=False)
-    result = build_deadline_dag(
-        brandeis_catalog(), start_term_for_semesters(3), END, obs=obs
-    )
-    return {
-        "graph": graph_to_json(result.dag),
-        "count": result.path_count,
-        "stats": _stats(result.stats),
-        "progress": _snapshot(progress),
-    }
-
-
 def _frontier_goal() -> Dict[str, Any]:
     obs, recorder, progress = _observed()
     result = frontier_count_goal_paths(
@@ -209,19 +176,11 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "ranked": _ranked,
     "ranked_cached": lambda: _ranked_cached(warm=False),
     "ranked_warm": lambda: _ranked_cached(warm=True),
-    "goal_dag": _goal_dag,
-    "deadline_dag": _deadline_dag,
     "frontier_goal": _frontier_goal,
     "frontier_deadline": _frontier_deadline,
 }
 
 GOLDEN: Dict[str, Dict[str, str]] = {
-    'deadline_dag': {
-        'graph': '7f55b9d260a4eeac91eda1881022508164d95774e8c1a8f23cf12633ca481245',
-        'count': '2f1987bf98c09d2f5d2a23a6ae29fa53b9aec8f07ed1330bd439122f5a1a2c2c',
-        'stats': '544071d3e8d48c22d8ee17ff5f981410cb44b1260404667664a01424f30ad621',
-        'progress': 'd98eab99c575c221139e0c02e468d13efb421f30f86c3cd0aee3f15ef631dbfb',
-    },
     'deadline_tree': {
         'graph': '7ea8f7960f5de0f70b9ab2556945f4abe80689952e3b20b73f38d8220e4ba6fa',
         'stats': '8fa89bb5d97e9f0afe7a0c75a6d17cbb8f75cdffce43dd1bf6f502fe713b9fcf',
@@ -240,13 +199,6 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'widths': '1370c4a87ae57df45384e60810767be93120ddd6ebb24c2ca18207a5ac978fa8',
         'pruning': '1430da163c55dc3a54606a4c46c85fdd7624dd4aee3c7d318740c724ca5a4ab7',
         'progress': 'b24e39250aee19a9a8da5258cfb85c30de307aab588103c9afe7fed6e0cbca3e',
-    },
-    'goal_dag': {
-        'graph': '5ac8f0fdd4a2d52368697f431f35c5ac8daac3757dd5cc11041b294a69b6d5c8',
-        'count': '43f64dc77762f69f9f52d5f70b53170679cb9abfc688f4cf77bdfc8077f022bc',
-        'stats': '4ccaa9e2134bc102097040460dace5b70b48b84ba23f13da97ed31709d9c04a4',
-        'pruning': '1430da163c55dc3a54606a4c46c85fdd7624dd4aee3c7d318740c724ca5a4ab7',
-        'progress': 'eb666f1c85f6712155bc3f97e4f63959515e2fa6247f8e71455208e678225cb9',
     },
     'goal_tree_cached': {
         'explain': 'b0da7291d65a414797bf9af0f6bd7282eeaa66841d9eb9e37ba55533be74d9b9',

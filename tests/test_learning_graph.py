@@ -1,8 +1,8 @@
-"""Tests for the tree LearningGraph and the MergedStatusDag."""
+"""Tests for the tree LearningGraph."""
 
 import pytest
 
-from repro.graph import EnrollmentStatus, LearningGraph, MergedStatusDag
+from repro.graph import EnrollmentStatus, LearningGraph
 from repro.semester import Term
 
 F11, S12, F12 = Term(2011, "Fall"), Term(2012, "Spring"), Term(2012, "Fall")
@@ -90,77 +90,3 @@ class TestTerminalsAndPaths:
     def test_count_paths(self, graph):
         assert graph.count_paths() == 2
         assert graph.count_paths("goal") == 1
-
-
-class TestMergedStatusDag:
-    def test_merging_by_key(self):
-        root = _root()
-        dag = MergedStatusDag(root)
-        # Two orders of taking A then B / B then A converge at {A, B}.
-        a, created_a = dag.ensure_node(EnrollmentStatus(S12, {"A"}))
-        b, created_b = dag.ensure_node(EnrollmentStatus(S12, {"B"}))
-        assert created_a and created_b
-        ab1, created1 = dag.ensure_node(EnrollmentStatus(F12, {"A", "B"}))
-        ab2, created2 = dag.ensure_node(EnrollmentStatus(F12, {"A", "B"}))
-        assert created1 and not created2
-        assert ab1 == ab2
-        dag.add_edge(root.key, frozenset({"A"}), a)
-        dag.add_edge(root.key, frozenset({"B"}), b)
-        dag.add_edge(a, frozenset({"B"}), ab1)
-        dag.add_edge(b, frozenset({"A"}), ab1)
-        dag.mark_terminal(ab1, "goal")
-        assert dag.num_nodes == 4
-        assert dag.num_edges == 4
-        assert dag.count_paths("goal") == 2  # two distinct selection sequences
-
-    def test_edge_consistency_enforced(self):
-        root = _root()
-        dag = MergedStatusDag(root)
-        a, _created = dag.ensure_node(EnrollmentStatus(S12, {"A"}))
-        with pytest.raises(ValueError, match="inconsistent"):
-            dag.add_edge(root.key, frozenset({"B"}), a)
-
-    def test_edge_unknown_nodes_rejected(self):
-        dag = MergedStatusDag(_root())
-        with pytest.raises(KeyError):
-            dag.add_edge((S12, frozenset()), frozenset(), dag.root_key)
-        with pytest.raises(KeyError):
-            dag.add_edge(dag.root_key, frozenset(), (S12, frozenset({"A"})))
-
-    def test_mark_terminal_unknown_node(self):
-        dag = MergedStatusDag(_root())
-        with pytest.raises(KeyError):
-            dag.mark_terminal((F12, frozenset({"Z"})), "goal")
-
-    def test_count_paths_kind_filter(self):
-        root = _root()
-        dag = MergedStatusDag(root)
-        a, _ = dag.ensure_node(EnrollmentStatus(S12, {"A"}))
-        dag.add_edge(root.key, frozenset({"A"}), a)
-        dag.mark_terminal(a, "deadline")
-        assert dag.count_paths("goal") == 0
-        assert dag.count_paths("deadline") == 1
-        assert dag.count_paths() == 1
-
-    def test_count_nodes_by_term(self):
-        root = _root()
-        dag = MergedStatusDag(root)
-        a, _ = dag.ensure_node(EnrollmentStatus(S12, {"A"}))
-        b, _ = dag.ensure_node(EnrollmentStatus(S12, {"B"}))
-        histogram = dag.count_nodes_by_term()
-        assert histogram[F11] == 1
-        assert histogram[S12] == 2
-
-    def test_sample_paths(self):
-        root = _root()
-        dag = MergedStatusDag(root)
-        a, _ = dag.ensure_node(EnrollmentStatus(S12, {"A"}))
-        b, _ = dag.ensure_node(EnrollmentStatus(S12, {"B"}))
-        dag.add_edge(root.key, frozenset({"A"}), a)
-        dag.add_edge(root.key, frozenset({"B"}), b)
-        dag.mark_terminal(a, "goal")
-        dag.mark_terminal(b, "goal")
-        samples = dag.sample_paths(1, "goal")
-        assert len(samples) == 1
-        assert samples[0][0] == root.key
-        assert len(dag.sample_paths(10, "goal")) == 2

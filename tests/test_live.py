@@ -18,8 +18,6 @@ import urllib.request
 import pytest
 
 from repro.core import (
-    build_deadline_dag,
-    build_goal_dag,
     generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
@@ -409,19 +407,13 @@ class TestGeneratorBudgets:
         assert info.value.progress.run == "frontier_goal"
         assert info.value.partial_stats.nodes_created == 21
 
-    def test_goal_dag(self):
-        obs = Observability(budget=ExplorationBudget(max_nodes=50))
-        with pytest.raises(BudgetExceededError) as info:
-            build_goal_dag(brandeis_catalog(), START, brandeis_major_goal(), END, obs=obs)
-        self._assert_partial(info.value)
-        assert info.value.progress.run == "goal_dag"
-
     def test_deadline_dag(self):
+        # The deadline frontier walks the merged DAG one layer at a time.
         obs = Observability(budget=ExplorationBudget(max_nodes=50))
         with pytest.raises(BudgetExceededError) as info:
-            build_deadline_dag(brandeis_catalog(), START, END, obs=obs)
+            frontier_count_deadline_paths(brandeis_catalog(), START, END, obs=obs)
         self._assert_partial(info.value)
-        assert info.value.progress.run == "deadline_dag"
+        assert info.value.progress.run == "frontier_deadline"
 
     def test_wall_budget_on_real_run(self):
         obs = Observability(budget=ExplorationBudget(wall_seconds=0.0))

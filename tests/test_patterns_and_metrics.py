@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import branching_profile, graph_shape
 from repro.catalog.patterns import build_schedule, pattern_terms
-from repro.core import build_deadline_dag, generate_deadline_driven, generate_goal_driven
+from repro.core import generate_deadline_driven, generate_goal_driven
 from repro.core.options import selection_count
 from repro.errors import CatalogError
 from repro.requirements import CourseSetGoal
@@ -96,11 +96,6 @@ class TestBranchingProfile:
         total_actual = sum(row.actual_branches for row in profile)
         assert total_actual < total_predicted
 
-    def test_works_on_dag(self, fig3_catalog):
-        dag = build_deadline_dag(fig3_catalog, F11, S13).dag
-        profile = branching_profile(dag, max_per_term=3)
-        assert sum(row.statuses for row in profile) == dag.num_nodes
-
     def test_describe(self, fig3_catalog):
         graph = generate_deadline_driven(fig3_catalog, F11, S13).graph
         row = branching_profile(graph, 3)[0]
@@ -123,13 +118,6 @@ class TestGraphShape:
         # Spring '12 and Fall '12 both hold 3 statuses; ties break late.
         assert shape.nodes_per_term[F12] == 3
         assert shape.widest_term() == F12
-
-    def test_dag_shape(self, fig3_catalog):
-        dag = build_deadline_dag(fig3_catalog, F11, S13).dag
-        shape = graph_shape(dag)
-        assert shape.nodes == dag.num_nodes
-        assert shape.edges == dag.num_edges
-        assert sum(shape.nodes_per_term.values()) == dag.num_nodes
 
     def test_bad_type(self):
         with pytest.raises(TypeError):

@@ -7,9 +7,10 @@ equivalences on hundreds of randomly generated catalogs:
   outputs exactly the same path set as without pruning.
 * **Lemma 2 (top-k correctness)** — best-first generation returns the
   k cheapest goal paths, matching a brute-force sort of the full set.
-* **Counting equivalence** — the tree, merged-DAG, and frontier-DP
-  algorithms agree on every path count, and the frontier publishes the
-  DAG's node, edge, merge, terminal and prune counters.
+* **Counting equivalence** — the tree and frontier-DP algorithms agree on
+  every path count, and the frontier's node, edge, merge, terminal and
+  prune counters equal the tree's, counted once per distinct
+  ``(term, completed)`` status.
 * **Output validity** — every generated path respects schedules,
   prerequisites, and the per-term cap.
 * **Option sets on first read** — every status's ``Y`` equals the paper's
@@ -28,8 +29,6 @@ from repro.core import (
     ExplorationConfig,
     TimeRanking,
     WorkloadRanking,
-    build_deadline_dag,
-    build_goal_dag,
     frontier_count_deadline_paths,
     frontier_count_goal_paths,
     generate_deadline_driven,
@@ -40,7 +39,7 @@ from repro.core.expansion import Expander
 from repro.core.pruning import AvailabilityPruner, PruningContext, TimeBasedPruner
 from repro.cache import ExplorationCache
 from repro.data import GeneratorSettings, random_catalog, random_course_set_goal
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import DecisionRecorder, MetricsRegistry, Observability
 from repro.requirements import DegreeGoal, RequirementGroup
 from repro.semester import Term
 
@@ -102,25 +101,58 @@ def test_pruning_is_sound(seed, settings_, config, horizon):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), settings_=_SETTINGS, config=_CONFIGS, horizon=st.integers(1, 4))
-def test_tree_dag_frontier_deadline_counts_agree(seed, settings_, config, horizon):
+def test_tree_frontier_deadline_counts_agree(seed, settings_, config, horizon):
     catalog = random_catalog(seed, settings_)
     end = START + horizon
     tree = generate_deadline_driven(catalog, START, end, config=config)
-    dag = build_deadline_dag(catalog, START, end, config=config)
     frontier = frontier_count_deadline_paths(catalog, START, end, config=config)
-    assert tree.path_count == dag.path_count == frontier.path_count
+    assert tree.path_count == frontier.path_count
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), settings_=_SETTINGS, config=_CONFIGS, horizon=st.integers(1, 4))
-def test_tree_dag_frontier_goal_counts_agree(seed, settings_, config, horizon):
+def test_tree_frontier_goal_counts_agree(seed, settings_, config, horizon):
     catalog = random_catalog(seed, settings_)
     goal = random_course_set_goal(catalog, seed + 1, size=2)
     end = START + horizon
     tree = generate_goal_driven(catalog, START, goal, end, config=config)
-    dag = build_goal_dag(catalog, START, goal, end, config=config)
     frontier = frontier_count_goal_paths(catalog, START, goal, end, config=config)
-    assert tree.path_count == dag.path_count == frontier.path_count
+    assert tree.path_count == frontier.path_count
+
+
+def _tree_counters(graph, events):
+    """The run counters of ``graph`` with equal statuses merged: one node
+    per distinct ``(term, completed)`` key, the out-edges of one tree node
+    per key, and each edge into an already-seen key as a merge.  Prune
+    tallies come from the tree's decision ``events``, once per key."""
+    first = {}
+    for node_id in graph.node_ids():
+        status = graph.status(node_id)
+        first.setdefault((status.term, status.completed), node_id)
+    edges = sum(graph.out_degree(node_id) for node_id in first.values())
+    counters = {
+        ("repro_nodes_created_total", ()): len(first),
+        ("repro_edges_created_total", ()): edges,
+        ("repro_merged_hits_total", ()): edges - (len(first) - 1),
+    }
+
+    def add(name, label, value):
+        key = (name, (label,))
+        counters[key] = counters.get(key, 0) + value
+
+    for node_id in first.values():
+        kind = graph.terminal_kind(node_id)
+        if kind is not None:
+            add("repro_terminals_total", ("kind", kind), 1)
+    decided = {
+        (event.term, event.completed, event.kind): event
+        for event in events
+        if event.kind in ("prune", "suppressed")
+    }
+    for event in decided.values():
+        cut = 1 if event.kind == "prune" else event.detail["suppressed"]
+        add("repro_prune_events_total", ("strategy", event.strategy), cut)
+    return counters
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,29 +164,28 @@ def test_tree_dag_frontier_goal_counts_agree(seed, settings_, config, horizon):
     with_goal=st.booleans(),
 )
 def test_frontier_publishes_the_dag_counters(seed, settings_, config, horizon, with_goal):
+    """The frontier's run counters are those of the merged-status DAG: the
+    tree built on the same inputs, with equal statuses merged."""
     catalog = random_catalog(seed, settings_)
     end = START + horizon
+    recorder = DecisionRecorder()
+    obs = Observability(decisions=recorder)
     if with_goal:
         goal = random_course_set_goal(catalog, seed + 1, size=2)
-        dag = _published(
-            lambda obs: build_goal_dag(catalog, START, goal, end, config=config, obs=obs)
-        )
+        tree = generate_goal_driven(catalog, START, goal, end, config=config, obs=obs)
         frontier = _published(
             lambda obs: frontier_count_goal_paths(
                 catalog, START, goal, end, config=config, obs=obs
             )
         )
     else:
-        dag = _published(
-            lambda obs: build_deadline_dag(catalog, START, end, config=config, obs=obs)
-        )
+        tree = generate_deadline_driven(catalog, START, end, config=config, obs=obs)
         frontier = _published(
             lambda obs: frontier_count_deadline_paths(
                 catalog, START, end, config=config, obs=obs
             )
         )
-    assert ("repro_nodes_created_total", ()) in dag
-    assert frontier == dag
+    assert frontier == _tree_counters(tree.graph, recorder.events)
 
 
 @settings(max_examples=40, deadline=None)
@@ -358,16 +389,10 @@ _ENGINE_RUNS = (
     lambda catalog, goal, end, config: frontier_count_goal_paths(
         catalog, START, goal, end, config=config
     ),
-    lambda catalog, goal, end, config: build_goal_dag(
-        catalog, START, goal, end, config=config
-    ),
     lambda catalog, goal, end, config: generate_deadline_driven(
         catalog, START, end, config=config
     ),
     lambda catalog, goal, end, config: frontier_count_deadline_paths(
-        catalog, START, end, config=config
-    ),
-    lambda catalog, goal, end, config: build_deadline_dag(
         catalog, START, end, config=config
     ),
 )

@@ -26,7 +26,6 @@ class TestEnrollmentStatus:
         b = EnrollmentStatus(F11, {"A"}, frozenset())
         assert a == b
         assert hash(a) == hash(b)
-        assert a.key == b.key
 
     def test_inequality_on_term_or_completed(self):
         a = EnrollmentStatus(F11, {"A"})

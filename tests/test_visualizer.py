@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import DeterministicOfferings
-from repro.core import TimeRanking, build_deadline_dag, generate_deadline_driven, generate_ranked
+from repro.core import TimeRanking, generate_deadline_driven, generate_ranked
 from repro.requirements import CourseSetGoal
 from repro.system import render_graph, render_path, render_path_table, render_ranked
 
@@ -79,15 +79,6 @@ class TestRenderGraph:
     def test_tree_truncation(self, fig3_catalog):
         graph = generate_deadline_driven(fig3_catalog, F11, S13).graph
         assert "truncated" in render_graph(graph, max_nodes=2)
-
-    def test_dag_rendering(self, fig3_catalog):
-        dag = build_deadline_dag(fig3_catalog, F11, S13).dag
-        text = render_graph(dag)
-        assert "Fall '11" in text
-
-    def test_dag_truncation(self, fig3_catalog):
-        dag = build_deadline_dag(fig3_catalog, F11, S13).dag
-        assert "truncated" in render_graph(dag, max_nodes=1)
 
     def test_bad_type(self):
         with pytest.raises(TypeError):
