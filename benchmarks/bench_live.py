@@ -6,9 +6,11 @@ Runs the fixed goal-driven workload (the Brandeis CS major over a
 * ``live_off`` — the uninstrumented engine (the no-op fast path);
 * ``progress_only`` — a :class:`~repro.obs.ProgressTracker` fed by the
   generator (one lock acquisition per recorded event);
-* ``progress_budget`` — tracker plus an armed
-  :class:`~repro.obs.ExplorationBudget` with generous limits, so every
-  node pays the tick check without ever failing it;
+* ``progress_budget`` — tracker plus generous run limits
+  (:class:`~repro.core.ExplorationConfig`'s ``max_nodes``,
+  ``max_wall_seconds``, ``max_memory_bytes``), so every node pays the
+  cancellation, wall-clock and memory-probe checks without ever failing
+  them;
 * ``progress_exporter`` — tracker plus a live
   :class:`~repro.obs.MetricsServer` being scraped continuously from
   another thread while the run goes (the worst realistic case: lock
@@ -42,12 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import ExplorationConfig
 from repro.data import brandeis_catalog, brandeis_major_goal
-from repro.obs import (
-    ExplorationBudget,
-    MetricsRegistry,
-    MetricsServer,
-    ProgressTracker,
-)
+from repro.obs import MetricsRegistry, MetricsServer, ProgressTracker
 from repro.semester import Term
 from repro.system import CourseNavigator
 
@@ -60,9 +57,17 @@ DEFAULT_OUTPUT = "BENCH_live.json"
 VARIANTS = ("live_off", "progress_only", "progress_budget", "progress_exporter")
 
 
-def _timed_run(navigator: CourseNavigator) -> Tuple[float, object]:
+#: Limits that never fire on this workload.
+GENEROUS_LIMITS = {
+    "max_nodes": 10**9,
+    "max_wall_seconds": 3600.0,
+    "max_memory_bytes": 1 << 40,
+}
+
+
+def _timed_run(navigator: CourseNavigator, **limits) -> Tuple[float, object]:
     goal = brandeis_major_goal()
-    config = ExplorationConfig(max_courses_per_term=3)
+    config = ExplorationConfig(max_courses_per_term=3, **limits)
     begin = time.perf_counter()
     result = navigator.explore_goal(START, goal, END, config=config)
     return time.perf_counter() - begin, result
@@ -79,10 +84,9 @@ def _run_variant(name: str, catalog) -> Tuple[float, object, Dict[str, object]]:
         extras["generations"] = tracker.generation
         return elapsed, result, extras
     if name == "progress_budget":
-        # Generous limits: every node pays the tick, none ever fails it.
-        budget = ExplorationBudget(wall_seconds=3600.0, max_nodes=10**9,
-                                   max_memory_bytes=1 << 40)
-        elapsed, result = _timed_run(CourseNavigator(catalog, budget=budget))
+        # Every node pays the checks; none ever fails them.
+        navigator = CourseNavigator(catalog, progress=ProgressTracker())
+        elapsed, result = _timed_run(navigator, **GENEROUS_LIMITS)
         return elapsed, result, extras
     if name == "progress_exporter":
         registry = MetricsRegistry()

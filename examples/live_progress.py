@@ -10,9 +10,11 @@ Three acts:
    ``MetricsServer`` scraping it over localhost HTTP while it runs —
    the same ``/metrics`` + ``/progress`` endpoints a Prometheus
    scraper (or plain ``curl``) would hit.
-2. A node budget killing an otherwise-exhaustive deadline run, showing
-   the partial progress snapshot carried by the ``BudgetExceededError``.
-3. A ``Watchdog`` cancelling a runaway run from another thread.
+2. A node limit (``ExplorationConfig.max_nodes``) killing an
+   otherwise-exhaustive deadline run, showing the partial progress
+   snapshot carried by the ``BudgetExceededError``.
+3. A ``Watchdog`` cancelling a runaway run from another thread through
+   its progress tracker.
 """
 
 import json
@@ -22,7 +24,6 @@ import urllib.request
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.errors import BudgetExceededError, RunCancelledError
 from repro.obs import (
-    ExplorationBudget,
     MetricsRegistry,
     MetricsServer,
     ProgressTracker,
@@ -68,21 +69,21 @@ def act_one_scrape_a_live_run() -> None:
     print("final progress line:", final.render_line())
 
 
-def act_two_node_budget() -> None:
+def act_two_node_limit() -> None:
     print()
     print("=" * 72)
-    print("2. A node budget reaping an exhaustive deadline run")
+    print("2. A node limit reaping an exhaustive deadline run")
     print("=" * 72)
-    budget = ExplorationBudget(max_nodes=5_000)
-    navigator = CourseNavigator(brandeis_catalog(), budget=budget)
+    # The tracker is optional; with it, the error carries a snapshot.
+    navigator = CourseNavigator(brandeis_catalog(), progress=ProgressTracker())
     try:
-        navigator.explore_deadline(LONG_START, END)
+        navigator.explore_deadline(LONG_START, END, max_nodes=5_000)
     except BudgetExceededError as exc:
         print(f"reaped: {exc}")
         snapshot = exc.progress
         print("partial progress:", snapshot.render_line())
         print(f"  deepest semester reached: {snapshot.depth}/{snapshot.horizon}")
-        print(f"  budget state: {snapshot.budget}")
+        print(f"  run limits: {snapshot.budget}")
 
 
 def act_three_watchdog() -> None:
@@ -90,10 +91,10 @@ def act_three_watchdog() -> None:
     print("=" * 72)
     print("3. A watchdog cancelling a runaway run from another thread")
     print("=" * 72)
-    budget = ExplorationBudget()  # no limits of its own
-    navigator = CourseNavigator(brandeis_catalog(), budget=budget)
+    tracker = ProgressTracker()  # the run has no limits of its own
+    navigator = CourseNavigator(brandeis_catalog(), progress=tracker)
     try:
-        with Watchdog(budget, timeout=0.25):
+        with Watchdog(tracker, timeout=0.25):
             navigator.explore_deadline(LONG_START, END)
     except RunCancelledError as exc:
         print(f"cancelled: {exc}")
@@ -102,7 +103,7 @@ def act_three_watchdog() -> None:
 
 def main() -> None:
     act_one_scrape_a_live_run()
-    act_two_node_budget()
+    act_two_node_limit()
     act_three_watchdog()
 
 

@@ -11,7 +11,7 @@ plan together with a diff against the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import AbstractSet, Optional
 
 from ..catalog import Catalog
@@ -119,15 +119,7 @@ def replan(
     completed |= planned_selection - dropped
 
     if avoid_dropped:
-        config = ExplorationConfig(
-            max_courses_per_term=config.max_courses_per_term,
-            avoid_courses=config.avoid_courses | dropped,
-            empty_selection=config.empty_selection,
-            enforce_min_selection=config.enforce_min_selection,
-            max_nodes=config.max_nodes,
-            schedule=config.schedule,
-            constraints=config.constraints,
-        )
+        config = replace(config, avoid_courses=config.avoid_courses | dropped)
 
     # The student lost the disrupted term: re-planning starts next term.
     restart = disrupted_term + 1

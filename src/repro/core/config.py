@@ -3,8 +3,9 @@
 The paper's front-end collects, besides the goal itself, the student's
 constraints: the maximum number of courses per semester ``m``, courses to
 avoid, and so on (Section 3).  :class:`ExplorationConfig` bundles those
-knobs plus the reproduction's engineering controls (node budgets, empty-
-selection policy, the strategic-selection optimization).
+knobs plus the reproduction's engineering controls (node, wall-time and
+memory limits, empty-selection policy, the strategic-selection
+optimization).
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ class ExplorationConfig:
         Abort with :class:`~repro.errors.BudgetExceededError` once the
         graph holds this many nodes (``None`` = unbounded).  This is the
         controlled stand-in for the paper's out-of-memory rows in Table 2.
+    max_wall_seconds:
+        Abort with :class:`~repro.errors.BudgetExceededError` (kind
+        ``"wall seconds"``) once the run has taken longer than this; checked
+        at every decided node (``None`` = unbounded).
+    max_memory_bytes:
+        Abort (kind ``"memory bytes"``) once process memory exceeds this;
+        probed every :data:`~repro.core.step.MEMORY_PROBE_INTERVAL` decided
+        nodes (``None`` = unbounded).  Both limits accept 0 and ``inf``; a
+        negative or NaN value raises :class:`~repro.errors.InvalidConfigError`.
     schedule:
         Optional schedule override (e.g. a projected probabilistic schedule
         from an :class:`~repro.catalog.OfferingModel`); defaults to the
@@ -75,6 +85,8 @@ class ExplorationConfig:
     empty_selection: str = "auto"
     enforce_min_selection: bool = True
     max_nodes: Optional[int] = None
+    max_wall_seconds: Optional[float] = None
+    max_memory_bytes: Optional[float] = None
     schedule: Optional[Schedule] = None
     constraints: Tuple["SelectionConstraint", ...] = ()
 
@@ -90,6 +102,10 @@ class ExplorationConfig:
             )
         if self.max_nodes is not None and self.max_nodes < 1:
             raise InvalidConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        for name in ("max_wall_seconds", "max_memory_bytes"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 0:  # NaN fails too
+                raise InvalidConfigError(f"{name} must be >= 0, got {limit}")
         if not isinstance(self.avoid_courses, frozenset):
             object.__setattr__(self, "avoid_courses", frozenset(self.avoid_courses))
         if not isinstance(self.constraints, tuple):

@@ -153,28 +153,28 @@ class TimeBasedPruner(Pruner):
 
     name = "time"
 
+    def _bound(self, status: EnrollmentStatus) -> Tuple[float, int, int, float]:
+        """``(left_i, m, semesters after this one, min_i)`` at ``status``,
+        with ``min_i = left_i − m·(d − s_i − 1)``."""
+        context = self._context
+        left = context.goal.remaining_courses(status.completed)
+        m = context.config.max_courses_per_term
+        semesters_after = context.end_term - status.term - 1
+        min_i = math.inf if math.isinf(left) else left - m * semesters_after
+        return left, m, semesters_after, min_i
+
     def min_required_this_term(self, status: EnrollmentStatus) -> float:
         """The paper's ``min_i``: the fewest courses that must be taken in
         this semester for the goal to remain reachable, assuming ``m``
         courses in every later semester.  May be ≤ 0 (no constraint),
         ``> m`` (hopeless), or ``inf`` (goal unsatisfiable outright)."""
-        context = self._context
-        left = context.goal.remaining_courses(status.completed)
-        if math.isinf(left):
-            return math.inf
-        m = context.config.max_courses_per_term
-        semesters_after_this = context.end_term - status.term - 1
-        return left - m * semesters_after_this
+        return self._bound(status)[3]
 
     def should_prune(self, status: EnrollmentStatus) -> bool:
         return self.min_required_this_term(status) > self._context.config.max_courses_per_term
 
     def examine(self, status: EnrollmentStatus) -> PruneVerdict:
-        context = self._context
-        m = context.config.max_courses_per_term
-        left = context.goal.remaining_courses(status.completed)
-        semesters_after = context.end_term - status.term - 1
-        min_i = math.inf if math.isinf(left) else left - m * semesters_after
+        left, m, semesters_after, min_i = self._bound(status)
         fired = min_i > m
         detail: Dict[str, Any] = {
             "left_i": _jsonable(left),

@@ -8,8 +8,8 @@ split), so they are part of the public result API rather than debug-only
 instrumentation.
 
 The class is a hand-rolled ``__slots__`` holder rather than a dataclass:
-the budget ticker reads ``nodes_created`` on the hot path, where slot
-access is cheaper than an instance dict.
+the engines update these counters on every node, where slot access is
+cheaper than an instance dict.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class ExplorationStats:
     def stop_timer(self) -> None:
         """Accumulate wall time since the matching :meth:`start_timer`.
 
-        A no-op when the timer is not running, so the budget-abort paths
+        A no-op when the timer is not running, so the limit-abort paths
         (which stop before raising) and the normal epilogue compose.
         """
         if self._started_at is not None:

@@ -3,17 +3,27 @@
 Goal-driven search adds a goal test and sound pruning to deadline-driven
 expansion, and ranked search only changes the order in which nodes are
 expanded (§4.1–4.3).  :class:`NodeStep` decides each node for all of them:
-budget tick; goal test, then deadline test; the pruner stack; the
-strategic-selection floor ``min_i`` and the selections it suppresses.  It
-records every outcome in the run's stats (which the pruning stats read),
-progress and decision events, so the engines keep only their traversal
-order: DFS tree (:mod:`~repro.core.deadline`), best-first
-(:mod:`~repro.core.ranked`) and layer-merged (:mod:`~repro.core.frontier`).
+the run's limits and cancellation; goal test, then deadline test; the
+pruner stack; the strategic-selection floor ``min_i`` and the selections
+it suppresses.  It records every outcome in the run's stats (which the
+pruning stats read), progress and decision events, so the engines keep
+only their traversal order: DFS tree (:mod:`~repro.core.deadline`),
+best-first (:mod:`~repro.core.ranked`) and layer-merged
+(:mod:`~repro.core.frontier`).
 
 The run's mode is one fact: with a goal, the ``goal`` terminals are the
 output paths; without one, every maximal path (``deadline`` and
 ``dead_end``) is.  With observability off the kernel allocates nothing per
 node: kinds are interned strings and the floor is an attribute.
+
+A run stops early through one path, :meth:`NodeStep.exceeded`: the
+traversal's own size limits (``config.max_nodes``, ``max_frontier``) and
+the wall-time and memory limits the kernel checks itself
+(``config.max_wall_seconds`` on every node, ``config.max_memory_bytes``
+every :data:`MEMORY_PROBE_INTERVAL` nodes).  With a progress tracker
+attached, a :meth:`~repro.obs.live.ProgressTracker.cancel` from any
+thread stops the run at its next node with
+:class:`~repro.errors.RunCancelledError`.
 
 The run scope :meth:`NodeStep.start` returns also pauses CPython's cyclic
 garbage collector.  A run allocates tens of thousands of long-lived
@@ -30,15 +40,22 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import threading
+import time
+import tracemalloc
 from contextlib import contextmanager
 from typing import AbstractSet, Any, Callable, List, Optional, Tuple
 
 from ..catalog import Catalog
-from ..errors import BudgetExceededError, ExplorationError, UnknownCourseError
+from ..errors import (
+    BudgetExceededError,
+    ExplorationError,
+    RunCancelledError,
+    UnknownCourseError,
+)
 from ..graph.status import EnrollmentStatus
 from ..obs.explain import DecisionEvent
-from ..obs.live import budget_exceeded
 from ..obs.runtime import NULL_OBSERVABILITY, Observability
 from ..obs.tracing import NULL_SPAN
 from ..requirements import Goal
@@ -57,7 +74,11 @@ from .pruning import (
 )
 from .stats import ExplorationStats
 
-__all__ = ["NodeStep"]
+__all__ = ["NodeStep", "MEMORY_PROBE_INTERVAL"]
+
+#: Decided nodes between two probes of ``config.max_memory_bytes`` (a
+#: probe is a system call; the wall-time check is one clock read).
+MEMORY_PROBE_INTERVAL = 256
 
 # The collector is process-wide, so the count of runs pausing it is too.
 _gc_lock = threading.Lock()
@@ -91,6 +112,27 @@ def _collector_paused(scope):
                 gc.collect(0)
 
 
+def _process_memory_bytes() -> int:
+    """Current process memory, cheaply.
+
+    Prefers ``tracemalloc`` when it is already tracing (exact allocated
+    bytes); otherwise falls back to peak RSS via :mod:`resource` (Linux
+    reports KiB).  Returns 0 when neither source is available, so a
+    memory limit degrades to "never fires" rather than crashing.
+    """
+    if tracemalloc.is_tracing():
+        return tracemalloc.get_traced_memory()[0]
+    try:
+        import resource
+
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform == "darwin":  # macOS reports bytes, Linux KiB
+            return int(rss)
+        return int(rss) * 1024
+    except Exception:  # pragma: no cover - platform without resource
+        return 0
+
+
 #: ``describe(ref, kind) -> (node_id, parent_id, selection, extra_detail)``.
 Describe = Callable[[Any, str], Optional[Tuple[int, Optional[int], Tuple[str, ...], Any]]]
 
@@ -120,7 +162,7 @@ class NodeStep:
         "name", "start_term", "end_term", "completed", "config", "goal",
         "pruners", "obs", "stats", "pruning_stats", "expander",
         "outputs", "floor", "_time_pruner", "_describe", "_recorder",
-        "_progress", "_budget",
+        "_progress", "_checks", "_started_at", "_decided",
     )
 
     def __init__(
@@ -173,7 +215,14 @@ class NodeStep:
         self._describe: Optional[Describe] = None
         self._recorder = None
         self._progress = self.obs.progress
-        self._budget = self.obs.budget
+        #: Whether :meth:`decide` checks limits or cancellation at all.
+        self._checks = (
+            self._progress is not None
+            or config.max_wall_seconds is not None
+            or config.max_memory_bytes is not None
+        )
+        self._started_at = 0.0
+        self._decided = 0
         self.stats = ExplorationStats()
         self.pruning_stats = PruningStats(self.stats.prune_events)
         self.stats.start_timer()
@@ -194,9 +243,18 @@ class NodeStep:
         self._describe = describe
         self._recorder = self.obs.decisions if describe is not None else None
         if self._progress is not None:
-            self._progress.begin_run(self.name, horizon=int(self.end_term - self.start_term))
-        if self._budget is not None:
-            self._budget.arm()
+            config = self.config
+            limits = {
+                "max_nodes": config.max_nodes,
+                "max_wall_seconds": config.max_wall_seconds,
+                "max_memory_bytes": config.max_memory_bytes,
+            }
+            self._progress.begin_run(
+                self.name,
+                horizon=int(self.end_term - self.start_term),
+                budget=limits if any(v is not None for v in limits.values()) else None,
+            )
+        self._started_at = time.perf_counter()
         return _collector_paused(
             self.obs.run(
                 self.name, start=str(self.start_term), end=str(self.end_term), **attributes
@@ -209,11 +267,14 @@ class NodeStep:
         self.obs.record_run_stats(self.name, self.stats)
 
     def exceeded(self, kind: str, limit: float, observed: float) -> BudgetExceededError:
-        """The error for a traversal's own size limit (``max_nodes``,
-        ``max_frontier``), carrying the partial stats and progress."""
-        return budget_exceeded(
+        """The error for an exceeded limit, carrying the partial stats (timer
+        stopped) and, with a tracker attached, its final snapshot."""
+        self.stats.stop_timer()
+        progress = self._progress
+        return BudgetExceededError(
             kind, limit, observed,
-            stats=self.stats, progress=self._progress, budget=self._budget,
+            progress=progress.snapshot() if progress is not None else None,
+            partial_stats=self.stats,
         )
 
     @property
@@ -233,8 +294,8 @@ class NodeStep:
         ``multiplicity`` is how many tree nodes the node stands for (a
         merged frontier state); it weights the emitted output paths.
         """
-        if self._budget is not None:
-            self._budget.tick(self.stats, self._progress)
+        if self._checks:
+            self._check_limits()
         goal = self.goal
         if goal is not None and goal.is_satisfied(status.completed):
             return self._terminal("goal", status, ref, multiplicity)
@@ -287,6 +348,27 @@ class NodeStep:
         if self._recorder is not None:
             self._record(ref, status, "expand", None, None, {"children": children})
         return None
+
+    def _check_limits(self) -> None:
+        """Raise if the run was cancelled or is past its wall or memory limit."""
+        progress = self._progress
+        reason = progress.cancelled if progress is not None else None
+        if reason is not None:
+            self.stats.stop_timer()
+            raise RunCancelledError(
+                reason, progress=progress.snapshot(), partial_stats=self.stats
+            )
+        config = self.config
+        if config.max_wall_seconds is not None:
+            elapsed = time.perf_counter() - self._started_at
+            if elapsed > config.max_wall_seconds:
+                raise self.exceeded("wall seconds", config.max_wall_seconds, elapsed)
+        if config.max_memory_bytes is not None:
+            self._decided += 1
+            if self._decided % MEMORY_PROBE_INTERVAL == 0:
+                used = _process_memory_bytes()
+                if used > config.max_memory_bytes:
+                    raise self.exceeded("memory bytes", config.max_memory_bytes, used)
 
     # -- recording -----------------------------------------------------------------
 

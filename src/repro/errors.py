@@ -91,19 +91,23 @@ class ExplorationError(CourseNavigatorError):
 
 
 class BudgetExceededError(ExplorationError):
-    """An exploration exceeded its node/wall-clock/memory budget.
+    """An exploration exceeded one of its limits.
 
-    The paper's deadline-driven algorithm exhausts memory beyond five
+    The limits are the :class:`~repro.core.config.ExplorationConfig`
+    fields ``max_nodes``, ``max_wall_seconds`` and ``max_memory_bytes``
+    (kinds ``"nodes"``, ``"wall seconds"``, ``"memory bytes"``) and the
+    frontier counters' ``max_frontier`` (``"frontier states"``).  The
+    paper's deadline-driven algorithm exhausts memory beyond five
     semesters; this exception is the library's controlled equivalent of that
     failure mode.  Attributes record what was exceeded so harnesses (and the
     Table 2 benchmark) can report ``N/A`` rows faithfully.
 
-    When live telemetry is attached to the run (see
-    :mod:`repro.obs.live`), ``progress`` carries the final
-    :class:`~repro.obs.live.ProgressSnapshot` and ``partial_stats`` the
-    run's :class:`~repro.core.stats.ExplorationStats` as of the abort, so
-    a supervisor can report how far the reaped run got; both are ``None``
-    on untracked runs.
+    ``partial_stats`` carries the run's
+    :class:`~repro.core.stats.ExplorationStats` as of the abort.  When a
+    :class:`~repro.obs.live.ProgressTracker` is attached to the run,
+    ``progress`` carries its final
+    :class:`~repro.obs.live.ProgressSnapshot`, so a supervisor can report
+    how far the reaped run got; it is ``None`` on untracked runs.
     """
 
     def __init__(
@@ -127,9 +131,10 @@ class BudgetExceededError(ExplorationError):
 class RunCancelledError(BudgetExceededError):
     """A run was cooperatively cancelled from another thread.
 
-    Raised by the exploration thread at its next budget tick after
-    :meth:`~repro.obs.live.ExplorationBudget.cancel` was called (by a
-    watchdog, a request handler, an operator).  Subclasses
+    Raised by the exploration thread at its next node after
+    :meth:`~repro.obs.live.ProgressTracker.cancel` was called on the run's
+    tracker (by a :class:`~repro.obs.live.Watchdog`, a request handler, an
+    operator).  Subclasses
     :class:`BudgetExceededError` so "bounded or reaped" is one except
     clause, and carries the same ``progress``/``partial_stats`` payload.
     """
@@ -148,5 +153,6 @@ class RunCancelledError(BudgetExceededError):
 
 class InvalidConfigError(ExplorationError, ValueError):
     """An exploration setting is invalid: an
-    :class:`~repro.core.config.ExplorationConfig` field, a budget limit, a
-    telemetry server port, a horizon length or a transcript count."""
+    :class:`~repro.core.config.ExplorationConfig` field (a run limit among
+    them), a display truncation limit, a telemetry server port, a horizon
+    length or a transcript count."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from ..errors import InvalidConfigError
 from .learning_graph import LearningGraph
 
 __all__ = ["graph_to_dot", "graph_to_json", "write_dot", "write_json"]
@@ -36,10 +37,13 @@ def graph_to_dot(graph: LearningGraph, max_nodes: int = 500) -> str:
 
     Terminal nodes are color-coded by kind; graphs larger than
     ``max_nodes`` are truncated with an ellipsis node so a figure of an
-    exploded graph stays renderable.
+    exploded graph stays renderable.  A negative ``max_nodes`` raises
+    :class:`~repro.errors.InvalidConfigError`.
     """
     if not isinstance(graph, LearningGraph):
         raise TypeError(f"expected LearningGraph, got {graph!r}")
+    if max_nodes < 0:
+        raise InvalidConfigError(f"graph truncation max_nodes must be >= 0, got {max_nodes}")
     lines = [
         "digraph learning_graph {",
         "  rankdir=LR;",
@@ -100,8 +104,9 @@ def graph_to_json(graph: LearningGraph) -> Dict[str, Any]:
 
 def write_dot(graph: LearningGraph, path: str, max_nodes: int = 500) -> None:
     """Write :func:`graph_to_dot` output to ``path``."""
+    text = graph_to_dot(graph, max_nodes=max_nodes)  # before the file is created
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(graph_to_dot(graph, max_nodes=max_nodes))
+        handle.write(text)
 
 
 def write_json(graph: LearningGraph, path: str) -> None:

@@ -16,8 +16,8 @@ Three layers, usable separately or bundled:
   :class:`ExplainReport` ("why was this subtree cut?").
 * :mod:`repro.obs.live` — the *online* layer: a :class:`ProgressTracker`
   the generators feed while they run (thread-safe snapshots, optimistic
-  ETA), an :class:`ExplorationBudget` watchdog (wall/node/memory limits +
-  cooperative cancellation), and a TTY :class:`ProgressPrinter`.
+  ETA, cooperative cancellation), a :class:`Watchdog` timer that cancels
+  a run, and a TTY :class:`ProgressPrinter`.
 * :mod:`repro.obs.server` — a :class:`MetricsServer` daemon-thread HTTP
   exporter serving Prometheus text at ``/metrics`` and live progress
   JSON at ``/progress``.
@@ -40,7 +40,6 @@ from .explain import (
 )
 from .live import (
     PROGRESS_GAUGE_PREFIX,
-    ExplorationBudget,
     ProgressPrinter,
     ProgressSnapshot,
     ProgressTracker,
@@ -99,7 +98,6 @@ __all__ = [
     "ProgressTracker",
     "ProgressSnapshot",
     "ProgressPrinter",
-    "ExplorationBudget",
     "Watchdog",
     "PROGRESS_GAUGE_PREFIX",
     # exporter

@@ -1,13 +1,14 @@
-"""Live exploration telemetry: progress, ETA, budgets, watchdog.
+"""Live exploration telemetry: progress, ETA, cancellation, watchdog.
 
 The spans/metrics/EXPLAIN layers all report *after* a run finishes.  This
 module is the online half: a :class:`ProgressTracker` the generators feed
 incrementally while they walk the learning graph, an optimistic ETA
-derived from the branching observed so far, and an
-:class:`ExplorationBudget` that bounds wall time, node count, and memory —
-raising :class:`~repro.errors.BudgetExceededError` *with the final
-progress snapshot attached* so a serving layer can report how far a
-reaped run got.
+derived from the branching observed so far, and cooperative cancellation
+(:meth:`ProgressTracker.cancel`, or a :class:`Watchdog` timer) that the
+run observes at its next node.  A run's limits are
+:class:`~repro.core.config.ExplorationConfig` fields; when one fires, or
+the run is cancelled, the error carries the tracker's final snapshot so a
+serving layer can report how far the reaped run got.
 
 Threading model
 ---------------
@@ -17,7 +18,9 @@ thread records into it, while any number of other threads (a scrape
 handler, a progress printer, a watchdog) call :meth:`ProgressTracker.snapshot`
 concurrently.  All mutation and snapshot assembly happen under one lock,
 so snapshots are internally consistent and counters never appear to move
-backwards.
+backwards.  :meth:`ProgressTracker.cancel` may be called from any thread;
+the exploration thread reads :attr:`ProgressTracker.cancelled` on every
+node without the lock (one attribute read).
 
 ETA semantics (and why it is "optimistic")
 ------------------------------------------
@@ -37,72 +40,19 @@ from __future__ import annotations
 import sys
 import threading
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, TextIO
-
-from ..errors import BudgetExceededError, InvalidConfigError, RunCancelledError
 
 __all__ = [
     "ProgressSnapshot",
     "ProgressTracker",
-    "ExplorationBudget",
     "Watchdog",
     "ProgressPrinter",
     "PROGRESS_GAUGE_PREFIX",
-    "budget_exceeded",
 ]
-
-
-def budget_exceeded(
-    kind: str,
-    limit: float,
-    observed: float,
-    stats=None,
-    progress: Optional["ProgressTracker"] = None,
-    budget: Optional["ExplorationBudget"] = None,
-) -> BudgetExceededError:
-    """Assemble a :class:`~repro.errors.BudgetExceededError` with telemetry.
-
-    Stops the stats timer (so ``partial_stats`` reports real elapsed time)
-    and attaches the tracker's final snapshot when one is live.  The
-    generators use this for their ``config.max_nodes`` abort sites so
-    every budget failure — config-level or budget-level — carries the same
-    payload.
-    """
-    if stats is not None:
-        stats.stop_timer()
-    return BudgetExceededError(
-        kind,
-        limit,
-        observed,
-        progress=progress.snapshot(budget=budget) if progress is not None else None,
-        partial_stats=stats,
-    )
 
 #: Every gauge the tracker publishes starts with this prefix.
 PROGRESS_GAUGE_PREFIX = "repro_progress"
-
-
-def _process_memory_bytes() -> int:
-    """Current process memory, cheaply.
-
-    Prefers ``tracemalloc`` when it is already tracing (exact allocated
-    bytes); otherwise falls back to peak RSS via :mod:`resource` (Linux
-    reports KiB).  Returns 0 when neither source is available, so a
-    memory budget degrades to "never fires" rather than crashing.
-    """
-    if tracemalloc.is_tracing():
-        return tracemalloc.get_traced_memory()[0]
-    try:
-        import resource
-
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if sys.platform == "darwin":  # macOS reports bytes, Linux KiB
-            return int(rss)
-        return int(rss) * 1024
-    except Exception:  # pragma: no cover - platform without resource
-        return 0
 
 
 @dataclass(frozen=True)
@@ -113,6 +63,8 @@ class ProgressSnapshot:
     (expanded + pruned + terminal); ``estimated_total_nodes``,
     ``progress_fraction``, and ``eta_seconds`` are ``None`` until the run
     has a horizon and at least one expansion to extrapolate from.
+    ``budget`` holds the run's limits (``max_nodes``, ``max_wall_seconds``,
+    ``max_memory_bytes``), or ``None`` for a run with none.
     """
 
     run: str
@@ -197,13 +149,17 @@ class ProgressTracker:
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._lock = threading.Lock()
         self._clock = clock
-        self._reset_locked(run="", horizon=None)
+        self._cancelled: Optional[str] = None
+        self._reset_locked(run="", horizon=None, budget=None)
 
     # -- run lifecycle -------------------------------------------------------
 
-    def _reset_locked(self, run: str, horizon: Optional[int]) -> None:
+    def _reset_locked(
+        self, run: str, horizon: Optional[int], budget: Optional[Dict[str, Any]]
+    ) -> None:
         self._run = run
         self._horizon = horizon
+        self._budget = budget
         self._started_at = self._clock()
         self._generation = 0
         self._depth = 0
@@ -217,13 +173,19 @@ class ProgressTracker:
         self._pruned_by_depth: Dict[int, int] = {}
         self._terminal_by_depth: Dict[int, int] = {}
         self._finished = False
-        self._cancelled: Optional[str] = None
 
-    def begin_run(self, run: str, horizon: Optional[int] = None) -> None:
+    def begin_run(
+        self,
+        run: str,
+        horizon: Optional[int] = None,
+        budget: Optional[Dict[str, Any]] = None,
+    ) -> None:
         """Reset all counters for a fresh run of ``run`` over ``horizon``
-        semesters (``end - start``; ``None`` disables the ETA estimate)."""
+        semesters (``end - start``; ``None`` disables the ETA estimate).
+        ``budget`` is the run's limits, shown in snapshots.  A cancellation
+        is not reset: a cancelled tracker stops every later run too."""
         with self._lock:
-            self._reset_locked(run=run, horizon=horizon)
+            self._reset_locked(run=run, horizon=horizon, budget=budget)
 
     def finish_run(self) -> None:
         """Mark the current run complete (pins ``progress_fraction`` at 1)."""
@@ -231,8 +193,9 @@ class ProgressTracker:
             self._finished = True
             self._generation += 1
 
-    def mark_cancelled(self, reason: str) -> None:
-        """Record that the run was cancelled (shown in snapshots)."""
+    def cancel(self, reason: str = "cancelled") -> None:
+        """Ask the run to stop at its next node (any thread); the run raises
+        :class:`~repro.errors.RunCancelledError` and snapshots show ``reason``."""
         with self._lock:
             self._cancelled = reason
             self._generation += 1
@@ -290,6 +253,12 @@ class ProgressTracker:
             return self._generation
 
     @property
+    def cancelled(self) -> Optional[str]:
+        """The cancellation reason, or ``None``.  Read without the lock: the
+        exploration thread checks it on every node."""
+        return self._cancelled
+
+    @property
     def nodes_seen(self) -> int:
         """Nodes fully decided so far (expanded + pruned + terminal)."""
         with self._lock:
@@ -297,8 +266,8 @@ class ProgressTracker:
                 self._terminals.values()
             )
 
-    def snapshot(self, budget: Optional["ExplorationBudget"] = None) -> ProgressSnapshot:
-        """A consistent snapshot; optionally embeds ``budget``'s state."""
+    def snapshot(self) -> ProgressSnapshot:
+        """A consistent snapshot of the current run."""
         with self._lock:
             nodes_seen = (
                 self._nodes_expanded + self._nodes_pruned + sum(self._terminals.values())
@@ -341,7 +310,7 @@ class ProgressTracker:
                 eta_seconds=eta,
                 finished=self._finished,
                 cancelled=self._cancelled,
-                budget=budget.as_dict() if budget is not None else None,
+                budget=self._budget,
             )
 
     def _estimate_total_locked(self) -> Optional[float]:
@@ -412,178 +381,30 @@ class ProgressTracker:
             ).set(snap.eta_seconds)
 
 
-class ExplorationBudget:
-    """Wall-clock / node-count / memory budgets + cooperative cancellation.
-
-    The generators call :meth:`tick` once per node they finish deciding
-    about.  Node-count and cancellation checks run on *every* tick (two
-    attribute reads and an integer compare); wall-clock runs every tick
-    too (one ``perf_counter``); the comparatively expensive memory probe
-    runs once every ``check_interval`` ticks via a generation counter.
-    A negative or NaN limit raises :class:`~repro.errors.InvalidConfigError`;
-    zero is allowed (the first tick past it fails).
-
-    On violation the budget raises
-    :class:`~repro.errors.BudgetExceededError` carrying the tracker's
-    final :class:`ProgressSnapshot` and the run's partial
-    :class:`~repro.core.stats.ExplorationStats`, after stopping the stats
-    timer — so the exception alone tells a supervisor what the run had
-    achieved when it died.
-
-    :meth:`cancel` may be called from **any** thread (a watchdog, a
-    request handler); the exploration thread observes it on its next tick
-    and raises :class:`~repro.errors.RunCancelledError`.
-    """
-
-    __slots__ = (
-        "wall_seconds",
-        "max_nodes",
-        "max_memory_bytes",
-        "check_interval",
-        "_clock",
-        "_armed_at",
-        "_ticks",
-        "_cancel_reason",
-    )
-
-    def __init__(
-        self,
-        wall_seconds: Optional[float] = None,
-        max_nodes: Optional[int] = None,
-        max_memory_bytes: Optional[int] = None,
-        check_interval: int = 256,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
-        if check_interval < 1:
-            raise ValueError(f"check_interval must be >= 1, got {check_interval}")
-        for name, limit in (
-            ("wall_seconds", wall_seconds),
-            ("max_nodes", max_nodes),
-            ("max_memory_bytes", max_memory_bytes),
-        ):
-            if limit is not None and not limit >= 0:
-                raise InvalidConfigError(f"budget {name} must be >= 0, got {limit}")
-        self.wall_seconds = wall_seconds
-        self.max_nodes = max_nodes
-        self.max_memory_bytes = max_memory_bytes
-        self.check_interval = check_interval
-        self._clock = clock
-        self._armed_at: Optional[float] = None
-        self._ticks = 0
-        self._cancel_reason: Optional[str] = None
-
-    # -- control (any thread) ------------------------------------------------
-
-    def arm(self) -> "ExplorationBudget":
-        """(Re)start the wall clock; generators call this at run start."""
-        self._armed_at = self._clock()
-        self._ticks = 0
-        return self
-
-    def cancel(self, reason: str = "cancelled") -> None:
-        """Ask the exploration thread to stop at its next tick."""
-        self._cancel_reason = reason
-
-    @property
-    def cancelled(self) -> Optional[str]:
-        """The cancellation reason, or ``None``."""
-        return self._cancel_reason
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any limit is configured (cancel works regardless)."""
-        return (
-            self.wall_seconds is not None
-            or self.max_nodes is not None
-            or self.max_memory_bytes is not None
-        )
-
-    def elapsed(self) -> float:
-        """Seconds since :meth:`arm` (0 before arming)."""
-        if self._armed_at is None:
-            return 0.0
-        return self._clock() - self._armed_at
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-serializable budget state (embedded in snapshots)."""
-        return {
-            "wall_seconds": self.wall_seconds,
-            "max_nodes": self.max_nodes,
-            "max_memory_bytes": self.max_memory_bytes,
-            "elapsed_seconds": self.elapsed(),
-            "ticks": self._ticks,
-            "cancelled": self._cancel_reason,
-        }
-
-    # -- the hot-path check (exploration thread) -----------------------------
-
-    def tick(self, stats=None, progress: Optional[ProgressTracker] = None) -> None:
-        """One node decided; raise if any budget is now exceeded.
-
-        ``stats`` (an :class:`~repro.core.stats.ExplorationStats`) supplies
-        the node count when available; otherwise the tick count itself —
-        one tick per decided node — stands in.
-        """
-        self._ticks += 1
-        if self._cancel_reason is not None:
-            self._fail_cancelled(stats, progress)
-        if self.max_nodes is not None:
-            observed = stats.nodes_created if stats is not None else self._ticks
-            if observed > self.max_nodes:
-                self._fail("nodes", self.max_nodes, observed, stats, progress)
-        if self.wall_seconds is not None and self._armed_at is not None:
-            elapsed = self._clock() - self._armed_at
-            if elapsed > self.wall_seconds:
-                self._fail("wall seconds", self.wall_seconds, elapsed, stats, progress)
-        if (
-            self.max_memory_bytes is not None
-            and self._ticks % self.check_interval == 0
-        ):
-            used = _process_memory_bytes()
-            if used > self.max_memory_bytes:
-                self._fail("memory bytes", self.max_memory_bytes, used, stats, progress)
-
-    # -- failure assembly ----------------------------------------------------
-
-    def _fail(self, kind, limit, observed, stats, progress) -> None:
-        raise budget_exceeded(kind, limit, observed, stats, progress, self)
-
-    def _fail_cancelled(self, stats, progress) -> None:
-        reason = self._cancel_reason or "cancelled"
-        if progress is not None:
-            progress.mark_cancelled(reason)
-        if stats is not None:
-            stats.stop_timer()
-        raise RunCancelledError(
-            reason,
-            progress=progress.snapshot(budget=self) if progress is not None else None,
-            partial_stats=stats,
-        )
-
-
 class Watchdog:
-    """A daemon timer that cancels a budget after ``timeout`` seconds.
+    """A daemon timer that cancels a tracker's run after ``timeout`` seconds.
 
-    The in-loop wall budget already bounds a run from the inside; the
-    watchdog is the *outside* bound — a supervisor arms one per request
-    and the exploration dies at its next tick even if its own budget was
-    configured too generously (or not at all).
+    ``ExplorationConfig.max_wall_seconds`` bounds a run from the inside;
+    the watchdog is the *outside* bound — a supervisor arms one per
+    request and the exploration dies at its next node even if its own
+    limit was configured too generously (or not at all).
 
-        budget = ExplorationBudget()
-        with Watchdog(budget, timeout=30.0):
+        tracker = ProgressTracker()
+        navigator = CourseNavigator(catalog, progress=tracker)
+        with Watchdog(tracker, timeout=30.0):
             navigator.explore_goal(...)
     """
 
     def __init__(
         self,
-        budget: ExplorationBudget,
+        tracker: ProgressTracker,
         timeout: float,
         reason: Optional[str] = None,
     ):
-        self.budget = budget
+        self.tracker = tracker
         self.timeout = timeout
         self.reason = reason or f"watchdog timeout after {timeout:g}s"
-        self._timer = threading.Timer(timeout, budget.cancel, args=(self.reason,))
+        self._timer = threading.Timer(timeout, tracker.cancel, args=(self.reason,))
         self._timer.daemon = True
 
     def start(self) -> "Watchdog":

@@ -48,7 +48,7 @@ from contextvars import ContextVar
 from typing import Any, Dict, Optional
 
 from .explain import DecisionRecorder
-from .live import ExplorationBudget, ProgressTracker
+from .live import ProgressTracker
 from .metrics import Histogram, MetricsRegistry
 from .profiling import PHASE_METRIC_NAME, PhaseBreakdown, capture_peak_memory
 from .tracing import NULL_SPAN, NULL_TRACER, Tracer
@@ -193,16 +193,10 @@ class Observability:
         attached, the generators feed it incrementally (expansion, prune,
         terminal, frontier width, emitted paths) so other threads can
         watch the run mid-flight via snapshots, gauges, or the HTTP
-        exporter (:mod:`repro.obs.server`).
-    budget:
-        An :class:`~repro.obs.live.ExplorationBudget`, or ``None``.  When
-        attached, the generators tick it once per decided node; exceeding
-        a limit (or a cooperative :meth:`~repro.obs.live.ExplorationBudget.cancel`
-        from another thread) aborts the run with
-        :class:`~repro.errors.BudgetExceededError` carrying the final
-        progress snapshot.  A budget with no tracker gets a private
-        :class:`~repro.obs.live.ProgressTracker` so its exceptions always
-        carry a snapshot.
+        exporter (:mod:`repro.obs.server`).  A run that stops early
+        (a config limit, or :meth:`~repro.obs.live.ProgressTracker.cancel`
+        from another thread) attaches the tracker's final snapshot to its
+        :class:`~repro.errors.BudgetExceededError`.
 
     With no backend at all the bundle is ``enabled == False`` and every
     hook degrades to a shared no-op.
@@ -214,7 +208,6 @@ class Observability:
         "capture_memory",
         "decisions",
         "progress",
-        "budget",
         "phases",
         "enabled",
         "last_memory",
@@ -228,16 +221,12 @@ class Observability:
         capture_memory: bool = False,
         decisions: Optional[DecisionRecorder] = None,
         progress: Optional[ProgressTracker] = None,
-        budget: Optional[ExplorationBudget] = None,
     ):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.capture_memory = capture_memory
         self.decisions = decisions
-        if budget is not None and progress is None:
-            progress = ProgressTracker()
         self.progress = progress
-        self.budget = budget
         self.phases = PhaseBreakdown()
         self.enabled = bool(
             self.tracer.enabled
@@ -245,7 +234,6 @@ class Observability:
             or capture_memory
             or decisions is not None
             or progress is not None
-            or budget is not None
         )
         self.last_memory = None
         self._histograms: Dict[str, Optional[Histogram]] = {}

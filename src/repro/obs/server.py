@@ -30,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from ..errors import InvalidConfigError
-from .live import ExplorationBudget, ProgressTracker
+from .live import ProgressTracker
 from .metrics import MetricsRegistry
 
 __all__ = ["MetricsServer", "PROMETHEUS_CONTENT_TYPE"]
@@ -80,8 +80,7 @@ class _Handler(BaseHTTPRequestHandler):
         if progress is None:
             self._send(404, "application/json", b'{"error": "no progress tracker"}\n')
             return
-        budget = self.server.budget  # type: ignore[attr-defined]
-        snapshot = progress.snapshot(budget=budget)
+        snapshot = progress.snapshot()
         body = (json.dumps(snapshot.as_dict(), sort_keys=True) + "\n").encode("utf-8")
         self._send(200, "application/json", body)
 
@@ -101,9 +100,6 @@ class MetricsServer:
         The :class:`~repro.obs.live.ProgressTracker` backing
         ``/progress``; when present its gauges are refreshed into the
         registry on every ``/metrics`` scrape.
-    budget:
-        Optional :class:`~repro.obs.live.ExplorationBudget` whose state is
-        embedded in ``/progress`` responses.
     host, port:
         Bind address; ``port=0`` asks the OS for an ephemeral port.  A
         port outside 0–65535 raises :class:`~repro.errors.InvalidConfigError`.
@@ -113,7 +109,6 @@ class MetricsServer:
         self,
         registry: Optional[MetricsRegistry] = None,
         progress: Optional[ProgressTracker] = None,
-        budget: Optional[ExplorationBudget] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
@@ -125,7 +120,6 @@ class MetricsServer:
         # per MetricsServer, so this is plain composition, not a global).
         self._httpd.registry = registry  # type: ignore[attr-defined]
         self._httpd.progress = progress  # type: ignore[attr-defined]
-        self._httpd.budget = budget  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name=f"repro-metrics-server:{self.port}",

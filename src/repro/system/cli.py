@@ -39,7 +39,6 @@ from ..data.brandeis import EVALUATION_END_TERM, course_rows
 from ..errors import BudgetExceededError, CatalogError, CourseNavigatorError, GoalError
 from ..obs import (
     DecisionRecorder,
-    ExplorationBudget,
     JsonlSink,
     MetricsRegistry,
     MetricsServer,
@@ -114,13 +113,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="abort the run after this much wall-clock time",
-    )
-    parser.add_argument(
-        "--node-budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="abort the run after creating this many search nodes",
     )
     parser.add_argument(
         "--memory-budget-mb",
@@ -299,15 +291,22 @@ def _load(args: argparse.Namespace) -> CourseNavigator:
         metrics=getattr(args, "_metrics", None),
         decisions=getattr(args, "_decisions", None),
         progress=getattr(args, "_progress", None),
-        budget=getattr(args, "_budget", None),
     )
 
 
 def _config(args: argparse.Namespace) -> ExplorationConfig:
+    memory_mb = args.memory_budget_mb
     return ExplorationConfig(
         max_courses_per_term=args.max_per_term,
         avoid_courses=frozenset(args.avoid),
         max_nodes=args.max_nodes,
+        max_wall_seconds=args.wall_budget,
+        # NaN and inf pass through unconverted (the config rejects NaN).
+        max_memory_bytes=(
+            int(memory_mb * 1024 * 1024)
+            if memory_mb is not None and math.isfinite(memory_mb)
+            else memory_mb
+        ),
     )
 
 
@@ -356,26 +355,28 @@ def _run_catalog(args: argparse.Namespace, out) -> int:
 def _run_deadline(args: argparse.Namespace, out) -> int:
     navigator = _load(args)
     start, end = Term.parse(args.start), Term.parse(args.end)
-    config = _config(args)
+    config = args._config
     completed = frozenset(args.completed)
     if args.count_only:
         count = navigator.count_deadline(start, end, completed=completed, config=config)
         print(f"{count} deadline-driven paths from {start} to {end}", file=out)
         return 0
     result = navigator.explore_deadline(start, end, completed=completed, config=config)
+    # Rendered first, so a bad --limit is the command's only output.
+    table = render_path_table(result.paths(), navigator.catalog, limit=args.limit)
     print(
         f"{result.path_count} paths, {result.graph.num_nodes} nodes "
         f"({result.stats.elapsed_seconds:.3f}s)",
         file=out,
     )
-    print(render_path_table(result.paths(), navigator.catalog, limit=args.limit), file=out)
+    print(table, file=out)
     return 0
 
 
 def _run_goal(args: argparse.Namespace, out) -> int:
     navigator = _load(args)
     start, end = Term.parse(args.start), Term.parse(args.end)
-    config = _config(args)
+    config = args._config
     completed = frozenset(args.completed)
     goal = _goal(args)
     if args.count_only:
@@ -386,6 +387,7 @@ def _run_goal(args: argparse.Namespace, out) -> int:
     result = navigator.explore_goal(
         start, goal, end, completed=completed, config=config, pruners=pruners
     )
+    table = render_path_table(result.paths(), navigator.catalog, limit=args.limit)
     print(
         f"{result.path_count} goal paths, {result.graph.num_nodes} nodes, "
         f"{result.pruning_stats.total} subtrees pruned "
@@ -400,7 +402,7 @@ def _run_goal(args: argparse.Namespace, out) -> int:
             + ", ".join(f"{c} ({n})" for c, n in summary.most_common_courses(5)),
             file=out,
         )
-    print(render_path_table(result.paths(), navigator.catalog, limit=args.limit), file=out)
+    print(table, file=out)
     return 0
 
 
@@ -414,7 +416,7 @@ def _run_ranked(args: argparse.Namespace, out) -> int:
         k=args.k,
         ranking=args.ranking,
         completed=frozenset(args.completed),
-        config=_config(args),
+        config=args._config,
     )
     print(
         f"top-{args.k} by {args.ranking}: {len(result.paths)} paths "
@@ -442,7 +444,7 @@ def _run_explain(args: argparse.Namespace, out) -> int:
         goal,
         end,
         completed=frozenset(args.completed),
-        config=_config(args),
+        config=args._config,
         pruners=[] if args.no_prune else None,
     )
     recorder.close()
@@ -539,7 +541,7 @@ def _run_export(args: argparse.Namespace, out) -> int:
     result = navigator.explore_goal(
         start, _goal(args), end,
         completed=frozenset(args.completed),
-        config=_config(args),
+        config=args._config,
     )
     if args.format == "dot":
         write_dot(result.graph, args.output, max_nodes=args.max_graph_nodes)
@@ -622,32 +624,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     args._metrics = (
         MetricsRegistry() if (metrics_path or serve_port is not None) else None
     )
-    args._budget = None
     args._progress = None
     server: Optional[MetricsServer] = None
     printer: Optional[ProgressPrinter] = None
     try:
-        # Built inside the try so a bad limit is one error line, exit 2.
-        wall_budget = getattr(args, "wall_budget", None)
-        node_budget = getattr(args, "node_budget", None)
-        memory_budget_mb = getattr(args, "memory_budget_mb", None)
-        if (wall_budget, node_budget, memory_budget_mb) != (None, None, None):
-            args._budget = ExplorationBudget(
-                wall_seconds=wall_budget,
-                max_nodes=node_budget,
-                # NaN and inf pass through unconverted (the budget rejects NaN).
-                max_memory_bytes=(
-                    int(memory_budget_mb * 1024 * 1024)
-                    if memory_budget_mb is not None and math.isfinite(memory_budget_mb)
-                    else memory_budget_mb
-                ),
-            )
+        # Built inside the try, before any output, so a bad limit is one
+        # error line, exit 2.
+        if hasattr(args, "wall_budget"):
+            args._config = _config(args)
         # The tracker backs the TTY line, the /progress endpoint, and the
-        # partial snapshot attached to budget aborts — any of those wants it.
+        # partial snapshot attached to wall/memory aborts — any of those wants it.
         if (
             getattr(args, "progress", False)
             or serve_port is not None
-            or args._budget is not None
+            or getattr(args, "wall_budget", None) is not None
+            or getattr(args, "memory_budget_mb", None) is not None
         ):
             args._progress = ProgressTracker()
         if trace_path:
@@ -658,7 +649,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             server = MetricsServer(
                 registry=args._metrics,
                 progress=args._progress,
-                budget=args._budget,
                 port=serve_port,
             ).start()
             # Printed before the run starts so watchers (and the CI smoke)

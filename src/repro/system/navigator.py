@@ -46,7 +46,6 @@ from ..errors import ExplorationError
 from ..graph.path import LearningPath
 from ..obs import (
     DecisionRecorder,
-    ExplorationBudget,
     MetricsRegistry,
     Observability,
     ProgressTracker,
@@ -86,12 +85,10 @@ class CourseNavigator:
     progress:
         Optional :class:`~repro.obs.ProgressTracker`; every run feeds it
         incrementally so other threads can watch live (snapshots, the
-        ``/progress`` endpoint, the TTY progress line).
-    budget:
-        Optional :class:`~repro.obs.ExplorationBudget`; every run ticks it
-        and dies with :class:`~repro.errors.BudgetExceededError` (carrying
-        the final progress snapshot) when a wall/node/memory limit is hit
-        or another thread cancels it.
+        ``/progress`` endpoint, the TTY progress line), and stops at its
+        next node once another thread calls its ``cancel()``.  Run limits
+        (nodes, wall time, memory) are
+        :class:`~repro.core.ExplorationConfig` fields.
     cache:
         Optional :class:`~repro.cache.ExplorationCache`.  Every goal run
         this navigator performs asks the goal through it
@@ -115,7 +112,6 @@ class CourseNavigator:
         capture_memory: bool = False,
         decisions: Optional[DecisionRecorder] = None,
         progress: Optional[ProgressTracker] = None,
-        budget: Optional[ExplorationBudget] = None,
         cache: Optional[ExplorationCache] = None,
     ):
         self._catalog = catalog
@@ -129,7 +125,6 @@ class CourseNavigator:
             and not capture_memory
             and decisions is None
             and progress is None
-            and budget is None
         ):
             self._obs: Optional[Observability] = None
         else:
@@ -139,7 +134,6 @@ class CourseNavigator:
                 capture_memory=capture_memory,
                 decisions=decisions,
                 progress=progress,
-                budget=budget,
             )
 
     @property

@@ -12,6 +12,7 @@ from typing import Iterable, List, Optional
 
 from ..catalog import Catalog, OfferingModel
 from ..core.ranked import RankedResult
+from ..errors import InvalidConfigError
 from ..graph.learning_graph import LearningGraph
 from ..graph.path import LearningPath
 
@@ -52,7 +53,10 @@ def render_path_table(
     catalog: Optional[Catalog] = None,
     limit: int = 20,
 ) -> str:
-    """A compact one-line-per-path table (truncated at ``limit`` rows)."""
+    """A compact one-line-per-path table (truncated at ``limit`` rows; a
+    negative ``limit`` raises :class:`~repro.errors.InvalidConfigError`)."""
+    if limit < 0:
+        raise InvalidConfigError(f"path table limit must be >= 0, got {limit}")
     rows = []
     shown = 0
     truncated = False
@@ -94,9 +98,12 @@ def render_ranked(
 
 
 def render_graph(graph: LearningGraph, max_nodes: int = 200) -> str:
-    """An indented text dump of a learning graph."""
+    """An indented text dump of a learning graph (truncated at ``max_nodes``;
+    a negative one raises :class:`~repro.errors.InvalidConfigError`)."""
     if not isinstance(graph, LearningGraph):
         raise TypeError(f"expected LearningGraph, got {graph!r}")
+    if max_nodes < 0:
+        raise InvalidConfigError(f"graph truncation max_nodes must be >= 0, got {max_nodes}")
     lines: List[str] = []
     count = 0
 

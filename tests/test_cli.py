@@ -69,6 +69,21 @@ class TestDeadlineCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_negative_limit_is_one_error_line(self, capsys, tmp_path, fig3_catalog):
+        path = tmp_path / "cat.json"
+        save_catalog(fig3_catalog, path)
+        code, out, err = run_cli(
+            capsys,
+            "deadline",
+            "--catalog", str(path),
+            "--start", "Fall 2011",
+            "--end", "Spring 2013",
+            "--limit", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: path table limit must be >= 0, got -1\n"
+
 
 class TestGoalCommand:
     def test_goal_courses(self, capsys, tmp_path, fig3_catalog):
@@ -291,6 +306,27 @@ class TestExportCommand:
         with open(output) as handle:
             data = json.load(handle)
         assert data["kind"] == "tree"
+
+    def test_negative_max_graph_nodes_is_one_error_line(
+        self, capsys, tmp_path, fig3_catalog
+    ):
+        catalog_path = tmp_path / "cat.json"
+        save_catalog(fig3_catalog, catalog_path)
+        output = tmp_path / "graph.dot"
+        code, out, err = run_cli(
+            capsys,
+            "export",
+            "--catalog", str(catalog_path),
+            "--start", "Fall 2011",
+            "--end", "Fall 2012",
+            "--goal-courses", "11A", "29A", "21A",
+            "--output", str(output),
+            "--max-graph-nodes", "-5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: graph truncation max_nodes must be >= 0, got -5\n"
+        assert not output.exists()
 
 
 class TestObservabilityFlags:
@@ -557,16 +593,16 @@ class TestIoErrors:
 
 
 class TestLiveTelemetryFlags:
-    def test_node_budget_aborts_with_partial_progress(self, capsys):
+    def test_memory_budget_aborts_with_partial_progress(self, capsys):
         code, _out, err = run_cli(
             capsys,
             "goal",
             "--start", "Fall 2013",
             "--end", "Fall 2015",
-            "--node-budget", "200",
+            "--memory-budget-mb", "0",
         )
         assert code == 3
-        assert "budget exceeded" in err
+        assert "budget exceeded: memory bytes limit 0 reached" in err
         assert "partial progress:" in err
         assert "[goal_driven]" in err
 
@@ -677,7 +713,7 @@ class TestLiveTelemetryFlags:
             ("--wall-budget", "nan"),
             ("--memory-budget-mb", "-1"),
             ("--memory-budget-mb", "nan"),
-            ("--node-budget", "-1"),
+            ("--limit", "-1"),
             ("--serve-metrics", "-1"),
             ("--serve-metrics", "70000"),
         ],

@@ -80,7 +80,7 @@ class TestEdgeCases:
         for path in result.paths():
             assert "11A" not in path.courses_taken()
 
-    def test_budget_exceeded(self, fig3_catalog):
+    def test_max_nodes_exceeded(self, fig3_catalog):
         with pytest.raises(BudgetExceededError) as excinfo:
             generate_deadline_driven(
                 fig3_catalog, F11, S13, config=ExplorationConfig(max_nodes=3)

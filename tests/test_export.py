@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import generate_deadline_driven
+from repro.errors import InvalidConfigError
 from repro.graph.export import graph_to_dot, graph_to_json, write_dot, write_json
 
 from .conftest import F11, S13
@@ -39,6 +40,15 @@ class TestDot:
     def test_bad_type(self):
         with pytest.raises(TypeError):
             graph_to_dot("graph")
+
+    def test_negative_truncation_rejected(self, tree, tmp_path):
+        assert "more nodes" not in graph_to_dot(tree, max_nodes=tree.num_nodes)
+        with pytest.raises(InvalidConfigError, match="got -1"):
+            graph_to_dot(tree, max_nodes=-1)
+        path = tmp_path / "graph.dot"
+        with pytest.raises(InvalidConfigError):
+            write_dot(tree, str(path), max_nodes=-5)
+        assert not path.exists()
 
     def test_write_dot(self, tree, tmp_path):
         path = tmp_path / "graph.dot"

@@ -84,7 +84,7 @@ class TestGoalSemantics:
         with pytest.raises(ExplorationError):
             generate_goal_driven(fig3_catalog, F11, GOAL, F12, completed={"99Z"})
 
-    def test_budget_exceeded(self, fig3_catalog):
+    def test_max_nodes_exceeded(self, fig3_catalog):
         with pytest.raises(BudgetExceededError):
             generate_goal_driven(
                 fig3_catalog, F11, GOAL, S13, config=ExplorationConfig(max_nodes=2)

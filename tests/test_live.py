@@ -1,8 +1,9 @@
 """Tests for live telemetry (repro.obs.live + repro.obs.server).
 
 Covers the progress tracker (counters, snapshots, the optimistic ETA
-estimate), the exploration budget (node/wall/memory limits, cooperative
-cancellation, the watchdog), the partial snapshots carried by
+estimate), the run limits (ExplorationConfig's node/wall/memory fields,
+checked by the node-step kernel), cooperative cancellation through the
+tracker and the watchdog, the partial snapshots carried by
 BudgetExceededError from each of the four generators, the thread handoff
 via Observability.activate(), the metrics HTTP exporter (including a
 scrape-while-exploring race test), and the progress printer.
@@ -14,20 +15,22 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import (
+    ExplorationConfig,
     generate_deadline_driven,
     generate_goal_driven,
     generate_ranked,
 )
+from repro.core import step as step_module
 from repro.core.frontier import frontier_count_deadline_paths, frontier_count_goal_paths
 from repro.core.ranking import TimeRanking
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.errors import BudgetExceededError, InvalidConfigError, RunCancelledError
 from repro.obs import (
-    ExplorationBudget,
     MetricsRegistry,
     MetricsServer,
     Observability,
@@ -169,11 +172,10 @@ class TestProgressTracker:
 
     def test_snapshot_as_dict_is_json_serializable(self):
         tracker = ProgressTracker()
-        tracker.begin_run("unit", horizon=2)
+        tracker.begin_run("unit", horizon=2, budget={"max_nodes": 10})
         tracker.record_expanded(0, 2)
         tracker.record_pruned(1)
-        budget = ExplorationBudget(max_nodes=10)
-        payload = json.loads(json.dumps(tracker.snapshot(budget=budget).as_dict()))
+        payload = json.loads(json.dumps(tracker.snapshot().as_dict()))
         assert payload["run"] == "unit"
         assert payload["per_depth"]["0"]["expanded"] == 1
         assert payload["per_depth"]["1"]["pruned"] == 1
@@ -190,13 +192,18 @@ class TestProgressTracker:
         assert "paths 3" in line
         assert "depth 0/4" in line
 
-    def test_mark_cancelled_shows_in_snapshot(self):
+    def test_cancel_shows_in_snapshot(self):
         tracker = ProgressTracker()
         tracker.begin_run("unit")
-        tracker.mark_cancelled("operator said stop")
+        assert tracker.cancelled is None
+        tracker.cancel("operator said stop")
+        assert tracker.cancelled == "operator said stop"
         snap = tracker.snapshot()
         assert snap.cancelled == "operator said stop"
         assert "cancelled: operator said stop" in snap.render_line()
+        # A cancelled tracker stays cancelled: a later run stops too.
+        tracker.begin_run("next")
+        assert tracker.snapshot().cancelled == "operator said stop"
 
     def test_publish_gauges(self):
         registry = MetricsRegistry()
@@ -247,103 +254,144 @@ class TestProgressTracker:
 
 
 # ---------------------------------------------------------------------------
-# ExplorationBudget
+# run limits (ExplorationConfig fields checked by NodeStep)
 
 
-class TestExplorationBudget:
-    def test_node_budget_counts_ticks_without_stats(self):
-        budget = ExplorationBudget(max_nodes=5)
-        for _ in range(5):
-            budget.tick()
-        with pytest.raises(BudgetExceededError) as info:
-            budget.tick()
-        assert info.value.kind == "nodes"
-        assert info.value.observed == 6
-
-    def test_wall_budget_uses_armed_clock(self):
-        clock = FakeClock()
-        budget = ExplorationBudget(wall_seconds=2.0, clock=clock).arm()
-        budget.tick()
-        clock.advance(2.5)
-        with pytest.raises(BudgetExceededError) as info:
-            budget.tick()
-        assert info.value.kind == "wall seconds"
-
-    def test_wall_budget_zero_is_honored(self):
-        clock = FakeClock()
-        budget = ExplorationBudget(wall_seconds=0.0, clock=clock).arm()
-        clock.advance(0.001)
-        with pytest.raises(BudgetExceededError):
-            budget.tick()
-
-    def test_memory_budget_fires_on_interval(self):
-        # Any real process exceeds one byte; check_interval=1 probes on
-        # the first tick.
-        budget = ExplorationBudget(max_memory_bytes=1, check_interval=1).arm()
-        with pytest.raises(BudgetExceededError) as info:
-            budget.tick()
-        assert info.value.kind == "memory bytes"
-
-    def test_memory_probe_skipped_between_intervals(self):
-        budget = ExplorationBudget(max_memory_bytes=1, check_interval=100).arm()
-        for _ in range(99):
-            budget.tick()  # ticks 1..99 never probe
-        with pytest.raises(BudgetExceededError):
-            budget.tick()  # tick 100 probes
-
-    @pytest.mark.parametrize(
-        "limit", ["wall_seconds", "max_nodes", "max_memory_bytes"]
+def _goal_run(config, obs=None):
+    return generate_goal_driven(
+        brandeis_catalog(), START, brandeis_major_goal(), END, config=config, obs=obs
     )
+
+
+def _ranked_run(config, obs=None):
+    # k=300 decides 734 nodes: more than two memory-probe intervals.
+    return generate_ranked(
+        brandeis_catalog(), START, brandeis_major_goal(), END,
+        k=300, ranking=TimeRanking(), config=config, obs=obs,
+    )
+
+
+def _frontier_run(config, obs=None):
+    return frontier_count_goal_paths(
+        brandeis_catalog(), START, brandeis_major_goal(), END, config=config, obs=obs
+    )
+
+
+ENGINES = {"goal": _goal_run, "ranked": _ranked_run, "frontier": _frontier_run}
+
+
+@pytest.fixture
+def exceeded_kinds(monkeypatch):
+    """The kinds passed to ``NodeStep.exceeded`` during the test, in order."""
+    kinds = []
+    exceeded = step_module.NodeStep.exceeded
+
+    def spy(self, kind, limit, observed):
+        kinds.append(kind)
+        return exceeded(self, kind, limit, observed)
+
+    monkeypatch.setattr(step_module.NodeStep, "exceeded", spy)
+    return kinds
+
+
+class TestRunLimits:
+    @pytest.mark.parametrize("limit", ["max_wall_seconds", "max_memory_bytes"])
     @pytest.mark.parametrize("value", [-1, float("nan")])
     def test_negative_or_nan_limit_rejected(self, limit, value):
-        with pytest.raises(InvalidConfigError):
-            ExplorationBudget(**{limit: value})
-        assert ExplorationBudget(**{limit: 0}).enabled
+        with pytest.raises(InvalidConfigError, match=limit):
+            ExplorationConfig(**{limit: value})
+        assert getattr(ExplorationConfig(**{limit: 0}), limit) == 0
+        assert getattr(ExplorationConfig(**{limit: float("inf")}), limit) == float("inf")
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_wall_limit_zero_stops_every_engine(self, engine, exceeded_kinds):
+        with pytest.raises(BudgetExceededError) as info:
+            ENGINES[engine](ExplorationConfig(max_wall_seconds=0.0))
+        assert exceeded_kinds == ["wall seconds"]
+        assert info.value.kind == "wall seconds"
+        assert info.value.limit == 0.0
+        # Untracked: partial stats, no snapshot.
+        assert info.value.progress is None
+        assert info.value.partial_stats is not None
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_memory_limit_zero_stops_every_engine(self, engine, exceeded_kinds):
+        # Every run decides more nodes than one probe interval.
+        with pytest.raises(BudgetExceededError) as info:
+            ENGINES[engine](ExplorationConfig(max_memory_bytes=0))
+        assert exceeded_kinds == ["memory bytes"]
+        assert info.value.observed > 0
+        assert info.value.partial_stats is not None
+
+    def test_wall_limit_measured_from_run_start(self, monkeypatch):
+        clock = FakeClock(100.0)
+        decided = []
+        decide = step_module.NodeStep.decide
+
+        def counted(self, *args):
+            decided.append(1)
+            if len(decided) == 3:
+                clock.advance(2.5)  # the third node is past the limit
+            return decide(self, *args)
+
+        monkeypatch.setattr(step_module, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(step_module.NodeStep, "decide", counted)
+        with pytest.raises(BudgetExceededError) as info:
+            _goal_run(ExplorationConfig(max_wall_seconds=2.0))
+        assert info.value.kind == "wall seconds"
+        assert info.value.observed == 2.5
+        assert len(decided) == 3
+
+    def test_memory_probed_every_interval(self, monkeypatch):
+        probes = []
+
+        def probe():
+            probes.append(1)
+            return 0
+
+        monkeypatch.setattr(step_module, "_process_memory_bytes", probe)
+        tracker = ProgressTracker()
+        result = _goal_run(
+            ExplorationConfig(max_memory_bytes=1), Observability(progress=tracker)
+        )
+        decided = tracker.snapshot().nodes_seen
+        assert result.path_count == 905
+        assert decided > step_module.MEMORY_PROBE_INTERVAL
+        assert len(probes) == decided // step_module.MEMORY_PROBE_INTERVAL
 
     def test_cancel_from_another_thread(self):
-        budget = ExplorationBudget()
         tracker = ProgressTracker()
-        tracker.begin_run("unit")
-        thread = threading.Thread(target=budget.cancel, args=("op stop",))
+        thread = threading.Thread(target=tracker.cancel, args=("op stop",))
         thread.start()
         thread.join()
         with pytest.raises(RunCancelledError) as info:
-            budget.tick(progress=tracker)
+            _goal_run(None, Observability(progress=tracker))
         assert isinstance(info.value, BudgetExceededError)
         assert info.value.reason == "op stop"
+        assert str(info.value) == "exploration cancelled: op stop"
         assert info.value.progress.cancelled == "op stop"
+        assert info.value.progress.nodes_seen == 0  # stopped at the first node
+        assert info.value.partial_stats is not None
         assert tracker.snapshot().cancelled == "op stop"
 
-    def test_failure_carries_snapshot_and_budget_state(self):
+    def test_failure_carries_snapshot_and_limits(self):
         tracker = ProgressTracker()
-        tracker.begin_run("unit", horizon=2)
-        tracker.record_expanded(0, 2)
-        budget = ExplorationBudget(max_nodes=1).arm()
-        budget.tick(progress=tracker)
+        config = ExplorationConfig(max_nodes=40, max_wall_seconds=3600.0)
         with pytest.raises(BudgetExceededError) as info:
-            budget.tick(progress=tracker)
+            _goal_run(config, Observability(progress=tracker))
         snap = info.value.progress
         assert snap is not None
-        assert snap.nodes_seen == 1
-        assert snap.budget["max_nodes"] == 1
-        assert snap.budget["ticks"] == 2
+        assert snap.nodes_seen > 0
+        assert snap.budget == {
+            "max_nodes": 40,
+            "max_wall_seconds": 3600.0,
+            "max_memory_bytes": None,
+        }
 
-    def test_enabled_property(self):
-        assert not ExplorationBudget().enabled
-        assert ExplorationBudget(wall_seconds=1.0).enabled
-        assert ExplorationBudget(max_nodes=1).enabled
-        assert ExplorationBudget(max_memory_bytes=1).enabled
-
-    def test_check_interval_validated(self):
-        with pytest.raises(ValueError):
-            ExplorationBudget(check_interval=0)
-
-    def test_as_dict(self):
-        budget = ExplorationBudget(wall_seconds=3.0, max_nodes=10)
-        state = budget.as_dict()
-        assert state["wall_seconds"] == 3.0
-        assert state["max_nodes"] == 10
-        assert state["cancelled"] is None
+    def test_unlimited_run_has_no_budget_in_snapshot(self):
+        tracker = ProgressTracker()
+        _frontier_run(None, Observability(progress=tracker))
+        assert tracker.snapshot().budget is None
 
 
 # ---------------------------------------------------------------------------
@@ -366,59 +414,56 @@ class TestGeneratorBudgets:
             assert exc.partial_stats.elapsed_seconds >= 0.0
 
     def test_goal_driven(self):
-        obs = Observability(budget=ExplorationBudget(max_nodes=150))
+        obs = Observability(progress=ProgressTracker())
         with pytest.raises(BudgetExceededError) as info:
-            generate_goal_driven(
-                brandeis_catalog(), START, brandeis_major_goal(), END, obs=obs
-            )
+            _goal_run(ExplorationConfig(max_nodes=150), obs)
         self._assert_partial(info.value)
         assert info.value.progress.run == "goal_driven"
 
     def test_deadline_exhaustive_run_terminates(self):
-        obs = Observability(budget=ExplorationBudget(max_nodes=400))
+        obs = Observability(progress=ProgressTracker())
         with pytest.raises(BudgetExceededError) as info:
-            generate_deadline_driven(brandeis_catalog(), START, END, obs=obs)
+            generate_deadline_driven(
+                brandeis_catalog(), START, END,
+                config=ExplorationConfig(max_nodes=400), obs=obs,
+            )
         self._assert_partial(info.value)
         assert info.value.progress.run == "deadline"
 
     def test_ranked(self):
-        obs = Observability(budget=ExplorationBudget(max_nodes=80))
+        obs = Observability(progress=ProgressTracker())
         with pytest.raises(BudgetExceededError) as info:
-            generate_ranked(
-                brandeis_catalog(),
-                START,
-                brandeis_major_goal(),
-                END,
-                k=10,
-                ranking=TimeRanking(),
-                obs=obs,
-            )
+            _ranked_run(ExplorationConfig(max_nodes=80), obs)
         self._assert_partial(info.value)
         assert info.value.progress.run == "ranked"
 
     def test_frontier(self):
-        # The frontier DP counts one node per decided state.
-        obs = Observability(budget=ExplorationBudget(max_nodes=20))
+        # max_nodes bounds the frontier DP's distinct states.
+        obs = Observability(progress=ProgressTracker())
         with pytest.raises(BudgetExceededError) as info:
-            frontier_count_goal_paths(
-                brandeis_catalog(), START, brandeis_major_goal(), END, obs=obs
-            )
+            _frontier_run(ExplorationConfig(max_nodes=20), obs)
         self._assert_partial(info.value)
         assert info.value.progress.run == "frontier_goal"
-        assert info.value.partial_stats.nodes_created == 21
+        assert info.value.observed == 21
 
     def test_deadline_dag(self):
         # The deadline frontier walks the merged DAG one layer at a time.
-        obs = Observability(budget=ExplorationBudget(max_nodes=50))
+        obs = Observability(progress=ProgressTracker())
         with pytest.raises(BudgetExceededError) as info:
-            frontier_count_deadline_paths(brandeis_catalog(), START, END, obs=obs)
+            frontier_count_deadline_paths(
+                brandeis_catalog(), START, END,
+                config=ExplorationConfig(max_nodes=50), obs=obs,
+            )
         self._assert_partial(info.value)
         assert info.value.progress.run == "frontier_deadline"
 
     def test_wall_budget_on_real_run(self):
-        obs = Observability(budget=ExplorationBudget(wall_seconds=0.0))
+        obs = Observability(progress=ProgressTracker())
         with pytest.raises(BudgetExceededError) as info:
-            generate_deadline_driven(brandeis_catalog(), START, END, obs=obs)
+            generate_deadline_driven(
+                brandeis_catalog(), START, END,
+                config=ExplorationConfig(max_wall_seconds=0.0), obs=obs,
+            )
         assert info.value.kind == "wall seconds"
         assert info.value.progress is not None
 
@@ -457,14 +502,14 @@ class TestGeneratorBudgets:
 
 class TestCancellation:
     def test_cancel_mid_run_from_another_thread(self):
-        budget = ExplorationBudget()
-        obs = Observability(budget=budget)
-        timer = threading.Timer(0.05, budget.cancel, args=("reaper",))
+        tracker = ProgressTracker()
+        obs = Observability(progress=tracker)
+        timer = threading.Timer(0.05, tracker.cancel, args=("reaper",))
         timer.daemon = True
         timer.start()
         try:
-            # Unbudgeted, this horizon runs for minutes; cancellation must
-            # kill it within a tick of the timer firing.
+                # Unlimited, this horizon runs for minutes; cancellation must
+            # kill it within a node of the timer firing.
             with pytest.raises(RunCancelledError) as info:
                 generate_deadline_driven(brandeis_catalog(), LONG_START, END, obs=obs)
         finally:
@@ -474,20 +519,21 @@ class TestCancellation:
         assert info.value.progress.nodes_seen > 0
 
     def test_watchdog_reaps_a_runaway_run(self):
-        budget = ExplorationBudget()
-        obs = Observability(budget=budget)
-        with Watchdog(budget, timeout=0.05):
+        tracker = ProgressTracker()
+        obs = Observability(progress=tracker)
+        with Watchdog(tracker, timeout=0.05):
             with pytest.raises(RunCancelledError) as info:
                 generate_deadline_driven(brandeis_catalog(), LONG_START, END, obs=obs)
         assert "watchdog timeout" in info.value.reason
 
     def test_watchdog_close_disarms(self):
-        budget = ExplorationBudget()
-        watchdog = Watchdog(budget, timeout=0.01).start()
+        tracker = ProgressTracker()
+        watchdog = Watchdog(tracker, timeout=0.01).start()
         watchdog.close()
         time.sleep(0.03)
-        budget.tick()  # must not raise: the timer was cancelled
-        assert budget.cancelled is None
+        assert tracker.cancelled is None  # the timer was cancelled
+        # ...so a run on the tracker completes.
+        assert _frontier_run(None, Observability(progress=tracker)).path_count == 905
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +587,9 @@ class TestMetricsServer:
         registry = MetricsRegistry()
         registry.counter("unit_total", "test counter").inc(3)
         tracker = ProgressTracker()
-        tracker.begin_run("served", horizon=2)
+        tracker.begin_run("served", horizon=2, budget={"max_nodes": 99})
         tracker.record_expanded(0, 2)
-        budget = ExplorationBudget(max_nodes=99)
-        with MetricsServer(registry=registry, progress=tracker, budget=budget) as server:
+        with MetricsServer(registry=registry, progress=tracker) as server:
             status, ctype, body = _get(server.url + "/metrics")
             assert status == 200
             assert ctype.startswith("text/plain")

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis import replan
-from repro.core import TimeRanking, generate_ranked
+from repro.core import ExplorationConfig, TimeRanking, generate_ranked
 from repro.data import brandeis_catalog, brandeis_major_goal, start_term_for_semesters
 from repro.data.brandeis import EVALUATION_END_TERM
-from repro.errors import ExplorationError
+from repro.errors import BudgetExceededError, ExplorationError
 from repro.requirements import CourseSetGoal
 from repro.semester import Term
 
@@ -76,6 +76,24 @@ class TestReplanOnFig3:
         )
         assert result.recoverable
         assert "29A" not in result.repaired.courses_taken()
+
+    @pytest.mark.parametrize(
+        "config, kind",
+        [
+            (ExplorationConfig(max_nodes=1), "nodes"),
+            (ExplorationConfig(max_wall_seconds=0.0), "wall seconds"),
+        ],
+    )
+    def test_avoid_dropped_keeps_the_run_limits(self, fig3_catalog, original, config, kind):
+        with pytest.raises(BudgetExceededError) as info:
+            replan(
+                fig3_catalog, CourseSetGoal({"11A", "21A"}), original,
+                disrupted_term=F11, deadline=S13,
+                dropped_courses={"29A"},
+                avoid_dropped=True,
+                config=config,
+            )
+        assert info.value.kind == kind
 
     def test_unplanned_term_rejected(self, fig3_catalog, original):
         with pytest.raises(ExplorationError, match="not a planned term"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import DeterministicOfferings
 from repro.core import TimeRanking, generate_deadline_driven, generate_ranked
+from repro.errors import InvalidConfigError
 from repro.requirements import CourseSetGoal
 from repro.system import render_graph, render_path, render_path_table, render_ranked
 
@@ -50,6 +51,11 @@ class TestRenderPathTable:
 
     def test_empty(self):
         assert render_path_table([]) == "(no paths)"
+        assert render_path_table([], limit=0) == "(no paths)"
+
+    def test_negative_limit_rejected(self, paths):
+        with pytest.raises(InvalidConfigError, match="got -1"):
+            render_path_table(paths, limit=-1)
 
 
 class TestRenderRanked:
@@ -83,3 +89,9 @@ class TestRenderGraph:
     def test_bad_type(self):
         with pytest.raises(TypeError):
             render_graph([1, 2])
+
+    def test_negative_truncation_rejected(self, fig3_catalog):
+        graph = generate_deadline_driven(fig3_catalog, F11, S13).graph
+        assert "truncated" in render_graph(graph, max_nodes=0)
+        with pytest.raises(InvalidConfigError, match="got -1"):
+            render_graph(graph, max_nodes=-1)
