@@ -94,7 +94,8 @@ def grow_tree(step: NodeStep) -> LearningGraph:
     """Depth-first tree traversal: one :class:`LearningGraph` node per
     expansion, each decided by ``step`` (the deadline- and goal-driven
     engines differ only in their step).  ``config.max_nodes`` bounds the
-    tree's size, raising :class:`~repro.errors.BudgetExceededError`."""
+    tree's size, raising :class:`~repro.errors.BudgetExceededError` with
+    ``observed = max_nodes + 1`` (the node it refused)."""
     expander = step.expander
     max_nodes = step.config.max_nodes
     stats = step.stats
@@ -121,7 +122,7 @@ def grow_tree(step: NodeStep) -> LearningGraph:
                     status, required_minimum=step.floor
                 ):
                     if max_nodes is not None and graph.num_nodes >= max_nodes:
-                        raise step.exceeded("nodes", max_nodes, graph.num_nodes)
+                        raise step.exceeded("nodes", max_nodes, graph.num_nodes + 1)
                     child_id = graph.add_child(node_id, selection, child_status)
                     stats.record_node()
                     stats.record_edge()

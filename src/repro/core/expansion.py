@@ -7,11 +7,17 @@ option-set computation, the per-term cap, avoid-lists, the empty-selection
 policy, and the schedule override — so the algorithms differ only in
 *which* nodes they expand and when they stop.  Its statuses derive ``Y``
 on first read, so only expanded nodes pay for their option set.
+
+Many nodes of one run share an option set (Table 1 at 5 semesters
+expands 1,507 nodes with 57 distinct ``Y``), so each expander keeps the
+selection list of every ``(Y, floor)`` it enumerated in a memo bounded by
+:data:`SELECTION_MEMO_SIZE` selections; children with equal moves share
+one selection frozenset.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, FrozenSet, Iterator, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterator, Tuple
 
 from ..catalog import Catalog, Schedule
 from ..graph.status import EnrollmentStatus
@@ -20,7 +26,14 @@ from .config import ExplorationConfig
 from .constraints import check_all
 from .options import has_relevant_future_offering, iter_selections
 
-__all__ = ["Expander"]
+__all__ = ["Expander", "SELECTION_MEMO_SIZE"]
+
+#: Selections one expander's memo holds at most, over all its entries
+#: (~1.7 MB of 3-course frozensets); the oldest entry is dropped first,
+#: and a list longer than the whole bound is not kept.
+SELECTION_MEMO_SIZE = 8192
+
+_NO_SELECTION: FrozenSet[str] = frozenset()
 
 
 class Expander:
@@ -60,6 +73,8 @@ class Expander:
                 "repro_option_sets_computed_total",
                 "eligible-course option sets computed by the expander",
             )
+        self._selection_memo: Dict[Tuple[FrozenSet[str], int], Tuple[FrozenSet[str], ...]] = {}
+        self._memo_held = 0
 
     @property
     def catalog(self) -> Catalog:
@@ -118,29 +133,42 @@ class Expander:
         Does **not** check the deadline — callers decide which nodes are
         terminal before asking for successors.
         """
-        m = self._config.max_courses_per_term
         constraints = self._config.constraints
-        floor = max(required_minimum, 0)
+        floor = required_minimum if required_minimum > 0 else 0
+        term = status.term
+        completed = status.completed
+        child_term = term + 1
+        deferred = EnrollmentStatus.deferred
         emitted_any = False
-        if status.options:
-            for selection in iter_selections(status.options, m, max(1, floor)):
-                if constraints and not check_all(
-                    constraints, selection, status.term, status
-                ):
+        options = status.options
+        if options:
+            for selection in self._selections(options, floor if floor > 1 else 1):
+                if constraints and not check_all(constraints, selection, term, status):
                     continue
                 emitted_any = True
-                yield selection, self._child(status, selection)
+                yield selection, deferred(child_term, completed | selection, self)
         if floor == 0 and self._empty_move_allowed(status, emitted_any):
-            empty = frozenset()
-            if not constraints or check_all(constraints, empty, status.term, status):
-                yield empty, self._child(status, empty)
+            if not constraints or check_all(constraints, _NO_SELECTION, term, status):
+                yield _NO_SELECTION, deferred(child_term, completed, self)
 
-    def _child(
-        self, status: EnrollmentStatus, selection: FrozenSet[str]
-    ) -> EnrollmentStatus:
-        return EnrollmentStatus.deferred(
-            status.term + 1, status.completed | selection, self
-        )
+    def _selections(
+        self, options: FrozenSet[str], minimum: int
+    ) -> Tuple[FrozenSet[str], ...]:
+        """Every selection ``W ⊆ options`` with ``minimum ≤ |W| ≤ m``, in
+        :func:`~repro.core.options.iter_selections` order, memoised."""
+        key = (options, minimum)
+        memo = self._selection_memo
+        selections = memo.get(key)
+        if selections is None:
+            selections = tuple(
+                iter_selections(options, self._config.max_courses_per_term, minimum)
+            )
+            if len(selections) <= SELECTION_MEMO_SIZE:
+                self._memo_held += len(selections)
+                while self._memo_held > SELECTION_MEMO_SIZE:
+                    self._memo_held -= len(memo.pop(next(iter(memo))))
+                memo[key] = selections
+        return selections
 
     def _empty_move_allowed(self, status: EnrollmentStatus, has_nonempty: bool) -> bool:
         policy = self._config.empty_selection

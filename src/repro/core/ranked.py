@@ -151,6 +151,9 @@ def generate_ranked(
     expander = step.expander
     stats = step.stats
     obs = step.obs
+    # Edge costs and bounds run once per child: with observability off
+    # they are called outside any (no-op) ``rank`` scope.
+    timed = obs.enabled
     scope = step.start(_SearchNode.describe, k=k)
     recording = step.recording
     root_status = expander.initial_status(step.start_term, step.completed)
@@ -189,7 +192,10 @@ def generate_ranked(
                 for selection, child_status in expander.successors(
                     status, required_minimum=step.floor
                 ):
-                    with obs.phase("rank"):
+                    if timed:
+                        with obs.phase("rank"):
+                            edge_cost = ranking.edge_cost(selection, status.term)
+                    else:
                         edge_cost = ranking.edge_cost(selection, status.term)
                     if edge_cost < 0:
                         raise ExplorationError(
@@ -198,7 +204,10 @@ def generate_ranked(
                         )
                     if math.isinf(edge_cost):
                         continue  # impossible edge (e.g. zero offering probability)
-                    with obs.phase("rank"):
+                    if timed:
+                        with obs.phase("rank"):
+                            bound = ranking.remaining_cost_bound(child_status, goal, config)
+                    else:
                         bound = ranking.remaining_cost_bound(child_status, goal, config)
                     if math.isinf(bound):
                         continue  # goal unreachable from the child

@@ -27,7 +27,7 @@ thread stops the run at its next node with
 
 The run scope :meth:`NodeStep.start` returns also pauses CPython's cyclic
 garbage collector.  A run allocates tens of thousands of long-lived
-containers (statuses, frozensets, child lists, heap entries) and frees
+containers (statuses, frozensets, heap entries, search nodes) and frees
 them by reference counting; it makes no cyclic garbage, so the
 generational passes its allocations trigger only rescan live state.  The
 pause is process-wide and counted, so nested runs and runs overlapping in
@@ -57,7 +57,6 @@ from ..errors import (
 from ..graph.status import EnrollmentStatus
 from ..obs.explain import DecisionEvent
 from ..obs.runtime import NULL_OBSERVABILITY, Observability
-from ..obs.tracing import NULL_SPAN
 from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
@@ -375,18 +374,20 @@ class NodeStep:
     def _pruned(self, status: EnrollmentStatus, ref: Any) -> bool:
         obs = self.obs
         recorder = self._recorder
-        # Not calling a disabled bundle's phase() saves its **attributes dict.
-        with obs.phase("prune") if obs.enabled else NULL_SPAN:
-            if recorder is None:
-                firing = first_firing_pruner(self.pruners, status, obs)
-                name = firing.name if firing is not None else None
-                verdicts = None
-            else:
-                firing, found = examine_pruners(self.pruners, status, obs)
-                name = firing.name if firing is not None else None
-                verdicts = tuple(verdict.as_dict() for verdict in found)
-        if name is None:
+        verdicts = None
+        if not obs.enabled:
+            # A disabled bundle times nothing and has no recorder: no scope.
+            firing = first_firing_pruner(self.pruners, status)
+        else:
+            with obs.phase("prune"):
+                if recorder is None:
+                    firing = first_firing_pruner(self.pruners, status, obs)
+                else:
+                    firing, found = examine_pruners(self.pruners, status, obs)
+                    verdicts = tuple(verdict.as_dict() for verdict in found)
+        if firing is None:
             return False
+        name = firing.name
         self.stats.record_terminal("pruned")
         self.stats.record_prune(name)
         if self._progress is not None:
@@ -401,9 +402,11 @@ class NodeStep:
         self.stats.record_terminal(kind)
         progress = self._progress
         if progress is not None:
-            progress.record_terminal(kind, int(status.term - self.start_term))
-            if kind in self.outputs:
-                progress.record_emit(multiplicity)
+            progress.record_terminal(
+                kind,
+                int(status.term - self.start_term),
+                emitted=multiplicity if kind in self.outputs else 0,
+            )
         if self._recorder is not None:
             self._record(ref, status, kind, None, None, None)
         return kind

@@ -17,6 +17,11 @@ mark why expansion stopped there:
 * ``"pruned"`` — a pruning strategy cut the subtree (goal-driven only;
   pruned leaves are *not* output paths).
 
+Nodes keep only their parent; the children index (``children``,
+``out_degree``, ``leaf_ids``) is built from the parent array on first read
+and dropped when a node is added, so growing a tree keeps no child list
+per node.
+
 The tree representation is deliberately faithful to the paper — including
 its memory behaviour.  Use the frontier DP (:mod:`repro.core.frontier`)
 when you only need path counts at large horizons.
@@ -44,8 +49,10 @@ class LearningGraph:
         self._statuses: List[EnrollmentStatus] = [root]
         self._parents: List[Optional[int]] = [None]
         self._selections: List[FrozenSet[str]] = [frozenset()]  # edge *into* node
-        self._children: List[List[int]] = [[]]
         self._terminal: Dict[int, str] = {}
+        #: ``parent id -> child ids`` (creation order) for nodes with
+        #: children; derived from ``_parents`` on first read.
+        self._child_index: Optional[Dict[int, List[int]]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -59,32 +66,52 @@ class LearningGraph:
     ) -> int:
         """Create a node for ``status`` reached from ``parent_id`` by
         electing ``selection``; returns the new node id."""
-        self._check_id(parent_id)
-        node_id = len(self._statuses)
-        self._statuses.append(status)
+        # The engines call this, mark_terminal and status once per node,
+        # so they check the id inline rather than through _check_id.
+        statuses = self._statuses
+        node_id = len(statuses)
+        if not 0 <= parent_id < node_id:
+            raise self._no_node(parent_id)
+        statuses.append(status)
         self._parents.append(parent_id)
         self._selections.append(frozenset(selection))
-        self._children.append([])
-        self._children[parent_id].append(node_id)
+        self._child_index = None
         return node_id
 
     def mark_terminal(self, node_id: int, kind: str) -> None:
         """Tag ``node_id`` with a terminal kind (see module docstring)."""
-        self._check_id(node_id)
+        if not 0 <= node_id < len(self._statuses):
+            raise self._no_node(node_id)
         if kind not in TERMINAL_KINDS:
             raise ValueError(f"unknown terminal kind {kind!r}; expected {TERMINAL_KINDS}")
         self._terminal[node_id] = kind
 
     def _check_id(self, node_id: int) -> None:
         if not 0 <= node_id < len(self._statuses):
-            raise IndexError(f"no node {node_id} (graph has {len(self._statuses)})")
+            raise self._no_node(node_id)
+
+    def _no_node(self, node_id: int) -> IndexError:
+        return IndexError(f"no node {node_id} (graph has {len(self._statuses)})")
+
+    def _children_of(self) -> Dict[int, List[int]]:
+        """The children index, built from the parent array if stale."""
+        index = self._child_index
+        if index is None:
+            index = {}
+            for node_id, parent in enumerate(self._parents):
+                if parent is not None:
+                    index.setdefault(parent, []).append(node_id)
+            self._child_index = index
+        return index
 
     # -- queries -------------------------------------------------------------------
 
     def status(self, node_id: int) -> EnrollmentStatus:
         """The enrollment status stored at ``node_id``."""
-        self._check_id(node_id)
-        return self._statuses[node_id]
+        statuses = self._statuses
+        if not 0 <= node_id < len(statuses):
+            raise self._no_node(node_id)
+        return statuses[node_id]
 
     def parent(self, node_id: int) -> Optional[int]:
         """Parent node id (``None`` for the root)."""
@@ -100,12 +127,12 @@ class LearningGraph:
     def children(self, node_id: int) -> Tuple[int, ...]:
         """Ids of the node's children, in creation order."""
         self._check_id(node_id)
-        return tuple(self._children[node_id])
+        return tuple(self._children_of().get(node_id, ()))
 
     def out_degree(self, node_id: int) -> int:
         """Number of children."""
         self._check_id(node_id)
-        return len(self._children[node_id])
+        return len(self._children_of().get(node_id, ()))
 
     def terminal_kind(self, node_id: int) -> Optional[str]:
         """The node's terminal tag, or ``None`` if it is interior/unmarked."""
@@ -141,8 +168,9 @@ class LearningGraph:
 
     def leaf_ids(self) -> Iterator[int]:
         """Ids of all nodes with no children."""
-        for node_id, children in enumerate(self._children):
-            if not children:
+        index = self._children_of()
+        for node_id in range(len(self._statuses)):
+            if node_id not in index:
                 yield node_id
 
     def terminal_ids(self, *kinds: str) -> Iterator[int]:

@@ -62,10 +62,10 @@ class EnrollmentStatus:
             raise ValueError(
                 f"options may not include completed courses: {sorted(overlap)}"
             )
-        object.__setattr__(self, "term", term)
-        object.__setattr__(self, "completed", completed)
-        object.__setattr__(self, "_options", options)
-        object.__setattr__(self, "_expander", None)
+        _set_term(self, term)
+        _set_completed(self, completed)
+        _set_options(self, options)
+        _set_expander(self, None)
 
     @classmethod
     def deferred(
@@ -74,11 +74,11 @@ class EnrollmentStatus:
         """A status whose ``Y`` is ``expander.options(completed, term)``
         (a :class:`~repro.core.expansion.Expander`), derived on first read
         of :attr:`options`; ``completed`` must already be a frozenset."""
-        status = object.__new__(cls)
-        object.__setattr__(status, "term", term)
-        object.__setattr__(status, "completed", completed)
-        object.__setattr__(status, "_options", None)
-        object.__setattr__(status, "_expander", expander)
+        status = _new(cls)
+        _set_term(status, term)
+        _set_completed(status, completed)
+        _set_options(status, None)
+        _set_expander(status, expander)
         return status
 
     @property
@@ -87,8 +87,8 @@ class EnrollmentStatus:
         options = self._options
         if options is None:
             options = self._expander.options(self.completed, self.term)
-            object.__setattr__(self, "_options", options)
-            object.__setattr__(self, "_expander", None)
+            _set_options(self, options)
+            _set_expander(self, None)
         return options
 
     # -- frozen semantics ----------------------------------------------------
@@ -149,3 +149,13 @@ class EnrollmentStatus:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+# The slots' member descriptors store a value without a trip through the
+# (blocking) ``__setattr__`` or the generic attribute lookup that
+# ``object.__setattr__`` makes; the expander builds a status per tree node.
+_new = object.__new__
+_set_term = EnrollmentStatus.term.__set__
+_set_completed = EnrollmentStatus.completed.__set__
+_set_options = EnrollmentStatus._options.__set__
+_set_expander = EnrollmentStatus._expander.__set__

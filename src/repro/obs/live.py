@@ -223,14 +223,19 @@ class ProgressTracker:
                 self._depth = depth
             self._generation += 1
 
-    def record_terminal(self, kind: str, depth: int) -> None:
-        """One terminal node of ``kind`` at ``depth``."""
+    def record_terminal(self, kind: str, depth: int, emitted: int = 0) -> None:
+        """One terminal node of ``kind`` at ``depth``; a positive
+        ``emitted`` also records that many output paths, under the same lock
+        and advancing :attr:`generation` as :meth:`record_emit` would."""
         with self._lock:
             self._terminals[kind] = self._terminals.get(kind, 0) + 1
             self._terminal_by_depth[depth] = self._terminal_by_depth.get(depth, 0) + 1
             if depth > self._depth:
                 self._depth = depth
             self._generation += 1
+            if emitted:
+                self._paths_emitted += emitted
+                self._generation += 1
 
     def record_emit(self, count: int = 1) -> None:
         """``count`` output paths emitted."""

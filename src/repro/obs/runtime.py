@@ -64,14 +64,13 @@ _ACTIVE: "ContextVar[Optional[Observability]]" = ContextVar(
 )
 
 
-def current_observability() -> "Optional[Observability]":
-    """The bundle of the innermost active ``run()`` scope, if any.
-
-    Only enabled bundles publish themselves, so a ``None`` answer is the
-    common (and cheapest) case; callers should fall straight through to
-    the uninstrumented path on it.
-    """
-    return _ACTIVE.get()
+#: ``current_observability()``: the bundle of the innermost active
+#: ``run()`` scope, if any.  Only enabled bundles publish themselves, so a
+#: ``None`` answer is the common case; callers should fall straight
+#: through to the uninstrumented path on it.  It is the context
+#: variable's own C-level ``get``, so every goal query that asks costs no
+#: Python frame.
+current_observability = _ACTIVE.get
 
 
 class _Activation:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from .errors import ScheduleParseError
@@ -139,7 +138,6 @@ def _expand_year(raw: str) -> int:
     return year
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Term:
     """One academic term, e.g. ``Term(2011, "Fall")``.
@@ -149,10 +147,12 @@ class Term:
     calendar at construction time, so ``Term(2011, "fall") == Term(2011,
     "Fall")``.
 
-    The term's ordinal is computed once at construction and kept outside
-    the dataclass fields, so comparisons and arithmetic are O(1) while
-    ``repr``, equality and hashing still see only ``year``, ``season`` and
-    ``calendar``.
+    The term's ordinal and hash are computed once at construction and kept
+    outside the dataclass fields, so comparisons, arithmetic and hashing
+    are O(1) while ``repr``, equality and the hash value still see only
+    ``year``, ``season`` and ``calendar``.  Each of the four orderings is
+    one call: a non-``Term`` operand gets ``NotImplemented`` and a term on
+    another calendar raises :class:`ValueError`.
     """
 
     year: int
@@ -167,6 +167,17 @@ class Term:
         if not isinstance(self.year, int):
             raise TypeError(f"year must be an int, got {self.year!r}")
         object.__setattr__(self, "_ordinal", self.year * len(self.calendar) + index)
+        # The value the dataclass hash would compute, paid once: terms are
+        # hashed on every status hash and schedule lookup.
+        object.__setattr__(self, "_hash", hash((self.year, self.season, self.calendar)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes differ between
+        # processes, so a pickled ``_hash`` would be stale.
+        return (self.__class__, (self.year, self.season, self.calendar))
 
     # -- ordinal arithmetic -------------------------------------------------
 
@@ -232,6 +243,27 @@ class Term:
         if other.calendar is not self.calendar:
             self._check_same_calendar(other)
         return self._ordinal < other._ordinal
+
+    def __le__(self, other: "Term") -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        if other.calendar is not self.calendar:
+            self._check_same_calendar(other)
+        return self._ordinal <= other._ordinal
+
+    def __gt__(self, other: "Term") -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        if other.calendar is not self.calendar:
+            self._check_same_calendar(other)
+        return self._ordinal > other._ordinal
+
+    def __ge__(self, other: "Term") -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        if other.calendar is not self.calendar:
+            self._check_same_calendar(other)
+        return self._ordinal >= other._ordinal
 
     # -- formatting / parsing -------------------------------------------------
 

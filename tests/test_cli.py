@@ -127,6 +127,22 @@ class TestGoalCommand:
         assert code == 0
         assert "905 goal paths" in out
 
+    def test_tree_max_nodes_reports_the_refused_node(self, capsys):
+        # The tree stops before its 101st node, like the frontier and ranked
+        # engines, and reports that node.
+        code, out, err = run_cli(
+            capsys,
+            "goal",
+            "--start", "Fall 2013",
+            "--end", "Fall 2015",
+            "--max-nodes", "100",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: exploration budget exceeded: nodes limit 100 reached (observed 101)"
+        ]
+
     def test_count_only_max_nodes(self, capsys):
         # Table 1 at 4 semesters visits 4,716 distinct statuses.
         code, out, err = run_cli(

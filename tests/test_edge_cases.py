@@ -12,6 +12,8 @@ from repro.core import (
     generate_goal_driven,
     generate_ranked,
 )
+from repro.data import brandeis_catalog, brandeis_major_goal, start_term_for_semesters
+from repro.data.brandeis import EVALUATION_END_TERM
 from repro.errors import BudgetExceededError
 from repro.requirements import CourseSetGoal, DegreeGoal, RequirementGroup
 from repro.semester import AcademicCalendar, Term
@@ -96,6 +98,36 @@ class TestBudgets:
                 fig3_catalog, F11, GOAL, S13, max_frontier=1
             )
         assert excinfo.value.kind == "frontier states"
+
+
+class TestNodeLimitReport:
+    """Every engine reports the node it refused: ``observed = max_nodes + 1``."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda catalog, start, goal, end, config: generate_goal_driven(
+                catalog, start, goal, end, config=config
+            ),
+            lambda catalog, start, goal, end, config: generate_ranked(
+                catalog, start, goal, end, 1000, TimeRanking(), config=config
+            ),
+            lambda catalog, start, goal, end, config: frontier_count_goal_paths(
+                catalog, start, goal, end, config=config
+            ),
+        ],
+        ids=["tree", "ranked", "frontier"],
+    )
+    @pytest.mark.parametrize("limit", [1, 2, 100])
+    def test_observed_is_the_refused_node(self, run, limit):
+        catalog = brandeis_catalog()
+        start = start_term_for_semesters(4)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            run(catalog, start, brandeis_major_goal(), EVALUATION_END_TERM,
+                ExplorationConfig(max_nodes=limit))
+        error = excinfo.value
+        assert (error.kind, error.limit, error.observed) == ("nodes", limit, limit + 1)
+        assert error.partial_stats is not None
 
 
 class TestDeterminism:

@@ -103,6 +103,23 @@ class TestProgressTracker:
             assert tracker.generation == last + 1
             last = tracker.generation
 
+    def test_terminal_with_emit_is_one_update_equal_to_two(self):
+        # An output terminal records its emitted paths under the same lock;
+        # the snapshot, generation included, equals the two separate calls.
+        clock = lambda: 0.0  # noqa: E731
+        folded, split = ProgressTracker(clock=clock), ProgressTracker(clock=clock)
+        for tracker in (folded, split):
+            tracker.begin_run("unit", horizon=3)
+            tracker.record_expanded(0, 2)
+        folded.record_terminal("goal", 1, emitted=3)
+        folded.record_terminal("deadline", 2)
+        split.record_terminal("goal", 1)
+        split.record_emit(3)
+        split.record_terminal("deadline", 2)
+        assert folded.snapshot() == split.snapshot()
+        assert folded.generation == split.generation == 4
+        assert folded.snapshot().paths_emitted == 3
+
     def test_begin_run_resets_counters(self):
         tracker = ProgressTracker()
         tracker.begin_run("first", horizon=2)

@@ -11,7 +11,14 @@ from repro.core import (
     generate_goal_driven,
     generate_ranked,
 )
+from repro.core import expansion
 from repro.core.config import ExplorationConfig
+from repro.core.constraints import (
+    ForbiddenCombination,
+    MaxWorkloadPerTerm,
+    TermBlackout,
+    check_all,
+)
 from repro.core.expansion import Expander
 from repro.core.options import (
     has_relevant_future_offering,
@@ -193,6 +200,132 @@ class TestExpander:
         )
         root = expander.initial_status(F11)
         assert root.options == {"11A"}
+
+
+def _reference_successors(expander, status, floor):
+    """``(selection, child term, child completed)`` for every legal move,
+    enumerated afresh: the behaviour the selection memo must keep."""
+    config = expander.config
+    moves = []
+    if status.options:
+        for selection in iter_selections(
+            status.options, config.max_courses_per_term, max(1, floor)
+        ):
+            if check_all(config.constraints, selection, status.term, status):
+                moves.append(selection)
+    if floor <= 0:
+        policy = config.empty_selection
+        allowed = policy == "always" or (
+            policy == "auto"
+            and not moves
+            and has_relevant_future_offering(
+                expander.catalog,
+                status.completed,
+                status.term,
+                expander.end_term,
+                exclude=config.avoid_courses,
+                schedule=expander.schedule,
+            )
+        )
+        if allowed and check_all(config.constraints, frozenset(), status.term, status):
+            moves.append(frozenset())
+    return [(move, status.term + 1, status.completed | move) for move in moves]
+
+
+def _moves(expander, status, floor):
+    return [
+        (selection, child.term, child.completed)
+        for selection, child in expander.successors(status, required_minimum=floor)
+    ]
+
+
+def _memo_configs():
+    catalog = brandeis_catalog()
+    start = start_term_for_semesters(3)
+    return {
+        "auto": ExplorationConfig(),
+        "never": ExplorationConfig(empty_selection="never"),
+        "always": ExplorationConfig(empty_selection="always"),
+        "m2-avoid": ExplorationConfig(
+            max_courses_per_term=2, avoid_courses=frozenset({"COSI 21a"})
+        ),
+        "constraints": ExplorationConfig(
+            constraints=(
+                MaxWorkloadPerTerm(catalog, 30),
+                ForbiddenCombination(["COSI 11a", "COSI 12b"]),
+                TermBlackout([start + 1]),
+            )
+        ),
+        "blackout-always": ExplorationConfig(
+            empty_selection="always", constraints=(TermBlackout([start]),)
+        ),
+    }
+
+
+class TestSelectionMemo:
+    """Each expander memoises the selection list of every ``(Y, floor)``;
+    successors must equal the plain enumeration with the memo cold and
+    warm, and equal moves must share one selection object."""
+
+    CONFIGS = _memo_configs()
+
+    @staticmethod
+    def _statuses(config):
+        catalog = brandeis_catalog()
+        start = start_term_for_semesters(3)
+        graph = generate_deadline_driven(
+            catalog, start, EVALUATION_END_TERM, config=config
+        ).graph
+        return catalog, [graph.status(node_id) for node_id in graph.node_ids()]
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_successors_match_plain_enumeration_cold_and_warm(self, name):
+        config = self.CONFIGS[name]
+        catalog, statuses = self._statuses(config)
+        assert len(statuses) > 100
+        floors = range(-1, config.max_courses_per_term + 2)
+        warm = Expander(catalog, EVALUATION_END_TERM, config)
+        for status in statuses:
+            for floor in floors:
+                expected = _reference_successors(warm, status, floor)
+                cold = Expander(catalog, EVALUATION_END_TERM, config)
+                assert _moves(cold, status, floor) == expected
+                first = _moves(warm, status, floor)
+                again = _moves(warm, status, floor)
+                assert first == again == expected
+                assert all(a[0] is b[0] for a, b in zip(first, again))
+
+    def test_equal_option_sets_share_selections(self):
+        config = ExplorationConfig()
+        catalog, statuses = self._statuses(config)
+        expander = Expander(catalog, EVALUATION_END_TERM, config)
+        by_options = {}
+        shared = 0
+        for status in statuses:
+            if not status.options:
+                continue
+            selections = [selection for selection, _ in expander.successors(status)]
+            earlier = by_options.setdefault(status.options, selections)
+            if earlier is not selections:
+                shared += 1
+                assert all(a is b for a, b in zip(earlier, selections))
+        assert shared > 0
+
+    @pytest.mark.parametrize("bound", [1, 7, 40])
+    def test_memo_never_exceeds_its_bound(self, monkeypatch, bound):
+        monkeypatch.setattr(expansion, "SELECTION_MEMO_SIZE", bound)
+        config = ExplorationConfig()
+        catalog, statuses = self._statuses(config)
+        expander = Expander(catalog, EVALUATION_END_TERM, config)
+        memo = expander._selection_memo
+        for status in statuses:
+            for floor in (0, 2):
+                assert _moves(expander, status, floor) == _reference_successors(
+                    expander, status, floor
+                )
+                held = sum(len(selections) for selections in memo.values())
+                assert held == expander._memo_held <= bound
+        assert memo  # some option set's list fits even the smallest bound
 
 
 class TestOptionsOnFirstRead:

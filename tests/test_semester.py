@@ -2,11 +2,15 @@
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.errors import ScheduleParseError
 from repro.semester import (
     SPRING_FALL,
@@ -207,9 +211,10 @@ class TestTermRoundTrips:
             lambda a, b: a < b,
             lambda a, b: a > b,
             lambda a, b: a <= b,
+            lambda a, b: a >= b,
             lambda a, b: a - b,
         ],
-        ids=["lt", "gt", "le", "sub"],
+        ids=["lt", "gt", "le", "ge", "sub"],
     )
     def test_mixed_calendars_raise(self, operation):
         two = Term(2011, "Fall")
@@ -218,6 +223,97 @@ class TestTermRoundTrips:
             operation(two, three)
         with pytest.raises(ValueError, match="different calendars"):
             operation(three, two)
+
+
+_ORDERINGS = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+class TestTermOrderingAndHash:
+    """The four orderings are written out (no total_ordering) and the hash
+    is computed once at construction."""
+
+    @pytest.mark.parametrize("method", _ORDERINGS)
+    @pytest.mark.parametrize("other", [5, "Fall 2011", None, 2011.5])
+    def test_non_term_operand_is_not_implemented(self, method, other):
+        term = Term(2011, "Fall")
+        assert getattr(term, method)(other) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda a, b: a < b,
+            lambda a, b: a <= b,
+            lambda a, b: a > b,
+            lambda a, b: a >= b,
+        ],
+        ids=["lt", "le", "gt", "ge"],
+    )
+    def test_non_term_operand_raises_type_error(self, operation):
+        with pytest.raises(TypeError):
+            operation(Term(2011, "Fall"), 5)
+        with pytest.raises(TypeError):
+            operation(5, Term(2011, "Fall"))
+
+    @pytest.mark.parametrize("method", _ORDERINGS)
+    def test_cross_calendar_raises(self, method):
+        two = Term(2011, "Fall")
+        three = Term(2011, "Fall", SPRING_SUMMER_FALL)
+        with pytest.raises(ValueError, match="different calendars"):
+            getattr(two, method)(three)
+
+    def test_orderings_follow_the_ordinal(self):
+        terms = [Term.from_ordinal(o) for o in range(4020, 4026)]
+        for a in terms:
+            for b in terms:
+                assert (a < b, a <= b, a > b, a >= b) == (
+                    a.ordinal < b.ordinal,
+                    a.ordinal <= b.ordinal,
+                    a.ordinal > b.ordinal,
+                    a.ordinal >= b.ordinal,
+                )
+
+    def test_hash_is_the_dataclass_field_hash(self):
+        for term in (Term(2013, "fall"), Term(2014, "Summer", SPRING_SUMMER_FALL)):
+            assert hash(term) == hash((term.year, term.season, term.calendar))
+
+    def test_interned_and_constructed_terms_agree(self):
+        constructed = Term(2013, "Fall")
+        interned = Term.from_ordinal(constructed.ordinal)
+        assert interned == constructed
+        assert hash(interned) == hash(constructed)
+        assert {constructed: "x"}[interned] == "x"
+        assert Term.from_ordinal(constructed.ordinal) is interned
+
+    @pytest.mark.parametrize(
+        "term",
+        [Term(2013, "Fall"), Term(2014, "Summer", SPRING_SUMMER_FALL), _SubTerm(2012, "Spring")],
+        ids=str,
+    )
+    def test_pickle_round_trip_keeps_hash_and_equality(self, term):
+        twin = pickle.loads(pickle.dumps(term))
+        assert type(twin) is type(term)
+        assert twin == term and hash(twin) == hash(term)
+        assert {term: 1}[twin] == 1
+
+    def test_unpickled_term_hashes_like_a_fresh_one_in_another_process(self):
+        # String hashes differ between processes, so a term pickled here
+        # must not carry this process's hash into one with another seed.
+        payload = pickle.dumps(
+            [Term(2013, "Fall"), Term(2014, "Summer", SPRING_SUMMER_FALL)]
+        ).hex()
+        script = (
+            "import pickle, sys\n"
+            "from repro.semester import SPRING_SUMMER_FALL, Term\n"
+            "terms = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "fresh = [Term(2013, 'Fall'), Term(2014, 'Summer', SPRING_SUMMER_FALL)]\n"
+            "assert terms == fresh\n"
+            "assert [hash(t) for t in terms] == [hash(t) for t in fresh]\n"
+            "assert all(t in set(fresh) for t in terms)\n"
+        )
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+            subprocess.run([sys.executable, "-c", script, payload], env=env, check=True)
 
 
 class TestTermParsing:
