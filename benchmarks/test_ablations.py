@@ -9,13 +9,10 @@ Not a paper table — these quantify the decisions DESIGN.md calls out:
    and both reversed — path output must be identical (soundness), work
    saved differs.
 3. **Strategic selection floor** (``enforce_min_selection``): on vs. off.
-4. **Max-flow solver**: Edmonds–Karp vs. Dinic on the degree-goal
-   requirement networks that ``left_i`` builds.
 """
 
 from __future__ import annotations
 
-import random
 import time
 
 import pytest
@@ -29,7 +26,6 @@ from repro.core.pruning import AvailabilityPruner, PruningContext, TimeBasedPrun
 from repro.core.stats import ExplorationStats
 from repro.data import start_term_for_semesters
 from repro.data.brandeis import EVALUATION_END_TERM
-from repro.requirements.flow import FlowNetwork
 
 from .conftest import report_rows
 
@@ -235,46 +231,6 @@ class TestSelectionFloorAblation:
         )
         assert results[True].path_count == results[False].path_count
         assert results[True].total_states <= results[False].total_states
-
-
-def _degree_flow_network(seed: int):
-    """A requirement network like DegreeGoal builds (7-core + 5-elective
-    shape) with a random completed subset."""
-    rng = random.Random(seed)
-    core = [f"core{i}" for i in range(7)]
-    electives = [f"elec{i}" for i in range(30)]
-    completed = rng.sample(core, rng.randint(0, 7)) + rng.sample(
-        electives, rng.randint(0, 12)
-    )
-    network = FlowNetwork()
-    network.add_node("src")
-    network.add_node("snk")
-    network.add_edge("g_core", "snk", 7)
-    network.add_edge("g_elec", "snk", 5)
-    for course in completed:
-        network.add_edge("src", course, 1)
-        network.add_edge(course, "g_core" if course.startswith("core") else "g_elec", 1)
-    return network
-
-
-class TestFlowSolverAblation:
-    def test_solvers_agree(self):
-        for seed in range(50):
-            network = _degree_flow_network(seed)
-            assert network.max_flow("src", "snk", method="dinic") == network.max_flow(
-                "src", "snk", method="edmonds_karp"
-            )
-
-    @pytest.mark.benchmark(group="ablation-flow")
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_bench_flow_solver(self, benchmark, method):
-        networks = [_degree_flow_network(seed) for seed in range(20)]
-
-        def run():
-            return sum(n.max_flow("src", "snk", method=method) for n in networks)
-
-        total = benchmark(run)
-        assert total >= 0
 
 
 @pytest.mark.benchmark(group="ablation-representation")

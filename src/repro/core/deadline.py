@@ -69,9 +69,9 @@ def generate_deadline_driven(
         Constraints (``m``, avoid-list, …); defaults match the paper's
         evaluation (``m = 3``).
     obs:
-        Optional :class:`~repro.obs.runtime.Observability`; when enabled,
-        the run emits a ``run:deadline`` span with ``expand`` phases and
-        records its decisions like the goal-driven run.
+        Optional :class:`~repro.obs.runtime.Observability`; when timed,
+        the run emits a ``run:deadline`` span with ``expand`` phases, and
+        it records its decisions like the goal-driven run.
 
     Returns
     -------

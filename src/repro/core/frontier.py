@@ -169,7 +169,8 @@ def frontier_count_goal_paths(
     ``max_frontier`` the widest layer, raising
     :class:`~repro.errors.BudgetExceededError` beyond either.  ``obs`` is an
     optional :class:`~repro.obs.runtime.Observability` bundle (span
-    ``run:frontier_goal`` with ``expand``/``merge``/``prune`` phases).
+    ``run:frontier_goal`` with ``expand``/``merge``/``prune``/``goal`` phases
+    when timed).
     """
     step = NodeStep(
         "frontier_goal", catalog, start_term, end_term, completed, config,

@@ -88,8 +88,8 @@ def generate_goal_driven(
         call's arguments.
     obs:
         Optional :class:`~repro.obs.runtime.Observability` bundle; when
-        enabled, the run emits a ``run:goal_driven`` span with nested
-        ``expand``/``prune``/``flow`` phases and publishes the finished
+        timed, the run emits a ``run:goal_driven`` span with nested
+        ``expand``/``prune``/``goal`` phases and publishes the finished
         stats to the metrics registry.
 
     Returns

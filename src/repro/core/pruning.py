@@ -294,13 +294,13 @@ def first_firing_pruner(
 ) -> Optional[Pruner]:
     """The first strategy (in list order) that prunes ``status``, if any.
 
-    ``obs`` is an optional enabled
-    :class:`~repro.obs.runtime.Observability`; when given, each strategy's
-    check is charged to its own ``prune:<name>`` phase (the §5.2 split,
-    but for *time spent* rather than subtrees cut).  The plain loop stays
-    untouched so the uninstrumented path pays nothing.
+    ``obs`` is an optional :class:`~repro.obs.runtime.Observability`; when
+    it is timed, each strategy's check is charged to its own
+    ``prune:<name>`` phase (the §5.2 split, but for *time spent* rather
+    than subtrees cut).  The plain loop stays untouched so the untimed
+    path pays nothing.
     """
-    if obs is not None and obs.enabled:
+    if obs is not None and obs.timed:
         for pruner in pruners:
             with obs.phase("prune:" + pruner.name):
                 fired = pruner.should_prune(status)
@@ -325,7 +325,7 @@ def examine_pruners(
     the boolean path; used only when decision recording is on.
     """
     verdicts: List[PruneVerdict] = []
-    instrumented = obs is not None and obs.enabled
+    instrumented = obs is not None and obs.timed
     for pruner in pruners:
         if instrumented:
             with obs.phase("prune:" + pruner.name):

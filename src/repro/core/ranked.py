@@ -125,7 +125,7 @@ def generate_ranked(
     pruners:
         As in goal-driven generation; ``None`` uses the paper's stack.
     obs:
-        Optional :class:`~repro.obs.runtime.Observability`; when enabled,
+        Optional :class:`~repro.obs.runtime.Observability`; when timed,
         the run emits a ``run:ranked`` span whose ``rank`` phases cover
         edge-cost and admissible-bound evaluation.
 
@@ -151,9 +151,9 @@ def generate_ranked(
     expander = step.expander
     stats = step.stats
     obs = step.obs
-    # Edge costs and bounds run once per child: with observability off
-    # they are called outside any (no-op) ``rank`` scope.
-    timed = obs.enabled
+    # Edge costs and bounds run once per child: in an untimed run they
+    # are called outside any (no-op) ``rank`` scope.
+    timed = obs.timed
     scope = step.start(_SearchNode.describe, k=k)
     recording = step.recording
     root_status = expander.initial_status(step.start_term, step.completed)

@@ -16,6 +16,14 @@ output paths; without one, every maximal path (``deadline`` and
 ``dead_end``) is.  With observability off the kernel allocates nothing per
 node: kinds are interned strings and the floor is an attribute.
 
+Whether a run is timed is one fact too, read once per run:
+:attr:`~repro.obs.runtime.Observability.timed`, true when a tracer or a
+metrics registry is attached.  A timed run wraps its goal before it
+builds the default pruners, so every goal query is charged to the
+``goal`` phase; an untimed run keeps the goal as given and enters no
+phase scope on the pruning path, whatever else (progress, decisions,
+memory capture) is attached.
+
 A run stops early through one path, :meth:`NodeStep.exceeded`: the
 traversal's own size limits (``config.max_nodes``, ``max_frontier``) and
 the wall-time and memory limits the kernel checks itself
@@ -132,6 +140,32 @@ def _process_memory_bytes() -> int:
         return 0
 
 
+class _TimedGoal(Goal):
+    """A timed run's goal: every query is charged to the ``goal`` phase,
+    whichever of the terminal test, the pruners or the ranking bounds asks."""
+
+    def __init__(self, goal: Goal, obs: Observability):
+        self._inner = goal
+        self._obs = obs
+
+    def is_satisfied(self, completed: AbstractSet[str]) -> bool:
+        with self._obs.phase("goal"):
+            return self._inner.is_satisfied(completed)
+
+    def remaining_courses(self, completed: AbstractSet[str]) -> float:
+        with self._obs.phase("goal"):
+            return self._inner.remaining_courses(completed)
+
+    def courses(self):
+        return self._inner.courses()
+
+    def describe(self) -> str:
+        return self._inner.describe()
+
+    def to_dict(self):
+        return self._inner.to_dict()
+
+
 #: ``describe(ref, kind) -> (node_id, parent_id, selection, extra_detail)``.
 Describe = Callable[[Any, str], Optional[Tuple[int, Optional[int], Tuple[str, ...], Any]]]
 
@@ -161,7 +195,7 @@ class NodeStep:
         "name", "start_term", "end_term", "completed", "config", "goal",
         "pruners", "obs", "stats", "pruning_stats", "expander",
         "outputs", "floor", "_time_pruner", "_describe", "_recorder",
-        "_progress", "_checks", "_started_at", "_decided",
+        "_progress", "_checks", "_started_at", "_decided", "_timed",
     )
 
     def __init__(
@@ -192,6 +226,10 @@ class NodeStep:
         )
         if ghosts:
             raise UnknownCourseError(min(ghosts), context="schedule entry")
+        obs = obs if obs is not None else NULL_OBSERVABILITY
+        timed = obs.timed
+        if goal is not None and timed:
+            goal = _TimedGoal(goal, obs)
         if goal is None:
             pruners = []
         elif pruners is None:
@@ -206,7 +244,8 @@ class NodeStep:
         self.config = config
         self.goal = goal
         self.pruners = pruners
-        self.obs = obs if obs is not None else NULL_OBSERVABILITY
+        self.obs = obs
+        self._timed = timed
         #: The terminal kinds that are the run's output paths.
         self.outputs = ("goal",) if goal is not None else ("deadline", "dead_end")
         self.floor = 0
@@ -372,13 +411,12 @@ class NodeStep:
     # -- recording -----------------------------------------------------------------
 
     def _pruned(self, status: EnrollmentStatus, ref: Any) -> bool:
-        obs = self.obs
         recorder = self._recorder
         verdicts = None
-        if not obs.enabled:
-            # A disabled bundle times nothing and has no recorder: no scope.
+        if recorder is None and not self._timed:
             firing = first_firing_pruner(self.pruners, status)
         else:
+            obs = self.obs
             with obs.phase("prune"):
                 if recorder is None:
                     firing = first_firing_pruner(self.pruners, status, obs)

@@ -58,11 +58,7 @@ from .profiling import (
     PhaseBreakdown,
     capture_peak_memory,
 )
-from .runtime import (
-    NULL_OBSERVABILITY,
-    Observability,
-    current_observability,
-)
+from .runtime import NULL_OBSERVABILITY, Observability
 from .server import PROMETHEUS_CONTENT_TYPE, MetricsServer
 from .tracing import (
     NULL_TRACER,
@@ -114,5 +110,4 @@ __all__ = [
     # bundle
     "Observability",
     "NULL_OBSERVABILITY",
-    "current_observability",
 ]

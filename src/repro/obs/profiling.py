@@ -1,20 +1,22 @@
 """Profiling hooks: per-phase time breakdown and peak-memory capture.
 
-The engine charges wall time to named **phases** while it runs:
+The engine charges wall time to named **phases** while a timed run goes
+(a tracer or a metrics registry attached):
 
 ========================  ====================================================
 ``expand``                successor generation + node/edge insertion
 ``prune``                 the whole pruning-strategy consultation for a node
 ``prune:time``            the time-based bound alone (inside ``prune``)
 ``prune:availability``    the availability bound alone (inside ``prune``)
-``flow``                  Ford–Fulkerson/Dinic ``left_i`` solves (inside
-                          whatever phase asked for them)
+``goal``                  every query of the run's goal: terminal test,
+                          ``left_i`` and best-case checks (inside whatever
+                          phase asked)
 ``rank``                  edge-cost + admissible-bound evaluation (ranked runs)
 ``merge``                 frontier-layer state merging (frontier DP runs)
 ========================  ====================================================
 
 Phase times are **inclusive** — ``prune`` contains its ``prune:*`` and any
-``flow`` time spent inside it — so sub-phases explain their parent rather
+``goal`` time spent inside it — so sub-phases explain their parent rather
 than summing with it.  :class:`PhaseBreakdown` is the cheap accumulator
 (one dict entry per phase).  Each phase entry is measured once (by its
 span when tracing is on), and that one value also feeds the

@@ -1,50 +1,32 @@
 """The engine-facing observability bundle.
 
 Generators take one optional :class:`Observability` object instead of
-separate tracer/metrics/profiler arguments.  It fans each phase out to
-whichever backends are attached:
-
-* a span per phase on the tracer (when tracing is enabled),
-* an observation in the per-phase duration histogram
-  ``repro_phase_duration_seconds{phase}`` (when a metrics registry is
-  attached),
-* an entry in the in-process :class:`~repro.obs.profiling.PhaseBreakdown`
-  (always, when the bundle is enabled at all).
+separate tracer/metrics/profiler arguments.  Each backend turns on only
+the work it reads (``docs/observability.md`` has the table).  A bundle is
+**timed** (:attr:`Observability.timed`) when a tracer is enabled or a
+metrics registry is attached: only then does ``phase()`` measure
+anything, feeding the tracer's spans, the
+``repro_phase_duration_seconds{phase}`` histogram and the in-process
+:class:`~repro.obs.profiling.PhaseBreakdown`.  Decision recording,
+progress and memory capture alone time nothing.  The engine decides once
+per run whether it is timed.
 
 Each phase entry is timed **once**: with tracing on, the span's own
 duration is the measurement; otherwise one ``perf_counter`` pair is.  All
-three backends receive that one value, so a phase's span durations,
+three consumers receive that one value, so a phase's span durations,
 histogram and breakdown agree exactly.  Run durations live in the
 ``run:*`` spans and ``repro_exploration_seconds_total``.
 
-``Observability()`` with no arguments is **disabled**: ``phase()`` and
-``run()`` return a shared no-op context manager and the engine's hot
-loops pay only a couple of attribute reads.  The engine never checks
-*which* backend is on — it just calls ``obs.phase("expand")``.
-
-A run scope (``with obs.run("goal_driven")``) additionally publishes the
-bundle through a :mod:`contextvars` variable so deeply nested code that
-the engine cannot thread arguments into — the max-flow solver inside
-:class:`~repro.requirements.goals.DegreeGoal` — can pick it up with
-:func:`current_observability` and charge its time to the ``flow`` phase.
-
-**Thread visibility.**  A run scope entered in one thread is *not*
-visible from another: each ``threading.Thread`` starts with a fresh
-:mod:`contextvars` context, so :func:`current_observability` answers
-``None`` there — by design, because the publication token, the tracer's
-span stack, and the phase breakdown are all single-thread state.  A
-worker thread that should report into an existing bundle must opt in
-explicitly with :meth:`Observability.activate`::
-
-    def worker():
-        with obs.activate():           # publish in *this* thread only
-            goal.remaining_courses(x)  # flow time now lands in the bundle
+``Observability()`` with no arguments is **disabled**
+(``enabled == False``): ``phase()`` and ``run()`` return a shared no-op
+context manager.  Nothing is published ambiently: a timed run charges its
+goal queries to the ``goal`` phase by wrapping the goal it was given (see
+:class:`~repro.core.step.NodeStep`).
 """
 
 from __future__ import annotations
 
 import time
-from contextvars import ContextVar
 from typing import Any, Dict, Optional
 
 from .explain import DecisionRecorder
@@ -53,42 +35,7 @@ from .metrics import Histogram, MetricsRegistry
 from .profiling import PHASE_METRIC_NAME, PhaseBreakdown, capture_peak_memory
 from .tracing import NULL_SPAN, NULL_TRACER, Tracer
 
-__all__ = [
-    "Observability",
-    "NULL_OBSERVABILITY",
-    "current_observability",
-]
-
-_ACTIVE: "ContextVar[Optional[Observability]]" = ContextVar(
-    "repro_active_observability", default=None
-)
-
-
-#: ``current_observability()``: the bundle of the innermost active
-#: ``run()`` scope, if any.  Only enabled bundles publish themselves, so a
-#: ``None`` answer is the common case; callers should fall straight
-#: through to the uninstrumented path on it.  It is the context
-#: variable's own C-level ``get``, so every goal query that asks costs no
-#: Python frame.
-current_observability = _ACTIVE.get
-
-
-class _Activation:
-    """Context manager for :meth:`Observability.activate` (thread handoff)."""
-
-    __slots__ = ("_obs", "_token")
-
-    def __init__(self, obs: "Observability"):
-        self._obs = obs
-        self._token = None
-
-    def __enter__(self) -> "Observability":
-        self._token = _ACTIVE.set(self._obs)
-        return self._obs
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> bool:
-        _ACTIVE.reset(self._token)
-        return False
+__all__ = ["Observability", "NULL_OBSERVABILITY"]
 
 
 class _PhaseScope:
@@ -131,9 +78,9 @@ class _PhaseScope:
 
 
 class _RunScope:
-    """Root span + contextvar publication + optional memory capture."""
+    """Root span + optional memory capture."""
 
-    __slots__ = ("_obs", "_name", "_attributes", "_span", "_token", "_memory")
+    __slots__ = ("_obs", "_name", "_attributes", "_span", "_memory")
 
     def __init__(self, obs: "Observability", name: str, attributes: Dict[str, Any]):
         self._obs = obs
@@ -142,7 +89,6 @@ class _RunScope:
 
     def __enter__(self):
         obs = self._obs
-        self._token = _ACTIVE.set(obs)
         self._span = obs.tracer.span("run:" + self._name, **self._attributes)
         self._span.__enter__()
         self._memory = capture_peak_memory() if obs.capture_memory else None
@@ -164,7 +110,6 @@ class _RunScope:
                     labels={"run": self._name},
                 ).set(profile.peak_bytes)
         self._span.__exit__(exc_type, exc_val, exc_tb)
-        _ACTIVE.reset(self._token)
         if exc_type is None and obs.progress is not None:
             obs.progress.finish_run()
         return False
@@ -198,7 +143,8 @@ class Observability:
         :class:`~repro.errors.BudgetExceededError`.
 
     With no backend at all the bundle is ``enabled == False`` and every
-    hook degrades to a shared no-op.
+    hook degrades to a shared no-op.  Phases are timed only when the
+    bundle is :attr:`timed`.
     """
 
     __slots__ = (
@@ -209,6 +155,7 @@ class Observability:
         "progress",
         "phases",
         "enabled",
+        "_timed",
         "last_memory",
         "_histograms",
     )
@@ -227,15 +174,22 @@ class Observability:
         self.decisions = decisions
         self.progress = progress
         self.phases = PhaseBreakdown()
+        self._timed = bool(self.tracer.enabled or metrics is not None)
         self.enabled = bool(
-            self.tracer.enabled
-            or metrics is not None
+            self._timed
             or capture_memory
             or decisions is not None
             or progress is not None
         )
         self.last_memory = None
         self._histograms: Dict[str, Optional[Histogram]] = {}
+
+    @property
+    def timed(self) -> bool:
+        """Whether phases are timed: a tracer is enabled or a metrics
+        registry is attached.  Progress, decisions and memory capture
+        alone time nothing."""
+        return self._timed
 
     # -- scopes --------------------------------------------------------------
 
@@ -246,23 +200,11 @@ class Observability:
         return _RunScope(self, name, attributes)
 
     def phase(self, name: str, **attributes: Any):
-        """Scope for one engine phase entry (span named after the phase)."""
-        if not self.enabled:
+        """Scope for one engine phase entry (span named after the phase);
+        a no-op unless the bundle is :attr:`timed`."""
+        if not self._timed:
             return NULL_SPAN
         return _PhaseScope(self, name, attributes)
-
-    def activate(self):
-        """Publish this bundle via :func:`current_observability` in the
-        *calling* thread.
-
-        Run scopes do this implicitly, but :mod:`contextvars` state never
-        crosses thread boundaries — a worker thread spawned inside a run
-        sees ``None``.  ``activate()`` is the explicit handoff: enter it at
-        the top of the worker so nested code (e.g. the flow solver) finds
-        the bundle there too.  The scope must be exited in the same thread
-        it was entered in.
-        """
-        return _Activation(self)
 
     # -- counters ------------------------------------------------------------
 

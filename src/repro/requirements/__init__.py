@@ -10,10 +10,13 @@ Beyond a yes/no test, the goal-driven algorithm's time-based pruning
 required to satisfy the goal — defined, per the paper's citation of
 Parameswaran et al. (TOIS 2011), by Ford–Fulkerson max-flow.
 :class:`DegreeGoal` computes it as a closed form (disjoint groups) or a
-bipartite matching (overlapping groups); the max-flow solvers live in
-:mod:`repro.requirements.flow`, implemented from scratch (Edmonds–Karp and
-Dinic variants), cross-checked against networkx and used as the seat
-counter's oracle in the test suite.
+bipartite matching (overlapping groups); the max-flow solver lives in
+:mod:`repro.requirements.flow`, implemented from scratch (Edmonds–Karp),
+cross-checked against networkx and used as the seat counter's oracle in
+the test suite.
+
+This layer does not depend on :mod:`repro.obs`: a timed run charges goal
+queries to its ``goal`` phase by wrapping the goal it was given.
 """
 
 from .flow import FlowNetwork, max_flow

@@ -1,24 +1,18 @@
-"""Maximum-flow solvers, implemented from scratch.
+"""A maximum-flow solver, implemented from scratch.
 
 The paper computes ``left_i`` — the minimum number of courses still needed
 to meet a degree requirement — "using Ford-Fulkerson max-flow algorithm"
 (§4.2.1, citing Parameswaran et al.).  This module provides that
-formulation: a small integer-capacity flow network with two solver
-implementations,
-
-* :meth:`FlowNetwork.max_flow` with ``method="edmonds_karp"`` — the
-  BFS-augmenting-path realization of Ford–Fulkerson (O(V·E²)), and
-* ``method="dinic"`` — level-graph blocking flows (O(V²·E)), the default.
-
-Both return identical values (property-tested against each other and
-against ``networkx.maximum_flow`` when available); Dinic is measurably
-faster on bipartite requirement networks, which the ablation benchmark
-quantifies.
+formulation: a small integer-capacity flow network solved by
+Edmonds–Karp, the BFS-augmenting-path realization of Ford–Fulkerson
+(O(V·E²)), property-tested against ``networkx.maximum_flow`` when it is
+installed.
 
 :class:`~repro.requirements.goals.DegreeGoal` does not build a network per
 query: its ``left_i`` is a closed form for disjoint groups and a bipartite
-matching for overlapping ones.  These solvers are the oracle its tests
-check that seat count against, and stay public API.
+matching (augmenting paths over the same source → course → group → sink
+network) for overlapping ones.  This solver is the oracle its tests check
+that seat count against, and stays public API.
 
 Nodes are arbitrary hashable objects.  Parallel ``add_edge`` calls between
 the same pair accumulate capacity.
@@ -28,8 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Tuple
-
-from ..obs.runtime import current_observability
 
 __all__ = ["FlowNetwork", "max_flow"]
 
@@ -110,38 +102,18 @@ class FlowNetwork:
             for edge in edges:
                 edge.flow = 0
 
-    # -- solvers ------------------------------------------------------------
+    # -- solver -------------------------------------------------------------
 
-    def max_flow(self, source: Node, sink: Node, method: str = "dinic") -> int:
-        """Maximum ``source → sink`` flow value.
+    def max_flow(self, source: Node, sink: Node) -> int:
+        """Maximum ``source → sink`` flow value (Edmonds–Karp).
 
-        ``method`` is ``"dinic"`` (default) or ``"edmonds_karp"``.  Flows
-        are reset before solving, so repeated calls are independent.
-
-        Solves run deep inside goal evaluation where no argument path
-        exists, so this is the one place the engine consults the ambient
-        :func:`~repro.obs.runtime.current_observability` — ``None`` (the
-        overwhelmingly common case) costs a single contextvar read.
+        Flows are reset before solving, so repeated calls are independent.
         """
-        obs = current_observability()
-        if obs is None:
-            return self._solve(source, sink, method)
-        with obs.phase("flow", method=method):
-            return self._solve(source, sink, method)
-
-    def _solve(self, source: Node, sink: Node, method: str) -> int:
         if source == sink:
             raise ValueError("source and sink must differ")
         if source not in self._adjacency or sink not in self._adjacency:
             return 0
         self.reset_flow()
-        if method == "dinic":
-            return self._dinic(source, sink)
-        if method == "edmonds_karp":
-            return self._edmonds_karp(source, sink)
-        raise ValueError(f"unknown method {method!r}; use 'dinic' or 'edmonds_karp'")
-
-    def _edmonds_karp(self, source: Node, sink: Node) -> int:
         total = 0
         while True:
             # BFS for the shortest augmenting path in the residual graph.
@@ -173,68 +145,11 @@ class FlowNetwork:
                 node = edge.twin.target
             total += bottleneck
 
-    def _dinic(self, source: Node, sink: Node) -> int:
-        total = 0
-        while True:
-            level = self._bfs_levels(source, sink)
-            if level is None:
-                return total
-            iterators = {node: 0 for node in self._adjacency}
-            while True:
-                pushed = self._dfs_push(source, sink, float("inf"), level, iterators)
-                if pushed == 0:
-                    break
-                total += pushed
-
-    def _bfs_levels(self, source: Node, sink: Node) -> Dict[Node, int] | None:
-        level = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for edge in self._adjacency[node]:
-                if edge.residual > 0 and edge.target not in level:
-                    level[edge.target] = level[node] + 1
-                    queue.append(edge.target)
-        return level if sink in level else None
-
-    def _dfs_push(
-        self,
-        node: Node,
-        sink: Node,
-        limit: float,
-        level: Dict[Node, int],
-        iterators: Dict[Node, int],
-    ) -> int:
-        if node == sink:
-            return int(limit) if limit != float("inf") else _saturating(limit)
-        edges = self._adjacency[node]
-        while iterators[node] < len(edges):
-            edge = edges[iterators[node]]
-            if (
-                edge.residual > 0
-                and level.get(edge.target, -1) == level[node] + 1
-            ):
-                pushed = self._dfs_push(
-                    edge.target, sink, min(limit, edge.residual), level, iterators
-                )
-                if pushed > 0:
-                    edge.push(pushed)
-                    return pushed
-            iterators[node] += 1
-        return 0
-
-
-def _saturating(limit: float) -> int:
-    # Only reachable when source == sink is prevented; keep a huge finite cap
-    # so int() above never sees inf.
-    return 2**62
-
 
 def max_flow(
     edges: Iterable[Tuple[Node, Node, int]],
     source: Node,
     sink: Node,
-    method: str = "dinic",
 ) -> int:
     """One-shot convenience: build a network from ``(u, v, capacity)``
     triples and return the max-flow value."""
@@ -243,4 +158,4 @@ def max_flow(
     network.add_node(sink)
     for u, v, capacity in edges:
         network.add_edge(u, v, capacity)
-    return network.max_flow(source, sink, method=method)
+    return network.max_flow(source, sink)

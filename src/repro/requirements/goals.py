@@ -20,7 +20,7 @@ elective courses"): a set of k-of-group requirements where one course may
 satisfy at most one group (no double counting).  The paper computes its
 ``left_i`` with Ford–Fulkerson max-flow; here it is a closed form when the
 groups are disjoint and a bipartite matching when they overlap, and the
-max-flow solvers of :mod:`repro.requirements.flow` are its test oracle.
+Edmonds–Karp max-flow of :mod:`repro.requirements.flow` is its test oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import (
 
 from ..catalog.prereq import PrereqExpr, from_dict as prereq_from_dict, min_courses_in_dnf
 from ..errors import GoalError
-from ..obs.runtime import current_observability
 
 __all__ = [
     "Goal",
@@ -370,16 +369,8 @@ class DegreeGoal(Goal):
             name=name,
         )
 
-    def _filled_seats(self, completed: AbstractSet[str]) -> int:
-        """Max seats fillable by ``completed`` (one course, one seat)."""
-        obs = current_observability()
-        if obs is None:
-            return self._count_seats(completed)
-        method = "closed_form" if self._disjoint else "matching"
-        with obs.phase("flow", method=method):
-            return self._count_seats(completed)
-
     def _count_seats(self, completed: AbstractSet[str]) -> int:
+        """Max seats fillable by ``completed`` (one course, one seat)."""
         if self._disjoint:
             filled = 0
             for course_ids, required in self._seat_groups:
@@ -390,12 +381,12 @@ class DegreeGoal(Goal):
         return self._seat_memo(self._all_courses.intersection(completed))
 
     def is_satisfied(self, completed: AbstractSet[str]) -> bool:
-        return self._filled_seats(completed) >= self._total_required
+        return self._count_seats(completed) >= self._total_required
 
     def remaining_courses(self, completed: AbstractSet[str]) -> float:
         if not self._satisfiable:
             return math.inf
-        return self._total_required - self._filled_seats(completed)
+        return self._total_required - self._count_seats(completed)
 
     def assignment(self, completed: AbstractSet[str]) -> Dict[str, str]:
         """A maximum ``{course_id: group name}`` assignment — the audit view

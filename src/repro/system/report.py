@@ -56,8 +56,8 @@ def build_goal_report(
         The configuration used (echoed into the report header).
     obs:
         The :class:`~repro.obs.Observability` bundle the runs reported
-        into, if any; adds a per-phase timing section (and the peak-memory
-        figure when it was captured).
+        into, if any; adds a per-phase timing section when phases were
+        timed, and the peak-memory figure whenever it was captured.
     """
     config = config or ExplorationConfig()
     lines: List[str] = []
@@ -124,7 +124,7 @@ def build_goal_report(
     for row in branching_profile(result.graph, config.max_courses_per_term):
         lines.append("  " + row.describe())
 
-    if obs is not None and obs.phases:
+    if obs is not None and (obs.phases or obs.last_memory is not None):
         lines.append("")
         lines += _section("Engine detail (phase timing, inclusive)")
         lines.append(obs.phases.render(indent="  "))

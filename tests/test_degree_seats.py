@@ -4,7 +4,7 @@
 (disjoint groups) or an augmenting-path matcher (overlapping groups).  The
 paper's formulation is max-flow on source → course → group → sink; these
 tests rebuild that network with :class:`repro.requirements.flow.FlowNetwork`
-and check every answer against both solvers.
+and check every answer against its Edmonds–Karp solver.
 """
 
 import copy
@@ -21,10 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.requirements import DegreeGoal, FlowNetwork, RequirementGroup
 
 _UNIVERSE = tuple(f"C{i}" for i in range(9))
-_METHODS = ("dinic", "edmonds_karp")
 
 
-def _oracle_seats(goal, completed, method):
+def _oracle_seats(goal, completed):
     """Max-flow seats, built the way the paper states the problem."""
     network = FlowNetwork()
     source, sink = ("src",), ("snk",)
@@ -38,7 +37,7 @@ def _oracle_seats(goal, completed, method):
         for group in goal.groups:
             if group.required > 0 and course_id in group.course_ids:
                 network.add_edge(("course", course_id), ("group", group.name), 1)
-    return network.max_flow(source, sink, method=method)
+    return network.max_flow(source, sink)
 
 
 @st.composite
@@ -64,11 +63,10 @@ _completed = st.sets(st.sampled_from(_UNIVERSE))
 
 
 def _check_against_oracle(goal, completed):
-    satisfiable = _oracle_seats(goal, goal.courses(), "dinic") >= goal.total_required
+    satisfiable = _oracle_seats(goal, goal.courses()) >= goal.total_required
     for as_set in (frozenset(completed), set(completed)):
-        filled = goal._filled_seats(as_set)
-        for method in _METHODS:
-            assert filled == _oracle_seats(goal, as_set, method)
+        filled = goal._count_seats(as_set)
+        assert filled == _oracle_seats(goal, as_set)
         if not satisfiable:
             assert goal.remaining_courses(as_set) == math.inf
         else:
@@ -108,7 +106,7 @@ def test_matcher_matches_max_flow(goal, completed):
 def test_assignment_is_a_maximum_assignment(goal, completed):
     assignment = goal.assignment(set(completed))
     by_name = {group.name: group for group in goal.groups}
-    assert len(assignment) == goal._filled_seats(completed)
+    assert len(assignment) == goal._count_seats(completed)
     for course_id, name in assignment.items():
         assert course_id in completed
         assert course_id in by_name[name].course_ids
@@ -122,8 +120,8 @@ def test_empty_completed_fills_nothing():
         (RequirementGroup("a", {"A", "B"}, 1), RequirementGroup("b", {"B"}, 1))
     )
     assert not goal._disjoint
-    assert goal._filled_seats(frozenset()) == 0
-    assert goal._filled_seats(set()) == 0
+    assert goal._count_seats(frozenset()) == 0
+    assert goal._count_seats(set()) == 0
     assert goal.remaining_courses(set()) == 2
     assert goal.assignment(set()) == {}
 
@@ -143,15 +141,14 @@ def test_goals_survive_pickle_and_deepcopy(copier):
         assert clone.assignment({"A", "B"}) == goal.assignment({"A", "B"})
 
 
-@pytest.mark.parametrize("method", _METHODS)
-def test_brandeis_major_closed_form_matches_max_flow(method):
+def test_brandeis_major_closed_form_matches_max_flow():
     from repro.data import brandeis_major_goal
     from repro.data.brandeis import CORE_COURSE_IDS, ELECTIVE_COURSE_IDS
 
     goal = brandeis_major_goal()
     assert goal._disjoint
     done = set(sorted(CORE_COURSE_IDS)[:4]) | set(sorted(ELECTIVE_COURSE_IDS)[:9])
-    assert goal._filled_seats(done) == _oracle_seats(goal, done, method) == 9
+    assert goal._count_seats(done) == _oracle_seats(goal, done) == 9
 
 
 _ASSIGNMENT_SCRIPT = """

@@ -1,4 +1,4 @@
-"""Tests for the from-scratch max-flow solvers."""
+"""Tests for the from-scratch max-flow solver (Edmonds–Karp)."""
 
 import random
 
@@ -58,12 +58,6 @@ class TestFlowNetworkBasics:
         network.add_edge("a", "b", 1)
         assert network.max_flow("a", "z") == 0
 
-    def test_unknown_method_rejected(self):
-        network = FlowNetwork()
-        network.add_edge("a", "b", 1)
-        with pytest.raises(ValueError, match="unknown method"):
-            network.max_flow("a", "b", method="push_relabel")
-
     def test_nodes_iteration(self):
         network = FlowNetwork()
         network.add_node("x")
@@ -72,41 +66,35 @@ class TestFlowNetworkBasics:
 
 
 class TestMaxFlowValues:
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_single_edge(self, method):
+    def test_single_edge(self):
         network = FlowNetwork()
         network.add_edge("s", "t", 7)
-        assert network.max_flow("s", "t", method=method) == 7
+        assert network.max_flow("s", "t") == 7
 
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_series_bottleneck(self, method):
+    def test_series_bottleneck(self):
         network = FlowNetwork()
         network.add_edge("s", "m", 10)
         network.add_edge("m", "t", 3)
-        assert network.max_flow("s", "t", method=method) == 3
+        assert network.max_flow("s", "t") == 3
 
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_parallel_paths(self, method):
+    def test_parallel_paths(self):
         network = FlowNetwork()
         network.add_edge("s", "a", 4)
         network.add_edge("a", "t", 4)
         network.add_edge("s", "b", 5)
         network.add_edge("b", "t", 5)
-        assert network.max_flow("s", "t", method=method) == 9
+        assert network.max_flow("s", "t") == 9
 
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_disconnected(self, method):
+    def test_disconnected(self):
         network = FlowNetwork()
         network.add_edge("s", "a", 4)
         network.add_edge("b", "t", 4)
-        assert network.max_flow("s", "t", method=method) == 0
+        assert network.max_flow("s", "t") == 0
 
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_clrs_network(self, method):
-        assert _classic_network().max_flow("s", "t", method=method) == 23
+    def test_clrs_network(self):
+        assert _classic_network().max_flow("s", "t") == 23
 
-    @pytest.mark.parametrize("method", ["dinic", "edmonds_karp"])
-    def test_needs_residual_rerouting(self, method):
+    def test_needs_residual_rerouting(self):
         # The classic diamond where a greedy path must be undone.
         network = FlowNetwork()
         for u, v, c in [
@@ -117,13 +105,12 @@ class TestMaxFlowValues:
             ("b", "t", 1),
         ]:
             network.add_edge(u, v, c)
-        assert network.max_flow("s", "t", method=method) == 2
+        assert network.max_flow("s", "t") == 2
 
     def test_repeated_solves_are_independent(self):
         network = _classic_network()
         assert network.max_flow("s", "t") == 23
         assert network.max_flow("s", "t") == 23
-        assert network.max_flow("s", "t", method="edmonds_karp") == 23
 
     def test_flow_on_reports_solution(self):
         network = FlowNetwork()
@@ -150,7 +137,6 @@ class TestMaxFlowValues:
 
     def test_one_shot_helper(self):
         assert max_flow([("s", "t", 5)], "s", "t") == 5
-        assert max_flow([("s", "t", 5)], "s", "t", method="edmonds_karp") == 5
 
 
 def _random_network(seed, n_nodes, n_edges, max_capacity=10):
@@ -168,15 +154,6 @@ def _random_network(seed, n_nodes, n_edges, max_capacity=10):
         network.add_edge(u, v, c)
         edges.append((u, v, c))
     return network, edges
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_dinic_matches_edmonds_karp(seed):
-    network, _edges = _random_network(seed, n_nodes=8, n_edges=16)
-    assert network.max_flow(0, 7, method="dinic") == network.max_flow(
-        0, 7, method="edmonds_karp"
-    )
 
 
 @pytest.mark.skipif(nx is None, reason="networkx unavailable")

@@ -28,7 +28,6 @@ from repro.core import (
 from repro.data.brandeis import EVALUATION_END_TERM, brandeis_catalog
 from repro.errors import BudgetExceededError
 from repro.obs import Observability
-from repro.obs.runtime import current_observability
 from repro.obs.tracing import Tracer
 from repro.requirements import CourseSetGoal, DegreeGoal, RequirementGroup
 
@@ -225,7 +224,7 @@ def test_the_deferred_pass_runs_inside_the_run_scope(catalog):
 
     def on_collect(phase, info):
         if phase == "start":
-            passes.append((info["generation"], current_observability() is not None))
+            passes.append((info["generation"], obs.tracer.current_span is not None))
 
     obs = Observability(tracer=Tracer())
     goal = CourseSetGoal(GOAL_COURSES)

@@ -4,9 +4,9 @@ Covers the progress tracker (counters, snapshots, the optimistic ETA
 estimate), the run limits (ExplorationConfig's node/wall/memory fields,
 checked by the node-step kernel), cooperative cancellation through the
 tracker and the watchdog, the partial snapshots carried by
-BudgetExceededError from each of the four generators, the thread handoff
-via Observability.activate(), the metrics HTTP exporter (including a
-scrape-while-exploring race test), and the progress printer.
+BudgetExceededError from each of the four generators, the metrics HTTP
+exporter (including a scrape-while-exploring race test), and the progress
+printer.
 """
 
 import io
@@ -37,7 +37,6 @@ from repro.obs import (
     ProgressPrinter,
     ProgressTracker,
     Watchdog,
-    current_observability,
 )
 from repro.semester import Term
 
@@ -551,43 +550,6 @@ class TestCancellation:
         assert tracker.cancelled is None  # the timer was cancelled
         # ...so a run on the tracker completes.
         assert _frontier_run(None, Observability(progress=tracker)).path_count == 905
-
-
-# ---------------------------------------------------------------------------
-# contextvar thread visibility + activate()
-
-
-class TestThreadHandoff:
-    def test_run_scope_not_visible_in_worker_thread(self):
-        obs = Observability(metrics=MetricsRegistry())
-        seen = {}
-
-        def worker():
-            seen["inside"] = current_observability()
-
-        with obs.run("visibility"):
-            assert current_observability() is obs
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen["inside"] is None
-
-    def test_activate_publishes_in_worker_thread(self):
-        obs = Observability(metrics=MetricsRegistry())
-        seen = {}
-
-        def worker():
-            with obs.activate() as active:
-                seen["inside"] = current_observability()
-                seen["yielded"] = active
-            seen["after"] = current_observability()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen["inside"] is obs
-        assert seen["yielded"] is obs
-        assert seen["after"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ the expected span forest and the disabled path changes nothing about the
 results.
 """
 
+import ast
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.ranking import TimeRanking
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.obs import (
     DEFAULT_DURATION_BUCKETS,
+    DecisionRecorder,
     NULL_OBSERVABILITY,
     NULL_TRACER,
     InMemorySink,
@@ -27,10 +30,11 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     PhaseBreakdown,
+    ProgressTracker,
     Tracer,
     capture_peak_memory,
-    current_observability,
 )
+from repro.requirements import Goal
 from repro.semester import Term
 from repro.system.navigator import CourseNavigator
 
@@ -256,11 +260,11 @@ class TestPhaseBreakdown:
     def test_as_dict_round_trips_through_json(self):
         phases = PhaseBreakdown()
         phases.add("expand", 0.5)
-        phases.add("flow", 0.125, count=4)
+        phases.add("goal", 0.125, count=4)
         parsed = json.loads(json.dumps(phases.as_dict()))
         assert parsed == {
             "expand": {"seconds": 0.5, "count": 1},
-            "flow": {"seconds": 0.125, "count": 4},
+            "goal": {"seconds": 0.125, "count": 4},
         }
 
     def test_render(self):
@@ -296,7 +300,7 @@ class TestCapturePeakMemory:
 class TestObservability:
     def test_disabled_bundle_is_noop(self):
         obs = Observability()
-        assert not obs.enabled
+        assert not obs.enabled and not obs.timed
         first = obs.phase("expand")
         second = obs.run("anything")
         assert first is second  # the one shared null span
@@ -318,17 +322,6 @@ class TestObservability:
             "repro_phase_duration_seconds", labels={"phase": "expand"}
         )
         assert histogram.count == 2
-
-    def test_run_scope_publishes_contextvar(self):
-        obs = Observability(metrics=MetricsRegistry())
-        assert current_observability() is None
-        with obs.run("test"):
-            assert current_observability() is obs
-        assert current_observability() is None
-
-    def test_disabled_bundle_does_not_publish(self):
-        with Observability().run("test"):
-            assert current_observability() is None
 
     def test_capture_memory_records_gauge(self):
         obs = Observability(metrics=MetricsRegistry(), capture_memory=True)
@@ -384,7 +377,7 @@ def catalog():
 
 
 # Function-scoped: each test gets its own goal, so no state left by one
-# test can change which "flow" spans another one sees.
+# test can change which "goal" spans another one sees.
 @pytest.fixture
 def major_goal():
     return brandeis_major_goal()
@@ -401,7 +394,7 @@ class TestEngineIntegration:
         generate_goal_driven(catalog, START, major_goal, END, obs=obs)
         names = {record["name"] for record in sink.records}
         assert {"run:goal_driven", "expand", "prune", "prune:time",
-                "prune:availability", "flow"} <= names
+                "prune:availability", "goal"} <= names
         roots = [r for r in sink.records if r["parent_id"] is None]
         assert [r["name"] for r in roots] == ["run:goal_driven"]
         by_id = {r["span_id"]: r for r in sink.records}
@@ -421,7 +414,7 @@ class TestEngineIntegration:
             catalog, START, major_goal, END, k=2, ranking=TimeRanking(), obs=obs
         )
         names = {record["name"] for record in sink.records}
-        assert {"run:ranked", "expand", "prune", "flow", "rank"} <= names
+        assert {"run:ranked", "expand", "prune", "goal", "rank"} <= names
 
     def test_frontier_trace_has_merge_phase(self, catalog, major_goal):
         sink = InMemorySink()
@@ -440,7 +433,7 @@ class TestEngineIntegration:
         generate_goal_driven(catalog, START, major_goal, END, obs=obs)
         spans = [r for r in sink.records if not r["name"].startswith("run:")]
         names = {r["name"] for r in spans}
-        assert {"expand", "prune", "flow"} <= names
+        assert {"expand", "prune", "goal"} <= names
         assert set(obs.phases.phases) == names
         for name in names:
             durations = [r["duration"] for r in spans if r["name"] == name]
@@ -492,13 +485,16 @@ class TestEngineIntegration:
         assert not NULL_OBSERVABILITY.phases
 
     def test_flow_solver_untraced_without_run_scope(self):
-        # max_flow outside any run() scope must take the uninstrumented path
+        # The solver charges no phase, even inside a timed run's scope:
+        # only the goal a timed run wraps is timed.
         from repro.requirements.flow import FlowNetwork
 
-        assert current_observability() is None
+        obs = Observability(metrics=MetricsRegistry())
         network = FlowNetwork()
         network.add_edge("s", "t", 3)
-        assert network.max_flow("s", "t") == 3
+        with obs.run("probe"):
+            assert network.max_flow("s", "t") == 3
+        assert not obs.phases
 
     def test_navigator_threads_observability(self, catalog, major_goal):
         sink = InMemorySink()
@@ -532,3 +528,143 @@ class TestEngineIntegration:
         result = generate_goal_driven(catalog, START, major_goal, END)
         report = build_goal_report(catalog, major_goal, START, END, result)
         assert "phase timing" not in report
+
+    def test_report_shows_memory_captured_without_phases(self, catalog, major_goal):
+        from repro.system.report import build_goal_report
+
+        obs = Observability(capture_memory=True)
+        result = generate_goal_driven(catalog, START, major_goal, END, obs=obs)
+        assert not obs.phases and obs.last_memory is not None
+        report = build_goal_report(
+            catalog, major_goal, START, END, result, obs=obs
+        )
+        assert "(no phases recorded)" in report
+        assert f"peak memory     {obs.last_memory.peak_kib:,.0f} KiB" in report
+
+
+# ---------------------------------------------------------------------------
+# which backends time phases
+
+
+class _CountingGoal(Goal):
+    """Counts every query the engine asks of the wrapped goal."""
+
+    def __init__(self, inner: Goal):
+        self.inner = inner
+        self.queries = 0
+
+    def is_satisfied(self, completed):
+        self.queries += 1
+        return self.inner.is_satisfied(completed)
+
+    def remaining_courses(self, completed):
+        self.queries += 1
+        return self.inner.remaining_courses(completed)
+
+    def courses(self):
+        return self.inner.courses()
+
+    def describe(self):
+        return self.inner.describe()
+
+    def to_dict(self):
+        return self.inner.to_dict()
+
+
+def _goal_run(catalog, goal, obs):
+    result = generate_goal_driven(catalog, START, goal, END, obs=obs)
+    stats = result.stats.as_dict()
+    stats.pop("elapsed_seconds")
+    return sorted(p.selections for p in result.paths()), stats
+
+
+def _ranked_run(catalog, goal, obs):
+    result = generate_ranked(
+        catalog, START, goal, END, k=5, ranking=TimeRanking(), obs=obs
+    )
+    stats = result.stats.as_dict()
+    stats.pop("elapsed_seconds")
+    return [p.selections for p in result.paths], result.costs, stats
+
+
+def _frontier_run(catalog, goal, obs):
+    result = frontier_count_goal_paths(catalog, START, goal, END, obs=obs)
+    return result.path_count, result.terminal_path_counts, result.layer_widths
+
+
+_RUNS = {"goal": _goal_run, "ranked": _ranked_run, "frontier": _frontier_run}
+_PRUNE_PHASES = {"goal", "expand", "prune", "prune:time", "prune:availability"}
+_OWN_PHASES = {"goal": set(), "ranked": {"rank"}, "frontier": {"merge"}}
+_UNTIMED = {
+    "progress": lambda: Observability(progress=ProgressTracker()),
+    "decisions": lambda: Observability(decisions=DecisionRecorder()),
+    "memory": lambda: Observability(capture_memory=True),
+}
+_TIMED = {
+    "tracer": lambda: Observability(tracer=Tracer(sinks=[InMemorySink()])),
+    "metrics": lambda: Observability(metrics=MetricsRegistry()),
+}
+
+
+class TestBackendGate:
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    @pytest.mark.parametrize("backend", sorted(_UNTIMED))
+    def test_untimed_backends_record_no_phase(self, catalog, run, backend):
+        obs = _UNTIMED[backend]()
+        assert obs.enabled and not obs.timed
+        plain = _RUNS[run](catalog, brandeis_major_goal(), None)
+        observed = _RUNS[run](catalog, brandeis_major_goal(), obs)
+        assert observed == plain
+        assert not obs.phases
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    @pytest.mark.parametrize("backend", sorted(_TIMED))
+    def test_timed_backends_record_every_phase(self, catalog, run, backend):
+        obs = _TIMED[backend]()
+        assert obs.timed
+        plain = _RUNS[run](catalog, brandeis_major_goal(), None)
+        observed = _RUNS[run](catalog, brandeis_major_goal(), obs)
+        assert observed == plain
+        assert set(obs.phases.phases) == _PRUNE_PHASES | _OWN_PHASES[run]
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    def test_goal_phase_counts_every_goal_query(self, catalog, run):
+        goal = _CountingGoal(brandeis_major_goal())
+        obs = Observability(metrics=MetricsRegistry())
+        _RUNS[run](catalog, goal, obs)
+        assert goal.queries > 0
+        assert obs.phases.count("goal") == goal.queries
+
+    def test_only_timed_runs_wrap_the_goal(self, catalog):
+        from repro.core.step import NodeStep
+
+        goal = brandeis_major_goal()
+        for backend in _UNTIMED.values():
+            step = NodeStep("goal_driven", catalog, START, END, (), None, goal, obs=backend())
+            assert step.goal is goal
+        timed = NodeStep("goal_driven", catalog, START, END, (), None, goal, obs=_TIMED["metrics"]())
+        assert timed.goal is not goal
+        assert timed.goal.courses() == goal.courses()
+        assert timed.goal.to_dict() == goal.to_dict()
+
+
+def test_requirements_layer_does_not_import_obs():
+    """The goal layer reaches observability only through the goal wrapper a
+    timed run builds, so no module under ``repro.requirements`` imports it."""
+    import repro.requirements
+
+    package = ["repro", "requirements"]
+    for path in sorted(Path(repro.requirements.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert not (module == "repro.obs" or module.startswith("repro.obs.")), (
+                    path.name, module,
+                )
