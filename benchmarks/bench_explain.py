@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core import ExplorationConfig
 from repro.data import brandeis_catalog, brandeis_major_goal
-from repro.obs import DecisionRecorder, JsonlSink
+from repro.obs import DecisionRecorder, JsonlSink, Observability
 from repro.semester import Term
 from repro.system import CourseNavigator
 
@@ -84,7 +84,7 @@ def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
     def _with_recorder() -> CourseNavigator:
         recorder = DecisionRecorder()
         recorders.append(recorder)
-        return CourseNavigator(catalog, decisions=recorder)
+        return CourseNavigator(catalog, obs=Observability(decisions=recorder))
 
     on = _time_runs(_with_recorder, repeats)
     on["decisions_recorded"] = len(recorders[-1])
@@ -94,8 +94,10 @@ def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
         streamed = _time_runs(
             lambda: CourseNavigator(
                 catalog,
-                decisions=DecisionRecorder(
-                    sinks=[JsonlSink(sink_path)], keep_events=False
+                obs=Observability(
+                    decisions=DecisionRecorder(
+                        sinks=[JsonlSink(sink_path)], keep_events=False
+                    )
                 ),
             ),
             repeats,

@@ -18,12 +18,17 @@ Runs the fixed goal-driven workload (the Brandeis CS major over a
   ``--serve-metrics``, the registry is attached to the run too, so the
   run also times its phases.
 
+Each row reports the median wall time and its quartiles, and every
+``*_vs_off`` ratio compares medians: on a shared host the fastest run
+says more about the neighbours than about the code, while the median of
+interleaved runs compares like with like.  Each row's extras come from
+its median run (the lower middle one for an even count).
+
 How many scrapes land inside a run varies from run to run, so the
 exporter row reports ``scrapes_during_run`` and, beside it,
-``extra_ms_per_scrape``: its best run's milliseconds over the best
-``progress_only`` run, divided by that run's scrapes (the fixed cost of
-phase timing is spread over the scrapes too).  Each row's extras come
-from its best run.
+``extra_ms_per_scrape``: its median milliseconds over the
+``progress_only`` median, divided by its median run's scrapes (the fixed
+cost of phase timing is spread over the scrapes too).
 
 Repeats are **interleaved** (round-robin over the variants) so thermal
 drift and allocator state spread evenly instead of biasing whichever
@@ -53,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import ExplorationConfig
 from repro.data import brandeis_catalog, brandeis_major_goal
-from repro.obs import MetricsRegistry, MetricsServer, ProgressTracker
+from repro.obs import MetricsRegistry, MetricsServer, Observability, ProgressTracker
 from repro.semester import Term
 from repro.system import CourseNavigator
 
@@ -89,18 +94,23 @@ def _run_variant(name: str, catalog) -> Tuple[float, object, Dict[str, object]]:
         return (*_timed_run(CourseNavigator(catalog)), extras)
     if name == "progress_only":
         tracker = ProgressTracker()
-        elapsed, result = _timed_run(CourseNavigator(catalog, progress=tracker))
+        navigator = CourseNavigator(catalog, obs=Observability(progress=tracker))
+        elapsed, result = _timed_run(navigator)
         extras["generations"] = tracker.generation
         return elapsed, result, extras
     if name == "progress_budget":
         # Every node pays the checks; none ever fails them.
-        navigator = CourseNavigator(catalog, progress=ProgressTracker())
+        navigator = CourseNavigator(
+            catalog, obs=Observability(progress=ProgressTracker())
+        )
         elapsed, result = _timed_run(navigator, **GENEROUS_LIMITS)
         return elapsed, result, extras
     if name == "progress_exporter":
         registry = MetricsRegistry()
         tracker = ProgressTracker()
-        navigator = CourseNavigator(catalog, metrics=registry, progress=tracker)
+        navigator = CourseNavigator(
+            catalog, obs=Observability(metrics=registry, progress=tracker)
+        )
         scrapes = [0]
         stop = threading.Event()
 
@@ -124,25 +134,34 @@ def _run_variant(name: str, catalog) -> Tuple[float, object, Dict[str, object]]:
     raise ValueError(f"unknown variant {name!r}")
 
 
+def _quartiles(times: List[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``times``; a single run is all three."""
+    if len(times) < 2:
+        return times[0], times[0], times[0]
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
     """The full interleaved A/B: returns the ``BENCH_live.json`` document."""
     catalog = brandeis_catalog()
-    times: Dict[str, List[float]] = {name: [] for name in VARIANTS}
-    best: Dict[str, Tuple[float, object, Dict[str, object]]] = {}
+    runs: Dict[str, List[Tuple[float, object, Dict[str, object]]]] = {
+        name: [] for name in VARIANTS
+    }
 
     for _ in range(repeats):
         for name in VARIANTS:
-            elapsed, result, extras = _run_variant(name, catalog)
-            times[name].append(elapsed)
-            if name not in best or elapsed < best[name][0]:
-                best[name] = (elapsed, result, extras)
+            runs[name].append(_run_variant(name, catalog))
 
     variants: Dict[str, Dict[str, object]] = {}
     for name in VARIANTS:
-        _elapsed, result, extras = best[name]
+        ordered = sorted(runs[name], key=lambda run: run[0])
+        _elapsed, result, extras = ordered[(len(ordered) - 1) // 2]
+        q1, median, q3 = _quartiles([run[0] for run in ordered])
         row: Dict[str, object] = {
-            "wall_seconds_best": min(times[name]),
-            "wall_seconds_mean": statistics.mean(times[name]),
+            "wall_seconds_median": median,
+            "wall_seconds_q1": q1,
+            "wall_seconds_q3": q3,
             "repeats": repeats,
             "paths": result.path_count,
             "nodes": result.graph.num_nodes,
@@ -153,12 +172,17 @@ def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
 
     exporter = variants["progress_exporter"]
     scrapes = exporter["scrapes_during_run"]
-    extra = exporter["wall_seconds_best"] - variants["progress_only"]["wall_seconds_best"]
-    exporter["extra_ms_per_scrape"] = round(extra * 1000 / scrapes, 3) if scrapes else None
+    extra = (
+        exporter["wall_seconds_median"]
+        - variants["progress_only"]["wall_seconds_median"]
+    )
+    exporter["extra_ms_per_scrape"] = (
+        round(extra * 1000 / scrapes, 3) if scrapes else None
+    )
 
-    base = variants["live_off"]["wall_seconds_best"]
+    base = variants["live_off"]["wall_seconds_median"]
     overhead = {
-        f"{name}_vs_off": round(variants[name]["wall_seconds_best"] / base - 1.0, 4)
+        f"{name}_vs_off": round(variants[name]["wall_seconds_median"] / base - 1.0, 4)
         for name in VARIANTS
         if name != "live_off"
     }
@@ -190,7 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=DEFAULT_REPEATS,
-        help=f"interleaved rounds; best-of is reported (default {DEFAULT_REPEATS})",
+        help=f"interleaved rounds; medians are reported (default {DEFAULT_REPEATS})",
     )
     args = parser.parse_args(argv)
 
@@ -209,9 +233,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             note = f", {row['scrapes_during_run']} scrapes"
             if row["extra_ms_per_scrape"] is not None:
                 note += f", {row['extra_ms_per_scrape']:+.2f} ms/scrape"
+        q1, median, q3 = (
+            row[f"wall_seconds_{key}"] * 1000 for key in ("q1", "median", "q3")
+        )
         print(
-            f"  {name:18} best {row['wall_seconds_best']*1000:8.1f} ms  "
-            f"mean {row['wall_seconds_mean']*1000:8.1f} ms  "
+            f"  {name:18} median {median:8.1f} ms  IQR {q1:.1f}-{q3:.1f} ms  "
             f"({row['paths']} paths{note})"
         )
     print(

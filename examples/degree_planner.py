@@ -11,7 +11,7 @@ requirement, (b) whether graduation by a deadline is still possible, and
 lightest workload — while refusing to take a specific course.
 """
 
-from repro import CourseNavigator, Term
+from repro import CourseNavigator, ExplorationConfig, Term
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.graph.export import graph_to_dot
 from repro.system import render_path
@@ -53,13 +53,14 @@ def main() -> None:
     print("=" * 72)
     print("Fastest plan vs. lightest plan (avoiding COSI 101a)")
     print("=" * 72)
+    avoiding = ExplorationConfig(avoid_courses={"COSI 101a"})
     for ranking, label in (("time", "fastest"), ("workload", "lightest workload")):
         result = navigator.explore_ranked(
             now, goal, deadline,
             k=1,
             ranking=ranking,
             completed=COMPLETED,
-            avoid_courses={"COSI 101a"},
+            config=avoiding,
         )
         if not result.paths:
             print(f"\nNo plan avoids COSI 101a under the {label} ranking.")

@@ -15,7 +15,7 @@ and why a specific course never appeared in a returned path.
 import os
 import tempfile
 
-from repro import CourseNavigator, DecisionRecorder, ExplainReport, Term
+from repro import CourseNavigator, DecisionRecorder, ExplainReport, Observability, Term
 from repro.obs import JsonlSink, describe_verdict
 from repro.data import brandeis_catalog, brandeis_major_goal
 
@@ -23,7 +23,7 @@ from repro.data import brandeis_catalog, brandeis_major_goal
 def main() -> None:
     audit_path = os.path.join(tempfile.gettempdir(), "explain_pruning.jsonl")
     recorder = DecisionRecorder(sinks=[JsonlSink(audit_path)])
-    navigator = CourseNavigator(brandeis_catalog(), decisions=recorder)
+    navigator = CourseNavigator(brandeis_catalog(), obs=Observability(decisions=recorder))
     goal = brandeis_major_goal()
     start, end = Term(2013, "Fall"), Term(2015, "Fall")
 

@@ -21,11 +21,13 @@ import json
 import threading
 import urllib.request
 
+from repro.core import ExplorationConfig
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.errors import BudgetExceededError, RunCancelledError
 from repro.obs import (
     MetricsRegistry,
     MetricsServer,
+    Observability,
     ProgressTracker,
     Watchdog,
 )
@@ -43,7 +45,7 @@ def act_one_scrape_a_live_run() -> None:
     registry = MetricsRegistry()
     tracker = ProgressTracker()
     navigator = CourseNavigator(
-        brandeis_catalog(), metrics=registry, progress=tracker
+        brandeis_catalog(), obs=Observability(metrics=registry, progress=tracker)
     )
 
     samples = []
@@ -75,9 +77,13 @@ def act_two_node_limit() -> None:
     print("2. A node limit reaping an exhaustive deadline run")
     print("=" * 72)
     # The tracker is optional; with it, the error carries a snapshot.
-    navigator = CourseNavigator(brandeis_catalog(), progress=ProgressTracker())
+    navigator = CourseNavigator(
+        brandeis_catalog(), obs=Observability(progress=ProgressTracker())
+    )
     try:
-        navigator.explore_deadline(LONG_START, END, max_nodes=5_000)
+        navigator.explore_deadline(
+            LONG_START, END, config=ExplorationConfig(max_nodes=5_000)
+        )
     except BudgetExceededError as exc:
         print(f"reaped: {exc}")
         snapshot = exc.progress
@@ -92,7 +98,7 @@ def act_three_watchdog() -> None:
     print("3. A watchdog cancelling a runaway run from another thread")
     print("=" * 72)
     tracker = ProgressTracker()  # the run has no limits of its own
-    navigator = CourseNavigator(brandeis_catalog(), progress=tracker)
+    navigator = CourseNavigator(brandeis_catalog(), obs=Observability(progress=tracker))
     try:
         with Watchdog(tracker, timeout=0.25):
             navigator.explore_deadline(LONG_START, END)

@@ -10,7 +10,7 @@ Brandeis catalog: all options for a couple of semesters ahead
 the top-5 fastest routes (ranked).
 """
 
-from repro import CourseNavigator, Term
+from repro import CourseNavigator, ExplorationConfig, Term
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.system import render_path, render_path_table
 
@@ -26,7 +26,8 @@ def main() -> None:
     print("=" * 72)
     print("1. Deadline-driven: every course-selection option through", graduation)
     print("=" * 72)
-    result = navigator.explore_deadline(start, graduation, max_courses_per_term=2)
+    two_per_term = ExplorationConfig(max_courses_per_term=2)
+    result = navigator.explore_deadline(start, graduation, config=two_per_term)
     print(f"{result.path_count} possible learning paths "
           f"({result.graph.num_nodes} statuses explored, "
           f"{result.stats.elapsed_seconds:.2f}s)\n")

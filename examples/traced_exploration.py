@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from repro import CourseNavigator, MetricsRegistry, Term, Tracer
+from repro import CourseNavigator, MetricsRegistry, Observability, Term, Tracer
 from repro.obs import JsonlSink
 from repro.data import brandeis_catalog, brandeis_major_goal
 
@@ -24,7 +24,8 @@ def main() -> None:
     tracer = Tracer(sinks=[JsonlSink(trace_path)])
     metrics = MetricsRegistry()
     navigator = CourseNavigator(
-        brandeis_catalog(), tracer=tracer, metrics=metrics, capture_memory=True
+        brandeis_catalog(),
+        obs=Observability(tracer=tracer, metrics=metrics, capture_memory=True),
     )
     goal = brandeis_major_goal()
     start, end = Term(2013, "Fall"), Term(2015, "Fall")

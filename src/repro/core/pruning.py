@@ -336,21 +336,3 @@ def examine_pruners(
         if verdict.fired:
             return pruner, verdicts
     return None, verdicts
-
-
-def suppressed_selection_count(option_count: int, floor: int) -> int:
-    """Subtrees eliminated by the strategic-selection floor at one node.
-
-    When ``enforce_min_selection`` skips every selection smaller than the
-    time-derived ``min_i``, each skipped selection is a subtree that the
-    time-based bound eliminated — the generators credit these to the
-    ``time`` strategy so the §5.2 pruning-share accounting reflects what
-    each bound actually cut (without the floor, each of these children
-    would be created and then pruned by the time strategy one level down).
-    """
-    from math import comb
-
-    if floor <= 1 or option_count <= 0:
-        return 0
-    upper = min(floor - 1, option_count)
-    return sum(comb(option_count, size) for size in range(1, upper + 1))

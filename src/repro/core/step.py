@@ -69,6 +69,7 @@ from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
 from .expansion import Expander
+from .options import selection_count
 from .pruning import (
     Pruner,
     PruningContext,
@@ -77,7 +78,6 @@ from .pruning import (
     default_pruners,
     examine_pruners,
     first_firing_pruner,
-    suppressed_selection_count,
 )
 from .stats import ExplorationStats
 
@@ -196,6 +196,7 @@ class NodeStep:
         "pruners", "obs", "stats", "pruning_stats", "expander",
         "outputs", "floor", "_time_pruner", "_describe", "_recorder",
         "_progress", "_checks", "_started_at", "_decided", "_timed",
+        "_start_ordinal",
     )
 
     def __init__(
@@ -239,6 +240,7 @@ class NodeStep:
         time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
         self.name = run
         self.start_term = start_term
+        self._start_ordinal = start_term.ordinal
         self.end_term = end_term
         self.completed = completed
         self.config = config
@@ -353,7 +355,11 @@ class NodeStep:
         else:
             floor = max(0, int(math.ceil(minimum)))
         self.floor = floor
-        suppressed = suppressed_selection_count(len(status.options), floor)
+        if floor <= 1:
+            return None
+        # Every selection smaller than the floor is a subtree the time bound
+        # cut; crediting them to ``time`` keeps §5.2's pruning shares honest.
+        suppressed = selection_count(len(status.options), floor - 1)
         if suppressed:
             self.stats.record_prune("time", suppressed)
             if self._recorder is not None:
@@ -380,7 +386,8 @@ class NodeStep:
             return self._terminal("dead_end", status, ref, multiplicity)
         progress = self._progress
         if progress is not None:
-            progress.record_expanded(int(status.term - self.start_term), children)
+            depth = status.term.ordinal - self._start_ordinal
+            progress.record_expanded(depth, children)
             if frontier is not None:
                 progress.set_frontier(frontier)
         if self._recorder is not None:
@@ -429,7 +436,7 @@ class NodeStep:
         self.stats.record_terminal("pruned")
         self.stats.record_prune(name)
         if self._progress is not None:
-            self._progress.record_pruned(int(status.term - self.start_term))
+            self._progress.record_pruned(status.term.ordinal - self._start_ordinal)
         if recorder is not None:
             self._record(ref, status, "prune", name, verdicts, None)
         return True
@@ -442,7 +449,7 @@ class NodeStep:
         if progress is not None:
             progress.record_terminal(
                 kind,
-                int(status.term - self.start_term),
+                status.term.ordinal - self._start_ordinal,
                 emitted=multiplicity if kind in self.outputs else 0,
             )
         if self._recorder is not None:

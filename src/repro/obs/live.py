@@ -162,9 +162,6 @@ class ProgressTracker:
         self._budget = budget
         self._started_at = self._clock()
         self._generation = 0
-        self._depth = 0
-        self._nodes_expanded = 0
-        self._nodes_pruned = 0
         self._terminals: Dict[str, int] = {}
         self._paths_emitted = 0
         self._frontier_size = 0
@@ -205,22 +202,16 @@ class ProgressTracker:
     def record_expanded(self, depth: int, children: int) -> None:
         """One node at ``depth`` expanded into ``children`` successors."""
         with self._lock:
-            self._nodes_expanded += 1
             self._expanded_by_depth[depth] = self._expanded_by_depth.get(depth, 0) + 1
             self._children_by_depth[depth] = (
                 self._children_by_depth.get(depth, 0) + children
             )
-            if depth > self._depth:
-                self._depth = depth
             self._generation += 1
 
     def record_pruned(self, depth: int) -> None:
         """One node at ``depth`` cut by a pruning strategy."""
         with self._lock:
-            self._nodes_pruned += 1
             self._pruned_by_depth[depth] = self._pruned_by_depth.get(depth, 0) + 1
-            if depth > self._depth:
-                self._depth = depth
             self._generation += 1
 
     def record_terminal(self, kind: str, depth: int, emitted: int = 0) -> None:
@@ -230,8 +221,6 @@ class ProgressTracker:
         with self._lock:
             self._terminals[kind] = self._terminals.get(kind, 0) + 1
             self._terminal_by_depth[depth] = self._terminal_by_depth.get(depth, 0) + 1
-            if depth > self._depth:
-                self._depth = depth
             self._generation += 1
             if emitted:
                 self._paths_emitted += emitted
@@ -267,16 +256,22 @@ class ProgressTracker:
     def nodes_seen(self) -> int:
         """Nodes fully decided so far (expanded + pruned + terminal)."""
         with self._lock:
-            return self._nodes_expanded + self._nodes_pruned + sum(
-                self._terminals.values()
+            return (
+                sum(self._expanded_by_depth.values())
+                + sum(self._pruned_by_depth.values())
+                + sum(self._terminal_by_depth.values())
             )
 
     def snapshot(self) -> ProgressSnapshot:
-        """A consistent snapshot of the current run."""
+        """A consistent snapshot of the current run; its totals and depth
+        are derived from the per-depth counters."""
         with self._lock:
-            nodes_seen = (
-                self._nodes_expanded + self._nodes_pruned + sum(self._terminals.values())
-            )
+            expanded = self._expanded_by_depth
+            pruned = self._pruned_by_depth
+            terminal = self._terminal_by_depth
+            nodes_expanded = sum(expanded.values())
+            nodes_pruned = sum(pruned.values())
+            nodes_seen = nodes_expanded + nodes_pruned + sum(terminal.values())
             estimate = self._estimate_total_locked()
             elapsed = self._clock() - self._started_at
             fraction: Optional[float] = None
@@ -290,9 +285,9 @@ class ProgressTracker:
                     eta = elapsed * (1.0 - fraction) / fraction
             per_depth: Dict[int, Dict[str, int]] = {}
             for source, key in (
-                (self._expanded_by_depth, "expanded"),
-                (self._pruned_by_depth, "pruned"),
-                (self._terminal_by_depth, "terminal"),
+                (expanded, "expanded"),
+                (pruned, "pruned"),
+                (terminal, "terminal"),
                 (self._children_by_depth, "children"),
             ):
                 for depth, count in source.items():
@@ -302,10 +297,10 @@ class ProgressTracker:
                 generation=self._generation,
                 elapsed_seconds=elapsed,
                 horizon=self._horizon,
-                depth=self._depth,
+                depth=max(per_depth, default=0),
                 nodes_seen=nodes_seen,
-                nodes_expanded=self._nodes_expanded,
-                nodes_pruned=self._nodes_pruned,
+                nodes_expanded=nodes_expanded,
+                nodes_pruned=nodes_pruned,
                 terminals=dict(self._terminals),
                 paths_emitted=self._paths_emitted,
                 frontier_size=self._frontier_size,
@@ -395,7 +390,7 @@ class Watchdog:
     limit was configured too generously (or not at all).
 
         tracker = ProgressTracker()
-        navigator = CourseNavigator(catalog, progress=tracker)
+        navigator = CourseNavigator(catalog, obs=Observability(progress=tracker))
         with Watchdog(tracker, timeout=30.0):
             navigator.explore_goal(...)
     """

@@ -42,6 +42,7 @@ from ..obs import (
     JsonlSink,
     MetricsRegistry,
     MetricsServer,
+    Observability,
     ProgressPrinter,
     ProgressTracker,
     Tracer,
@@ -279,19 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> CourseNavigator:
+def _load(args: argparse.Namespace, obs: Observability) -> CourseNavigator:
     if getattr(args, "catalog", None):
         catalog, offering_model = load_catalog(args.catalog), None
     else:
         catalog, offering_model = brandeis_catalog(), brandeis_offering_model()
-    return CourseNavigator(
-        catalog,
-        offering_model=offering_model,
-        tracer=getattr(args, "_tracer", None),
-        metrics=getattr(args, "_metrics", None),
-        decisions=getattr(args, "_decisions", None),
-        progress=getattr(args, "_progress", None),
-    )
+    return CourseNavigator(catalog, offering_model=offering_model, obs=obs)
 
 
 def _config(args: argparse.Namespace) -> ExplorationConfig:
@@ -331,7 +325,7 @@ def _goal(args: argparse.Namespace) -> Goal:
     return brandeis_major_goal(args.electives_required)
 
 
-def _run_catalog(args: argparse.Namespace, out) -> int:
+def _run_catalog(args: argparse.Namespace, obs: Observability, out) -> int:
     if getattr(args, "catalog", None):
         catalog = load_catalog(args.catalog)
         for course_id in sorted(catalog):
@@ -352,8 +346,8 @@ def _run_catalog(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_deadline(args: argparse.Namespace, out) -> int:
-    navigator = _load(args)
+def _run_deadline(args: argparse.Namespace, obs: Observability, out) -> int:
+    navigator = _load(args, obs)
     start, end = Term.parse(args.start), Term.parse(args.end)
     config = args._config
     completed = frozenset(args.completed)
@@ -373,8 +367,8 @@ def _run_deadline(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_goal(args: argparse.Namespace, out) -> int:
-    navigator = _load(args)
+def _run_goal(args: argparse.Namespace, obs: Observability, out) -> int:
+    navigator = _load(args, obs)
     start, end = Term.parse(args.start), Term.parse(args.end)
     config = args._config
     completed = frozenset(args.completed)
@@ -406,8 +400,8 @@ def _run_goal(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_ranked(args: argparse.Namespace, out) -> int:
-    navigator = _load(args)
+def _run_ranked(args: argparse.Namespace, obs: Observability, out) -> int:
+    navigator = _load(args, obs)
     start, end = Term.parse(args.start), Term.parse(args.end)
     result = navigator.explore_ranked(
         start,
@@ -428,27 +422,30 @@ def _run_ranked(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_explain(args: argparse.Namespace, out) -> int:
+def _run_explain(args: argparse.Namespace, obs: Observability, out) -> int:
     from ..obs import ExplainReport
     from .report import build_explain_report, explain_report_dict
 
     recorder = DecisionRecorder(
         sinks=[JsonlSink(args.out)] if args.out else [], keep_events=True
     )
-    args._decisions = recorder
-    navigator = _load(args)
-    start, end = Term.parse(args.start), Term.parse(args.end)
-    goal = _goal(args)
-    result = navigator.explore_goal(
-        start,
-        goal,
-        end,
-        completed=frozenset(args.completed),
-        config=args._config,
-        pruners=[] if args.no_prune else None,
+    audited = Observability(
+        tracer=obs.tracer, metrics=obs.metrics, decisions=recorder, progress=obs.progress
     )
-    recorder.close()
-    args._decisions = None  # already closed; keep _dispatch()'s finally from re-closing
+    try:
+        navigator = _load(args, audited)
+        start, end = Term.parse(args.start), Term.parse(args.end)
+        goal = _goal(args)
+        result = navigator.explore_goal(
+            start,
+            goal,
+            end,
+            completed=frozenset(args.completed),
+            config=args._config,
+            pruners=[] if args.no_prune else None,
+        )
+    finally:
+        recorder.close()
     report = ExplainReport(recorder.events)
     if args.json:
         import json
@@ -492,7 +489,7 @@ def _run_explain(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_transcripts(args: argparse.Namespace, out) -> int:
+def _run_transcripts(args: argparse.Namespace, obs: Observability, out) -> int:
     navigator = CourseNavigator(brandeis_catalog())
     goal = brandeis_major_goal()
     start = start_term_for_semesters(args.semesters)
@@ -518,8 +515,8 @@ def _run_transcripts(args: argparse.Namespace, out) -> int:
     return 0 if report.all_contained else 1
 
 
-def _run_audit(args: argparse.Namespace, out) -> int:
-    navigator = _load(args)
+def _run_audit(args: argparse.Namespace, obs: Observability, out) -> int:
+    navigator = _load(args, obs)
     goal = _goal(args)
     completed = frozenset(args.completed)
     unknown = completed - navigator.catalog.course_ids()
@@ -533,10 +530,10 @@ def _run_audit(args: argparse.Namespace, out) -> int:
     return 0 if report.satisfied else 1
 
 
-def _run_export(args: argparse.Namespace, out) -> int:
+def _run_export(args: argparse.Namespace, obs: Observability, out) -> int:
     from ..graph.export import write_dot, write_json
 
-    navigator = _load(args)
+    navigator = _load(args, obs)
     start, end = Term.parse(args.start), Term.parse(args.end)
     result = navigator.explore_goal(
         start, _goal(args), end,
@@ -555,10 +552,10 @@ def _run_export(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_lint(args: argparse.Namespace, out) -> int:
+def _run_lint(args: argparse.Namespace, obs: Observability, out) -> int:
     from ..catalog import lint_catalog
 
-    navigator = _load(args)
+    navigator = _load(args, obs)
     issues = lint_catalog(navigator.catalog)
     if args.errors_only:
         issues = [issue for issue in issues if issue.severity == "error"]
@@ -615,16 +612,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     }
     # Output sinks are opened inside the try below, so one that fails to
     # open still lets the finally close the others.
-    args._tracer = None
-    args._decisions = None
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)
     explain_path = getattr(args, "explain", None)
     serve_port = getattr(args, "serve_metrics", None)
-    args._metrics = (
-        MetricsRegistry() if (metrics_path or serve_port is not None) else None
-    )
-    args._progress = None
+    metrics = MetricsRegistry() if (metrics_path or serve_port is not None) else None
+    tracer: Optional[Tracer] = None
+    decisions: Optional[DecisionRecorder] = None
+    progress: Optional[ProgressTracker] = None
     server: Optional[MetricsServer] = None
     printer: Optional[ProgressPrinter] = None
     try:
@@ -640,23 +635,24 @@ def _dispatch(args: argparse.Namespace) -> int:
             or getattr(args, "wall_budget", None) is not None
             or getattr(args, "memory_budget_mb", None) is not None
         ):
-            args._progress = ProgressTracker()
+            progress = ProgressTracker()
         if trace_path:
-            args._tracer = Tracer(sinks=[JsonlSink(trace_path)])
+            tracer = Tracer(sinks=[JsonlSink(trace_path)])
         if explain_path:
-            args._decisions = DecisionRecorder(sinks=[JsonlSink(explain_path)])
+            decisions = DecisionRecorder(sinks=[JsonlSink(explain_path)])
+        obs = Observability(
+            tracer=tracer, metrics=metrics, decisions=decisions, progress=progress
+        )
         if serve_port is not None:
             server = MetricsServer(
-                registry=args._metrics,
-                progress=args._progress,
-                port=serve_port,
+                registry=metrics, progress=progress, port=serve_port
             ).start()
             # Printed before the run starts so watchers (and the CI smoke)
             # can discover an ephemeral port while the run is still going.
             print(f"serving live telemetry on {server.url}", file=sys.stderr)
-        if getattr(args, "progress", False) and args._progress is not None:
-            printer = ProgressPrinter(args._progress, stream=sys.stderr).start()
-        return handlers[args.command](args, sys.stdout)
+        if getattr(args, "progress", False):
+            printer = ProgressPrinter(progress, stream=sys.stderr).start()
+        return handlers[args.command](args, obs, sys.stdout)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.progress is not None:
@@ -670,20 +666,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             printer.close()
         if server is not None:
             server.close()
-        if args._tracer is not None:
-            args._tracer.close()
+        if tracer is not None:
+            tracer.close()
             print(f"trace written to {trace_path}", file=sys.stderr)
-        if args._decisions is not None:
-            args._decisions.close()
-            if explain_path:
-                print(f"decision audit written to {explain_path}", file=sys.stderr)
+        if decisions is not None:
+            decisions.close()
+            print(f"decision audit written to {explain_path}", file=sys.stderr)
         # Last, because a --metrics-out path that cannot be written raises
         # out of this block (main reports it) and must not skip the closes.
-        if args._metrics is not None:
-            if args._progress is not None:
-                args._progress.publish_gauges(args._metrics)
+        if metrics is not None:
+            if progress is not None:
+                progress.publish_gauges(metrics)
             if metrics_path:
-                _write_metrics(args._metrics, metrics_path)
+                _write_metrics(metrics, metrics_path)
                 print(f"metrics written to {metrics_path}", file=sys.stderr)
 
 

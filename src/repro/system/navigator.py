@@ -4,7 +4,11 @@ One object ties the pieces together for application code: a validated
 :class:`~repro.catalog.Catalog` (built by the registrar parsers), an
 optional :class:`~repro.catalog.OfferingModel`, and the three exploration
 tasks as methods taking student-level arguments (current semester,
-completed courses, goal, constraints, ranking choice).
+completed courses, goal, ranking choice).  Each run is described by the
+same two objects the engines take: the call's
+:class:`~repro.core.ExplorationConfig` (``m``, the avoid list, run
+limits), passed through unchanged, and the navigator's one
+:class:`~repro.obs.Observability` bundle.
 
     >>> from repro.data import brandeis_catalog, brandeis_major_goal
     >>> from repro.semester import Term
@@ -44,13 +48,7 @@ from ..analysis import check_containment, ContainmentReport, is_generated_goal_p
 from ..cache import ExplorationCache
 from ..errors import ExplorationError
 from ..graph.path import LearningPath
-from ..obs import (
-    DecisionRecorder,
-    MetricsRegistry,
-    Observability,
-    ProgressTracker,
-    Tracer,
-)
+from ..obs import Observability
 from ..requirements import Goal
 from ..semester import Term
 
@@ -69,26 +67,13 @@ class CourseNavigator:
     offering_model:
         Probability model for reliability ranking; defaults to the
         catalog's own (deterministic) model.
-    tracer:
-        Optional :class:`~repro.obs.Tracer`; every exploration run this
-        navigator performs emits spans into its sinks.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; run counters and
-        per-phase duration histograms accumulate into it.
-    capture_memory:
-        When true, each run records its ``tracemalloc`` allocation peak
-        (noticeably slower; for memory studies only).
-    decisions:
-        Optional :class:`~repro.obs.DecisionRecorder`; every exploration
-        run this navigator performs records its expansion/prune/terminal
-        decisions into it (the EXPLAIN layer).
-    progress:
-        Optional :class:`~repro.obs.ProgressTracker`; every run feeds it
-        incrementally so other threads can watch live (snapshots, the
-        ``/progress`` endpoint, the TTY progress line), and stops at its
-        next node once another thread calls its ``cancel()``.  Run limits
-        (nodes, wall time, memory) are
-        :class:`~repro.core.ExplorationConfig` fields.
+    obs:
+        Optional :class:`~repro.obs.Observability` bundle; every run this
+        navigator performs reports into it (spans, metrics, decision
+        audit, live telemetry, memory peaks — whichever backends it
+        holds).  ``None`` runs uninstrumented (the engine's no-op fast
+        path).  Run limits (nodes, wall time, memory) are
+        :class:`~repro.core.ExplorationConfig` fields, given per call.
     cache:
         Optional :class:`~repro.cache.ExplorationCache`.  Every goal run
         this navigator performs asks the goal through it
@@ -96,45 +81,23 @@ class CourseNavigator:
         catalog reuse ``left_i`` and satisfaction answers — with identical
         outputs (the cache only replays pure functions).  Deadline runs
         have no goal and do not use it.
-        When a ``metrics`` registry is also given, cache hit/miss/eviction
+        When ``obs`` holds a metrics registry, cache hit/miss/eviction
         counters are emitted into it.
-
-    With none of the observability arguments, runs are completely
-    uninstrumented (the engine's no-op fast path).
     """
 
     def __init__(
         self,
         catalog: Catalog,
         offering_model: Optional[OfferingModel] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        capture_memory: bool = False,
-        decisions: Optional[DecisionRecorder] = None,
-        progress: Optional[ProgressTracker] = None,
+        obs: Optional[Observability] = None,
         cache: Optional[ExplorationCache] = None,
     ):
         self._catalog = catalog
         self._offering_model = offering_model or catalog.offering_model
+        self._obs = obs
         self._cache = cache
-        if cache is not None and metrics is not None:
-            cache.bind_metrics(metrics)
-        if (
-            tracer is None
-            and metrics is None
-            and not capture_memory
-            and decisions is None
-            and progress is None
-        ):
-            self._obs: Optional[Observability] = None
-        else:
-            self._obs = Observability(
-                tracer=tracer,
-                metrics=metrics,
-                capture_memory=capture_memory,
-                decisions=decisions,
-                progress=progress,
-            )
+        if cache is not None and obs is not None and obs.metrics is not None:
+            cache.bind_metrics(obs.metrics)
 
     @property
     def catalog(self) -> Catalog:
@@ -162,24 +125,6 @@ class CourseNavigator:
         """``goal``, answered through the cache when there is one."""
         return goal if self._cache is None else self._cache.wrap_goal(goal)
 
-    def _config(
-        self,
-        config: Optional[ExplorationConfig],
-        max_courses_per_term: Optional[int],
-        avoid_courses: Optional[AbstractSet[str]],
-        max_nodes: Optional[int],
-    ) -> ExplorationConfig:
-        if config is not None:
-            return config
-        kwargs = {}
-        if max_courses_per_term is not None:
-            kwargs["max_courses_per_term"] = max_courses_per_term
-        if avoid_courses is not None:
-            kwargs["avoid_courses"] = frozenset(avoid_courses)
-        if max_nodes is not None:
-            kwargs["max_nodes"] = max_nodes
-        return ExplorationConfig(**kwargs)
-
     def resolve_ranking(self, ranking: RankingSpec) -> RankingFunction:
         """Turn ``"time"`` / ``"workload"`` / ``"reliability"`` (or an
         already-built :class:`RankingFunction`) into a ranking instance."""
@@ -204,9 +149,6 @@ class CourseNavigator:
         end_term: Term,
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
-        max_courses_per_term: Optional[int] = None,
-        avoid_courses: Optional[AbstractSet[str]] = None,
-        max_nodes: Optional[int] = None,
     ) -> DeadlineResult:
         """All learning paths until ``end_term`` (Algorithm 1)."""
         return generate_deadline_driven(
@@ -214,7 +156,7 @@ class CourseNavigator:
             start_term,
             end_term,
             completed=completed,
-            config=self._config(config, max_courses_per_term, avoid_courses, max_nodes),
+            config=config,
             obs=self._obs,
         )
 
@@ -225,9 +167,6 @@ class CourseNavigator:
         end_term: Term,
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
-        max_courses_per_term: Optional[int] = None,
-        avoid_courses: Optional[AbstractSet[str]] = None,
-        max_nodes: Optional[int] = None,
         pruners: Optional[List[Pruner]] = None,
     ) -> GoalDrivenResult:
         """All paths meeting ``goal`` by ``end_term`` (goal-driven, §4.2)."""
@@ -237,7 +176,7 @@ class CourseNavigator:
             self._goal(goal),
             end_term,
             completed=completed,
-            config=self._config(config, max_courses_per_term, avoid_courses, max_nodes),
+            config=config,
             pruners=pruners,
             obs=self._obs,
         )
@@ -251,9 +190,6 @@ class CourseNavigator:
         ranking: RankingSpec = "time",
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
-        max_courses_per_term: Optional[int] = None,
-        avoid_courses: Optional[AbstractSet[str]] = None,
-        max_nodes: Optional[int] = None,
     ) -> RankedResult:
         """The top-``k`` goal paths under a ranking (§4.3)."""
         return generate_ranked(
@@ -264,7 +200,7 @@ class CourseNavigator:
             k,
             self.resolve_ranking(ranking),
             completed=completed,
-            config=self._config(config, max_courses_per_term, avoid_courses, max_nodes),
+            config=config,
             obs=self._obs,
         )
 

@@ -16,7 +16,9 @@ to a CS major?"*.  A :class:`PlanningSession` is that loop as an API:
 
 Every transition is validated through the same
 :class:`~repro.core.expansion.Expander` the generators use, so a session
-can never wander into a state the algorithms would not generate.
+can never wander into a state the algorithms would not generate.  Route
+counts and plans run through the session's navigator, so they use its
+cache and report into its observability bundle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from ..catalog import Catalog
-from ..core import ExplorationConfig, RankedResult, frontier_count_goal_paths
+from ..core import ExplorationConfig, RankedResult
 from ..core.expansion import Expander
 from ..errors import ExplorationError
 from ..graph.path import LearningPath
@@ -143,14 +145,13 @@ class PlanningSession:
 
     def routes_remaining(self) -> int:
         """Exact number of goal routes from the current status."""
-        return frontier_count_goal_paths(
-            self._navigator.catalog,
+        return self._navigator.count_goal(
             self._status.term,
             self._goal,
             self._deadline,
             completed=self._status.completed,
             config=self._config,
-        ).path_count
+        )
 
     def preview(self, *course_ids: str) -> SelectionPreview:
         """Score a candidate selection without committing to it.
@@ -163,14 +164,13 @@ class PlanningSession:
         satisfied = self._goal.is_satisfied(child.completed)
         routes = 0
         if not satisfied:
-            routes = frontier_count_goal_paths(
-                self._navigator.catalog,
+            routes = self._navigator.count_goal(
                 child.term,
                 self._goal,
                 self._deadline,
                 completed=child.completed,
                 config=self._config,
-            ).path_count
+            )
         return SelectionPreview(
             selection=selection,
             next_term_options=child.options,

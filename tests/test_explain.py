@@ -458,8 +458,9 @@ class TestRecordingEquivalence:
 
     def test_navigator_threads_recorder(self, catalog):
         recorder = DecisionRecorder()
-        navigator = CourseNavigator(catalog, decisions=recorder)
-        assert navigator.observability is not None
+        obs = Observability(decisions=recorder)
+        navigator = CourseNavigator(catalog, obs=obs)
+        assert navigator.observability is obs
         result = navigator.explore_goal(START, brandeis_major_goal(), END)
         assert recorder.report().counts_by_kind()["goal"] == result.path_count
 

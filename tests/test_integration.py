@@ -117,7 +117,8 @@ class TestFullPipeline:
         navigator = CourseNavigator(catalog)
         goal = CourseSetGoal({"CS 9"})
         # Avoid CS 3: CS 9 needs 2 of [CS 3, CS 4, MATH 1] — still feasible.
-        result = navigator.explore_goal(F20, goal, F22, avoid_courses={"CS 3"})
+        config = ExplorationConfig(avoid_courses={"CS 3"})
+        result = navigator.explore_goal(F20, goal, F22, config=config)
         assert result.path_count > 0
         for path in result.paths():
             assert "CS 3" not in path.courses_taken()

@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro.core import ExplorationConfig, TimeRanking, WorkloadRanking
-from repro.errors import ExplorationError
+from repro.core import (
+    ExplorationConfig,
+    RankedResult,
+    TimeRanking,
+    WorkloadRanking,
+    frontier_count_deadline_paths,
+    frontier_count_goal_paths,
+    generate_deadline_driven,
+    generate_goal_driven,
+    generate_ranked,
+)
+from repro.errors import BudgetExceededError, ExplorationError
+from repro.obs import DecisionRecorder, Observability, ProgressTracker
 from repro.requirements import CourseSetGoal
 from repro.system import CourseNavigator
 
@@ -36,10 +47,10 @@ class TestExploration:
     def test_count_goal(self, navigator):
         assert navigator.count_goal(F11, GOAL, F12) == 1
 
-    def test_kwargs_build_config(self, navigator):
-        result = navigator.explore_deadline(
-            F11, S13, max_courses_per_term=1, avoid_courses={"29A"}
-        )
+    def test_config_constraints_apply(self, navigator):
+        config = ExplorationConfig(max_courses_per_term=1, avoid_courses={"29A"})
+        result = navigator.explore_deadline(F11, S13, config=config)
+        assert result.path_count
         for path in result.paths():
             assert all(len(sel) <= 1 for sel in path.selections)
             assert "29A" not in path.courses_taken()
@@ -49,6 +60,117 @@ class TestExploration:
         result = navigator.explore_deadline(F11, S12, config=config)
         for path in result.paths():
             assert all(len(sel) <= 1 for sel in path.selections)
+
+
+#: Each navigator method, and the engine call it stands for.
+PASS_THROUGH = {
+    "explore_deadline": (
+        lambda nav, **kw: nav.explore_deadline(F11, S13, **kw),
+        lambda catalog, config, obs: generate_deadline_driven(
+            catalog, F11, S13, config=config, obs=obs
+        ),
+    ),
+    "explore_goal": (
+        lambda nav, **kw: nav.explore_goal(F11, GOAL, S13, **kw),
+        lambda catalog, config, obs: generate_goal_driven(
+            catalog, F11, GOAL, S13, config=config, obs=obs
+        ),
+    ),
+    "explore_ranked": (
+        lambda nav, **kw: nav.explore_ranked(F11, GOAL, S13, 2, **kw),
+        lambda catalog, config, obs: generate_ranked(
+            catalog, F11, GOAL, S13, 2, TimeRanking(), config=config, obs=obs
+        ),
+    ),
+    "count_deadline": (
+        lambda nav, **kw: nav.count_deadline(F11, S13, **kw),
+        lambda catalog, config, obs: frontier_count_deadline_paths(
+            catalog, F11, S13, config=config, obs=obs
+        ).path_count,
+    ),
+    "count_goal": (
+        lambda nav, **kw: nav.count_goal(F11, GOAL, S13, **kw),
+        lambda catalog, config, obs: frontier_count_goal_paths(
+            catalog, F11, GOAL, S13, config=config, obs=obs
+        ).path_count,
+    ),
+}
+EXPLORE_METHODS = ("explore_deadline", "explore_goal", "explore_ranked")
+
+
+def _outcome(result):
+    """A run's outputs and stats, timing aside."""
+    if isinstance(result, int):
+        return result
+    paths = result.paths if isinstance(result, RankedResult) else list(result.paths())
+    stats = result.stats.as_dict()
+    del stats["elapsed_seconds"]
+    return [path.selections for path in paths], stats
+
+
+def _observed_run(run):
+    """``run(obs)`` under a fresh recorder and tracker: its outcome, its
+    decision events and its final progress snapshot, timing aside."""
+    recorder, tracker = DecisionRecorder(), ProgressTracker()
+    outcome = _outcome(run(Observability(progress=tracker, decisions=recorder)))
+    snapshot = tracker.snapshot().as_dict()
+    for timing in ("elapsed_seconds", "eta_seconds"):
+        del snapshot[timing]
+    return outcome, [event.as_dict() for event in recorder.events], snapshot
+
+
+class TestPassThrough:
+    """The navigator hands each call's config and its one bundle to the
+    engine unchanged."""
+
+    @pytest.mark.parametrize("method", sorted(PASS_THROUGH))
+    def test_matches_the_engine_call(self, fig3_catalog, method):
+        via_navigator, direct = PASS_THROUGH[method]
+        # m = 1 changes every method's outputs on Fig. 3, so a dropped
+        # config cannot go unnoticed.
+        config = ExplorationConfig(max_courses_per_term=1)
+        navigated = _observed_run(
+            lambda obs: via_navigator(
+                CourseNavigator(fig3_catalog, obs=obs), config=config
+            )
+        )
+        expected = _observed_run(lambda obs: direct(fig3_catalog, config, obs))
+        assert navigated == expected
+        _, events, snapshot = navigated
+        assert events and snapshot["finished"]
+        default = _observed_run(
+            lambda obs: direct(fig3_catalog, ExplorationConfig(), obs)
+        )
+        assert navigated[0] != default[0]
+
+    @pytest.mark.parametrize("method", EXPLORE_METHODS)
+    def test_config_node_limit_applies(self, navigator, method):
+        via_navigator, _direct = PASS_THROUGH[method]
+        with pytest.raises(BudgetExceededError, match="nodes limit 2"):
+            via_navigator(navigator, config=ExplorationConfig(max_nodes=2))
+
+    @pytest.mark.parametrize(
+        "keyword", ["tracer", "metrics", "capture_memory", "decisions", "progress"]
+    )
+    def test_constructor_takes_no_backend_keywords(self, fig3_catalog, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            CourseNavigator(fig3_catalog, **{keyword: ProgressTracker()})
+
+    @pytest.mark.parametrize("method", EXPLORE_METHODS)
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("max_courses_per_term", 1), ("avoid_courses", {"29A"}), ("max_nodes", 2)],
+    )
+    def test_explore_methods_take_no_config_keywords(
+        self, navigator, method, keyword, value
+    ):
+        via_navigator, _direct = PASS_THROUGH[method]
+        with pytest.raises(TypeError, match=keyword):
+            via_navigator(navigator, **{keyword: value})
+
+    def test_observability_is_the_bundle_given(self, fig3_catalog):
+        obs = Observability(progress=ProgressTracker())
+        assert CourseNavigator(fig3_catalog, obs=obs).observability is obs
 
 
 class TestRankingResolution:

@@ -499,10 +499,9 @@ class TestEngineIntegration:
     def test_navigator_threads_observability(self, catalog, major_goal):
         sink = InMemorySink()
         registry = MetricsRegistry()
-        navigator = CourseNavigator(
-            catalog, tracer=Tracer(sinks=[sink]), metrics=registry
-        )
-        assert navigator.observability is not None
+        obs = Observability(tracer=Tracer(sinks=[sink]), metrics=registry)
+        navigator = CourseNavigator(catalog, obs=obs)
+        assert navigator.observability is obs
         navigator.explore_ranked(START, major_goal, END, k=1)
         assert any(r["name"] == "run:ranked" for r in sink.records)
         assert registry.get("repro_runs_total", labels={"kind": "ranked"}).value == 1

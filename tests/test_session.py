@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cache import ExplorationCache
 from repro.core import ExplorationConfig
 from repro.errors import ExplorationError
+from repro.obs import DecisionRecorder, Observability, ProgressTracker
 from repro.requirements import CourseSetGoal
 from repro.system import CourseNavigator, PlanningSession
 
@@ -214,3 +216,38 @@ class TestSessionWithConfig:
         assert session.options() == {"21A"}
         session.take("21A")
         assert session.goal_satisfied()
+
+
+class TestSessionThroughNavigator:
+    """Route counts run through the navigator: its bundle and its cache."""
+
+    def test_counts_report_into_the_navigators_bundle(self, fig3_catalog):
+        recorder, tracker = DecisionRecorder(), ProgressTracker()
+        navigator = CourseNavigator(
+            fig3_catalog, obs=Observability(decisions=recorder, progress=tracker)
+        )
+        session = PlanningSession(navigator, GOAL, F11, S13)
+        routes = session.routes_remaining()
+        snapshot = tracker.snapshot()
+        assert (snapshot.run, snapshot.finished) == ("frontier_goal", True)
+        assert snapshot.paths_emitted == routes
+        recorded = len(recorder)
+        assert recorded
+        preview = session.preview("11A")
+        assert not preview.goal_satisfied
+        snapshot = tracker.snapshot()
+        assert (snapshot.run, snapshot.finished) == ("frontier_goal", True)
+        assert snapshot.paths_emitted == preview.routes_remaining
+        assert len(recorder) > recorded
+
+    def test_cached_counts_equal_uncached(self, fig3_catalog):
+        cache = ExplorationCache()
+        plain = PlanningSession(CourseNavigator(fig3_catalog), GOAL, F11, S13)
+        cached = PlanningSession(
+            CourseNavigator(fig3_catalog, cache=cache), GOAL, F11, S13
+        )
+        assert cached.routes_remaining() == plain.routes_remaining()
+        assert [p.routes_remaining for p in cached.preview_all()] == [
+            p.routes_remaining for p in plain.preview_all()
+        ]
+        assert cache.counter_totals()["flow"]["misses"]

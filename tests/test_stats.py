@@ -8,7 +8,8 @@ from unittest import mock
 import pytest
 
 from repro.core import ExplorationStats
-from repro.core.pruning import PruningStats, suppressed_selection_count
+from repro.core.options import selection_count
+from repro.core.pruning import PruningStats
 from repro.graph.status import EnrollmentStatus
 from repro.semester import Term
 
@@ -204,18 +205,19 @@ class TestPickleAndCopy:
 
 
 class TestSuppressedSelectionCount:
+    # A floor suppresses every selection smaller than it: selection_count(n, floor - 1).
     def test_no_floor_no_suppression(self):
-        assert suppressed_selection_count(5, 0) == 0
-        assert suppressed_selection_count(5, 1) == 0
+        assert selection_count(5, -1) == 0
+        assert selection_count(5, 0) == 0
 
     def test_floor_two_counts_singletons(self):
-        assert suppressed_selection_count(5, 2) == 5
+        assert selection_count(5, 1) == 5
 
     def test_floor_three_counts_singletons_and_pairs(self):
-        assert suppressed_selection_count(4, 3) == 4 + 6
+        assert selection_count(4, 2) == 4 + 6
 
     def test_floor_beyond_options_counts_everything_below(self):
-        assert suppressed_selection_count(2, 5) == 2 + 1
+        assert selection_count(2, 4) == 2 + 1
 
     def test_empty_options(self):
-        assert suppressed_selection_count(0, 3) == 0
+        assert selection_count(0, 2) == 0
