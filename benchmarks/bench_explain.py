@@ -9,8 +9,15 @@ Runs a fixed goal-driven workload (the Brandeis CS major over a
 * ``explain_jsonl`` — the recorder streaming events to a JSONL sink.
 
 and writes a machine-readable snapshot (wall-times, node/prune/path
-counts, decision volume, and the on-vs-off overhead ratio) so the repo's
-perf trajectory can be tracked commit over commit:
+counts, decision volume, and the on-vs-off overhead ratios) so the
+repo's perf trajectory can be tracked commit over commit.
+
+Each row reports the median wall time and its quartiles, and every
+``*_vs_off`` ratio compares medians: on a shared host the fastest run
+says more about the neighbours than about the code.  Repeats are
+**interleaved** (round-robin over the variants) so drift spreads evenly
+instead of biasing whichever variant runs last.  Each row's counters
+come from its median run (the lower middle one for an even count).
 
 .. code-block:: console
 
@@ -32,7 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import ExplorationConfig
 from repro.data import brandeis_catalog, brandeis_major_goal
@@ -46,66 +53,77 @@ START = Term(2013, "Fall")
 END = Term(2015, "Fall")
 DEFAULT_REPEATS = 3
 DEFAULT_OUTPUT = "BENCH_explain.json"
+VARIANTS = ("explain_off", "explain_on", "explain_jsonl")
 
 
-def _time_runs(make_navigator: Callable[[], CourseNavigator],
-               repeats: int) -> Dict[str, object]:
-    """Run the fixed workload ``repeats`` times; keep the best wall-time
-    (least-noise estimator) plus the mean, and the final run's counters."""
-    goal = brandeis_major_goal()
+def _run_variant(name: str, catalog, sink_path: str) -> Tuple[float, object, Dict[str, object]]:
+    """One timed run of ``name``; returns (seconds, result, extras)."""
+    recorder = None
+    if name == "explain_on":
+        recorder = DecisionRecorder()
+    elif name == "explain_jsonl":
+        recorder = DecisionRecorder(sinks=[JsonlSink(sink_path)], keep_events=False)
+    obs = Observability(decisions=recorder) if recorder is not None else None
+    navigator = CourseNavigator(catalog, obs=obs)
     config = ExplorationConfig(max_courses_per_term=3)
-    times: List[float] = []
-    result = None
-    for _ in range(repeats):
-        navigator = make_navigator()
-        begin = time.perf_counter()
-        result = navigator.explore_goal(START, goal, END, config=config)
-        times.append(time.perf_counter() - begin)
-    assert result is not None
-    return {
-        "wall_seconds_best": min(times),
-        "wall_seconds_mean": statistics.mean(times),
-        "repeats": repeats,
-        "paths": result.path_count,
-        "nodes": result.graph.num_nodes,
-        "pruned_subtrees": result.pruning_stats.total,
-        "pruned_by_strategy": result.pruning_stats.as_dict(),
-    }
+    goal = brandeis_major_goal()
+    begin = time.perf_counter()
+    result = navigator.explore_goal(START, goal, END, config=config)
+    elapsed = time.perf_counter() - begin
+    extras: Dict[str, object] = {}
+    if name == "explain_on":
+        extras["decisions_recorded"] = len(recorder)
+    elif name == "explain_jsonl":
+        recorder.close()
+        extras["jsonl_bytes"] = os.path.getsize(sink_path)
+    return elapsed, result, extras
+
+
+def _quartiles(times: List[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``times``; a single run is all three."""
+    if len(times) < 2:
+        return times[0], times[0], times[0]
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
-    """The full A/B: returns the ``BENCH_explain.json`` document."""
+    """The full interleaved A/B: returns the ``BENCH_explain.json`` document."""
     catalog = brandeis_catalog()
-
-    off = _time_runs(lambda: CourseNavigator(catalog), repeats)
-
-    recorders: List[DecisionRecorder] = []
-
-    def _with_recorder() -> CourseNavigator:
-        recorder = DecisionRecorder()
-        recorders.append(recorder)
-        return CourseNavigator(catalog, obs=Observability(decisions=recorder))
-
-    on = _time_runs(_with_recorder, repeats)
-    on["decisions_recorded"] = len(recorders[-1])
-
+    runs: Dict[str, List[Tuple[float, object, Dict[str, object]]]] = {
+        name: [] for name in VARIANTS
+    }
     with tempfile.TemporaryDirectory() as tmp:
         sink_path = os.path.join(tmp, "audit.jsonl")
-        streamed = _time_runs(
-            lambda: CourseNavigator(
-                catalog,
-                obs=Observability(
-                    decisions=DecisionRecorder(
-                        sinks=[JsonlSink(sink_path)], keep_events=False
-                    )
-                ),
-            ),
-            repeats,
-        )
-        streamed["jsonl_bytes"] = os.path.getsize(sink_path)
+        for _ in range(repeats):
+            for name in VARIANTS:
+                runs[name].append(_run_variant(name, catalog, sink_path))
 
-    overhead_on = on["wall_seconds_best"] / off["wall_seconds_best"] - 1.0
-    overhead_jsonl = streamed["wall_seconds_best"] / off["wall_seconds_best"] - 1.0
+    variants: Dict[str, Dict[str, object]] = {}
+    for name in VARIANTS:
+        ordered = sorted(runs[name], key=lambda run: run[0])
+        _elapsed, result, extras = ordered[(len(ordered) - 1) // 2]
+        q1, median, q3 = _quartiles([run[0] for run in ordered])
+        row: Dict[str, object] = {
+            "wall_seconds_median": median,
+            "wall_seconds_q1": q1,
+            "wall_seconds_q3": q3,
+            "repeats": repeats,
+            "paths": result.path_count,
+            "nodes": result.graph.num_nodes,
+            "pruned_subtrees": result.pruning_stats.total,
+            "pruned_by_strategy": result.pruning_stats.as_dict(),
+        }
+        row.update(extras)
+        variants[name] = row
+
+    base = variants["explain_off"]["wall_seconds_median"]
+    overhead = {
+        f"{name}_vs_off": round(variants[name]["wall_seconds_median"] / base - 1.0, 4)
+        for name in VARIANTS
+        if name != "explain_off"
+    }
+    overhead["disabled_budget"] = 0.05
     return {
         "benchmark": "explain_overhead",
         "workload": {
@@ -117,16 +135,9 @@ def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
         },
         "unix_time": time.time(),
         "python": sys.version.split()[0],
-        "variants": {
-            "explain_off": off,
-            "explain_on": on,
-            "explain_jsonl": streamed,
-        },
-        "overhead": {
-            "explain_on_vs_off": round(overhead_on, 4),
-            "explain_jsonl_vs_off": round(overhead_jsonl, 4),
-            "disabled_budget": 0.05,
-        },
+        "interleaved": True,
+        "variants": variants,
+        "overhead": overhead,
     }
 
 
@@ -140,7 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=DEFAULT_REPEATS,
-        help=f"runs per variant; best-of is reported (default {DEFAULT_REPEATS})",
+        help=f"interleaved rounds; medians are reported (default {DEFAULT_REPEATS})",
     )
     args = parser.parse_args(argv)
 
@@ -152,11 +163,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     variants = document["variants"]
     overhead = document["overhead"]
     print(f"wrote {args.output}")
-    for name in ("explain_off", "explain_on", "explain_jsonl"):
+    for name in VARIANTS:
         row = variants[name]
+        q1, median, q3 = (
+            row[f"wall_seconds_{key}"] * 1000 for key in ("q1", "median", "q3")
+        )
         print(
-            f"  {name:14} best {row['wall_seconds_best']*1000:8.1f} ms  "
-            f"mean {row['wall_seconds_mean']*1000:8.1f} ms  "
+            f"  {name:14} median {median:8.1f} ms  IQR {q1:.1f}-{q3:.1f} ms  "
             f"({row['paths']} paths, {row['pruned_subtrees']} pruned)"
         )
     print(

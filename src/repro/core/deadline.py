@@ -4,8 +4,9 @@ Enumerates **every** learning path from the student's current enrollment
 status to the end semester ``d``: all course selection options, for every
 upcoming semester, exactly as a student exploring "what could I take over
 the next few semesters" would want.  Faithful to the paper, the result is
-an out-tree (one node per expansion), so the output grows exponentially in
-the horizon — Table 2's out-of-memory rows are reproduced here as a
+an out-tree (one node per expansion; nodes with equal completed sets share
+one frozenset), so the output grows exponentially in the horizon — Table
+2's out-of-memory rows are reproduced here as a
 :class:`~repro.errors.BudgetExceededError` governed by
 ``config.max_nodes``.  :func:`~repro.core.frontier.frontier_count_deadline_paths`
 counts the paths without building them.
@@ -14,7 +15,7 @@ counts the paths without building them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Optional
+from typing import AbstractSet, Dict, FrozenSet, Iterator, Optional
 
 from ..catalog import Catalog
 from ..graph import LearningGraph, LearningPath
@@ -95,13 +96,18 @@ def grow_tree(step: NodeStep) -> LearningGraph:
     expansion, each decided by ``step`` (the deadline- and goal-driven
     engines differ only in their step).  ``config.max_nodes`` bounds the
     tree's size, raising :class:`~repro.errors.BudgetExceededError` with
-    ``observed = max_nodes + 1`` (the node it refused)."""
+    ``observed = max_nodes + 1`` (the node it refused).  Nodes with equal
+    completed sets share one frozenset (see
+    :meth:`~repro.core.expansion.Expander.successors`)."""
     expander = step.expander
     max_nodes = step.config.max_nodes
     stats = step.stats
     obs = step.obs
     graph = LearningGraph(expander.initial_status(step.start_term, step.completed))
     stats.record_node()
+    # One frozenset per distinct completed set, shared by every node with
+    # that value; freed with the run.
+    canonical: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
     def describe(node_id: int, kind: str):
         selection = tuple(sorted(graph.selection_into(node_id)))
@@ -119,7 +125,7 @@ def grow_tree(step: NodeStep) -> LearningGraph:
             children = 0
             with obs.phase("expand"):
                 for selection, child_status in expander.successors(
-                    status, required_minimum=step.floor
+                    status, required_minimum=step.floor, canonical=canonical
                 ):
                     if max_nodes is not None and graph.num_nodes >= max_nodes:
                         raise step.exceeded("nodes", max_nodes, graph.num_nodes + 1)

@@ -17,7 +17,7 @@ one selection frozenset.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterator, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterator, Optional, Tuple
 
 from ..catalog import Catalog, Schedule
 from ..graph.status import EnrollmentStatus
@@ -120,7 +120,10 @@ class Expander:
     # -- the expansion step ----------------------------------------------------
 
     def successors(
-        self, status: EnrollmentStatus, required_minimum: int = 0
+        self,
+        status: EnrollmentStatus,
+        required_minimum: int = 0,
+        canonical: Optional[Dict[FrozenSet[str], FrozenSet[str]]] = None,
     ) -> Iterator[Tuple[FrozenSet[str], EnrollmentStatus]]:
         """Yield ``(selection, child status)`` for every legal move.
 
@@ -129,6 +132,17 @@ class Expander:
         selections smaller than it are skipped, and the empty move is
         suppressed whenever it is positive (an empty move under a positive
         floor provably leads to a child the time pruner rejects).
+
+        ``canonical`` is a run's table of completed sets: given one, each
+        child's ``X ∪ W`` is replaced by the table's set of equal value
+        (added when new), so every child with one ``X`` shares one
+        frozenset.  Transposed paths (``A`` then ``B``, ``B`` then ``A``)
+        build equal sets, so the out-tree, which keeps every node, passes
+        one and stores about a third of the sets it builds (21,741 distinct
+        of 60,448 for Table 1 at 5 semesters).  The frontier drops each
+        finished layer, so a run-long table would only keep them alive,
+        and best-first search builds few duplicates; they pass none.
+        Statuses compare ``X`` by value, so the table changes no output.
 
         Does **not** check the deadline — callers decide which nodes are
         terminal before asking for successors.
@@ -146,7 +160,10 @@ class Expander:
                 if constraints and not check_all(constraints, selection, term, status):
                     continue
                 emitted_any = True
-                yield selection, deferred(child_term, completed | selection, self)
+                child = completed | selection
+                if canonical is not None:
+                    child = canonical.setdefault(child, child)
+                yield selection, deferred(child_term, child, self)
         if floor == 0 and self._empty_move_allowed(status, emitted_any):
             if not constraints or check_all(constraints, _NO_SELECTION, term, status):
                 yield _NO_SELECTION, deferred(child_term, completed, self)

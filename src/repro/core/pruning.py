@@ -153,13 +153,19 @@ class TimeBasedPruner(Pruner):
 
     name = "time"
 
+    def __init__(self, context: PruningContext):
+        super().__init__(context)
+        # ``d − s_i − 1`` is taken on ordinals: a status's term is on the
+        # run's calendar.
+        self._end_ordinal = context.end_term.ordinal
+
     def _bound(self, status: EnrollmentStatus) -> Tuple[float, int, int, float]:
         """``(left_i, m, semesters after this one, min_i)`` at ``status``,
         with ``min_i = left_i − m·(d − s_i − 1)``."""
         context = self._context
         left = context.goal.remaining_courses(status.completed)
         m = context.config.max_courses_per_term
-        semesters_after = context.end_term - status.term - 1
+        semesters_after = self._end_ordinal - status.term.ordinal - 1
         min_i = math.inf if math.isinf(left) else left - m * semesters_after
         return left, m, semesters_after, min_i
 

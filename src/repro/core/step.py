@@ -196,7 +196,7 @@ class NodeStep:
         "pruners", "obs", "stats", "pruning_stats", "expander",
         "outputs", "floor", "_time_pruner", "_describe", "_recorder",
         "_progress", "_checks", "_started_at", "_decided", "_timed",
-        "_start_ordinal",
+        "_start_ordinal", "_end_ordinal",
     )
 
     def __init__(
@@ -242,6 +242,9 @@ class NodeStep:
         self.start_term = start_term
         self._start_ordinal = start_term.ordinal
         self.end_term = end_term
+        # Every status of the run is on the start term's calendar, so the
+        # deadline test compares ordinals.
+        self._end_ordinal = end_term.ordinal
         self.completed = completed
         self.config = config
         self.goal = goal
@@ -339,7 +342,7 @@ class NodeStep:
         goal = self.goal
         if goal is not None and goal.is_satisfied(status.completed):
             return self._terminal("goal", status, ref, multiplicity)
-        if status.term >= self.end_term:
+        if status.term.ordinal >= self._end_ordinal:
             return self._terminal("deadline", status, ref, multiplicity)
         if goal is not None and self._pruned(status, ref):
             return "pruned"

@@ -150,7 +150,10 @@ class Term:
     The term's ordinal and hash are computed once at construction and kept
     outside the dataclass fields, so comparisons, arithmetic and hashing
     are O(1) while ``repr``, equality and the hash value still see only
-    ``year``, ``season`` and ``calendar``.  Each of the four orderings is
+    ``year``, ``season`` and ``calendar``.  :attr:`ordinal` (the number of
+    terms since season 0 of year 0 on this calendar) is a plain read-only
+    attribute, so per-node code compares terms on one calendar as ints
+    without a method call.  Each of the four orderings is
     one call: a non-``Term`` operand gets ``NotImplemented`` and a term on
     another calendar raises :class:`ValueError`.
     """
@@ -166,7 +169,7 @@ class Term:
             object.__setattr__(self, "season", canonical)
         if not isinstance(self.year, int):
             raise TypeError(f"year must be an int, got {self.year!r}")
-        object.__setattr__(self, "_ordinal", self.year * len(self.calendar) + index)
+        object.__setattr__(self, "ordinal", self.year * len(self.calendar) + index)
         # The value the dataclass hash would compute, paid once: terms are
         # hashed on every status hash and schedule lookup.
         object.__setattr__(self, "_hash", hash((self.year, self.season, self.calendar)))
@@ -180,11 +183,6 @@ class Term:
         return (self.__class__, (self.year, self.season, self.calendar))
 
     # -- ordinal arithmetic -------------------------------------------------
-
-    @property
-    def ordinal(self) -> int:
-        """Number of terms since season 0 of year 0 on this calendar."""
-        return self._ordinal
 
     @classmethod
     def from_ordinal(cls, ordinal: int, calendar: AcademicCalendar = SPRING_FALL) -> "Term":
@@ -216,17 +214,17 @@ class Term:
     def __add__(self, k: int) -> "Term":
         if not isinstance(k, int):
             return NotImplemented
-        return Term.from_ordinal(self._ordinal + k, self.calendar)
+        return Term.from_ordinal(self.ordinal + k, self.calendar)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[int, "Term"]) -> Union["Term", int]:
         if isinstance(other, int):
-            return Term.from_ordinal(self._ordinal - other, self.calendar)
+            return Term.from_ordinal(self.ordinal - other, self.calendar)
         if isinstance(other, Term):
             if other.calendar is not self.calendar:
                 self._check_same_calendar(other)
-            return self._ordinal - other._ordinal
+            return self.ordinal - other.ordinal
         return NotImplemented
 
     def next(self) -> "Term":
@@ -242,28 +240,28 @@ class Term:
             return NotImplemented
         if other.calendar is not self.calendar:
             self._check_same_calendar(other)
-        return self._ordinal < other._ordinal
+        return self.ordinal < other.ordinal
 
     def __le__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
             return NotImplemented
         if other.calendar is not self.calendar:
             self._check_same_calendar(other)
-        return self._ordinal <= other._ordinal
+        return self.ordinal <= other.ordinal
 
     def __gt__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
             return NotImplemented
         if other.calendar is not self.calendar:
             self._check_same_calendar(other)
-        return self._ordinal > other._ordinal
+        return self.ordinal > other.ordinal
 
     def __ge__(self, other: "Term") -> bool:
         if not isinstance(other, Term):
             return NotImplemented
         if other.calendar is not self.calendar:
             self._check_same_calendar(other)
-        return self._ordinal >= other._ordinal
+        return self.ordinal >= other.ordinal
 
     # -- formatting / parsing -------------------------------------------------
 

@@ -328,6 +328,78 @@ class TestSelectionMemo:
         assert memo  # some option set's list fits even the smallest bound
 
 
+class TestCanonicalCompletedSets:
+    """The out-tree keeps one frozenset per distinct completed set ``X``;
+    the frontier and ranked engines pass no table."""
+
+    @staticmethod
+    def _statuses():
+        return TestSelectionMemo._statuses(ExplorationConfig())
+
+    def test_table_changes_no_move_and_shares_equal_sets(self):
+        catalog, statuses = self._statuses()
+        expander = Expander(catalog, EVALUATION_END_TERM, ExplorationConfig())
+        table = {}
+        built = []
+        for status in statuses:
+            for floor in (0, 2):
+                plain = list(expander.successors(status, required_minimum=floor))
+                shared = list(
+                    expander.successors(status, required_minimum=floor, canonical=table)
+                )
+                assert [(s, c.term, c.completed) for s, c in shared] == [
+                    (s, c.term, c.completed) for s, c in plain
+                ]
+                assert all(a is b for (a, _), (b, _) in zip(plain, shared))
+                for selection, child in shared:
+                    # An empty move keeps its parent's set.
+                    expected = table[child.completed] if selection else status.completed
+                    assert child.completed is expected
+                built.extend(child.completed for selection, child in shared if selection)
+        assert len(set(built)) < len(built)  # transposed moves rebuild sets
+        assert len(table) == len(set(built))
+        assert all(table[value] is value for value in table)
+
+    @pytest.mark.parametrize(
+        "run, semesters", [("goal_tree", 4), ("deadline_tree", 3)]
+    )
+    def test_tree_nodes_share_one_set_per_value(self, run, semesters):
+        catalog = brandeis_catalog()
+        start = start_term_for_semesters(semesters)
+        if run == "goal_tree":
+            graph = generate_goal_driven(
+                catalog, start, brandeis_major_goal(), EVALUATION_END_TERM
+            ).graph
+        else:
+            graph = generate_deadline_driven(catalog, start, EVALUATION_END_TERM).graph
+        sets = [graph.status(node_id).completed for node_id in graph.node_ids()]
+        distinct = len(set(sets))
+        assert distinct < len(sets)
+        assert len({id(completed) for completed in sets}) == distinct
+
+    @pytest.mark.parametrize(
+        "run", ["goal_tree", "deadline_tree", "ranked", "frontier_goal", "frontier_deadline"]
+    )
+    def test_only_the_tree_passes_a_table(self, monkeypatch, run):
+        # Goal runs need 4 semesters to expand at all; deadline runs
+        # expand plenty in 3.
+        successors = Expander.successors
+        calls = {"with": 0, "without": 0}
+
+        def counting(self, status, required_minimum=0, canonical=None):
+            calls["with" if canonical is not None else "without"] += 1
+            return successors(self, status, required_minimum, canonical=canonical)
+
+        monkeypatch.setattr(Expander, "successors", counting)
+        catalog = brandeis_catalog()
+        start = start_term_for_semesters(3 if "deadline" in run else 4)
+        TestOptionsOnFirstRead.RUNS[run](catalog, start, ExplorationConfig(), None)
+        if run.endswith("_tree"):
+            assert calls["with"] > 0 and calls["without"] == 0
+        else:
+            assert calls["without"] > 0 and calls["with"] == 0
+
+
 class TestOptionsOnFirstRead:
     """Statuses derive ``Y`` on first read; schedule errors stay eager."""
 
