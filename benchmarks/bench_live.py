@@ -18,21 +18,14 @@ Runs the fixed goal-driven workload (the Brandeis CS major over a
   ``--serve-metrics``, the registry is attached to the run too, so the
   run also times its phases.
 
-Each row reports the median wall time and its quartiles, and every
-``*_vs_off`` ratio compares medians: on a shared host the fastest run
-says more about the neighbours than about the code, while the median of
-interleaved runs compares like with like.  Each row's extras come from
-its median run (the lower middle one for an even count).
+Rounds are interleaved and rows are medians with quartiles, as
+``ab_harness.py`` describes; every ``*_vs_off`` ratio compares medians.
 
 How many scrapes land inside a run varies from run to run, so the
 exporter row reports ``scrapes_during_run`` and, beside it,
 ``extra_ms_per_scrape``: its median milliseconds over the
 ``progress_only`` median, divided by its median run's scrapes (the fixed
 cost of phase timing is spread over the scrapes too).
-
-Repeats are **interleaved** (round-robin over the variants) so thermal
-drift and allocator state spread evenly instead of biasing whichever
-variant runs last.
 
 .. code-block:: console
 
@@ -47,26 +40,20 @@ are reported, not bounded (documented in ``docs/observability.md``).
 
 from __future__ import annotations
 
-import argparse
-import json
-import statistics
 import sys
 import threading
 import time
 import urllib.request
 from typing import Dict, List, Optional, Tuple
 
+from ab_harness import DEFAULT_REPEATS, END, START, cli, document, interleaved_rows, overhead
 from repro.core import ExplorationConfig
 from repro.data import brandeis_catalog, brandeis_major_goal
 from repro.obs import MetricsRegistry, MetricsServer, Observability, ProgressTracker
-from repro.semester import Term
 from repro.system import CourseNavigator
 
 __all__ = ["run_benchmark", "main"]
 
-START = Term(2013, "Fall")
-END = Term(2015, "Fall")
-DEFAULT_REPEATS = 3
 DEFAULT_OUTPUT = "BENCH_live.json"
 VARIANTS = ("live_off", "progress_only", "progress_budget", "progress_exporter")
 
@@ -134,41 +121,19 @@ def _run_variant(name: str, catalog) -> Tuple[float, object, Dict[str, object]]:
     raise ValueError(f"unknown variant {name!r}")
 
 
-def _quartiles(times: List[float]) -> Tuple[float, float, float]:
-    """``(q1, median, q3)`` of ``times``; a single run is all three."""
-    if len(times) < 2:
-        return times[0], times[0], times[0]
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
     """The full interleaved A/B: returns the ``BENCH_live.json`` document."""
     catalog = brandeis_catalog()
-    runs: Dict[str, List[Tuple[float, object, Dict[str, object]]]] = {
-        name: [] for name in VARIANTS
-    }
-
-    for _ in range(repeats):
-        for name in VARIANTS:
-            runs[name].append(_run_variant(name, catalog))
-
-    variants: Dict[str, Dict[str, object]] = {}
-    for name in VARIANTS:
-        ordered = sorted(runs[name], key=lambda run: run[0])
-        _elapsed, result, extras = ordered[(len(ordered) - 1) // 2]
-        q1, median, q3 = _quartiles([run[0] for run in ordered])
-        row: Dict[str, object] = {
-            "wall_seconds_median": median,
-            "wall_seconds_q1": q1,
-            "wall_seconds_q3": q3,
-            "repeats": repeats,
+    variants = interleaved_rows(
+        VARIANTS,
+        repeats,
+        lambda name: _run_variant(name, catalog),
+        lambda result: {
             "paths": result.path_count,
             "nodes": result.graph.num_nodes,
             "pruned_subtrees": result.pruning_stats.total,
-        }
-        row.update(extras)
-        variants[name] = row
+        },
+    )
 
     exporter = variants["progress_exporter"]
     scrapes = exporter["scrapes_during_run"]
@@ -180,52 +145,18 @@ def run_benchmark(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
         round(extra * 1000 / scrapes, 3) if scrapes else None
     )
 
-    base = variants["live_off"]["wall_seconds_median"]
-    overhead = {
-        f"{name}_vs_off": round(variants[name]["wall_seconds_median"] / base - 1.0, 4)
-        for name in VARIANTS
-        if name != "live_off"
-    }
-    overhead["disabled_budget"] = 0.05
-    return {
-        "benchmark": "live_telemetry_overhead",
-        "workload": {
-            "catalog": "brandeis",
-            "goal": brandeis_major_goal().describe(),
-            "start": str(START),
-            "end": str(END),
-            "max_courses_per_term": 3,
-        },
-        "unix_time": time.time(),
-        "python": sys.version.split()[0],
-        "interleaved": True,
-        "variants": variants,
-        "overhead": overhead,
-    }
+    return document("live_telemetry_overhead", variants, overhead(variants, "live_off"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="measure live-telemetry overhead on the Table 1 workload"
+    snapshot = cli(
+        argv,
+        "measure live-telemetry overhead on the Table 1 workload",
+        DEFAULT_OUTPUT,
+        run_benchmark,
     )
-    parser.add_argument(
-        "--output", metavar="FILE", default=DEFAULT_OUTPUT,
-        help=f"where to write the JSON snapshot (default {DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=DEFAULT_REPEATS,
-        help=f"interleaved rounds; medians are reported (default {DEFAULT_REPEATS})",
-    )
-    args = parser.parse_args(argv)
-
-    document = run_benchmark(repeats=args.repeats)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    variants = document["variants"]
-    overhead = document["overhead"]
-    print(f"wrote {args.output}")
+    variants = snapshot["variants"]
+    ratios = snapshot["overhead"]
     for name in VARIANTS:
         row = variants[name]
         note = ""
@@ -243,11 +174,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         "  overhead: "
         + ", ".join(
-            f"{name.replace('_vs_off', '')} {overhead[name]:+.1%}"
-            for name in sorted(overhead)
+            f"{name.replace('_vs_off', '')} {ratios[name]:+.1%}"
+            for name in sorted(ratios)
             if name.endswith("_vs_off")
         )
-        + f" (disabled budget {overhead['disabled_budget']:.0%})"
+        + f" (disabled budget {ratios['disabled_budget']:.0%})"
     )
     return 0
 

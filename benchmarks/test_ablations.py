@@ -22,7 +22,7 @@ from repro.core import (
     frontier_count_goal_paths,
     generate_goal_driven,
 )
-from repro.core.pruning import AvailabilityPruner, PruningContext, TimeBasedPruner
+from repro.core.pruning import AvailabilityPruner, TimeBasedPruner
 from repro.core.stats import ExplorationStats
 from repro.data import start_term_for_semesters
 from repro.data.brandeis import EVALUATION_END_TERM
@@ -81,22 +81,12 @@ class TestRepresentationAblation:
 class TestPrunerStackAblation:
     @pytest.fixture(scope="class")
     def stack_results(self, catalog, major_goal, paper_config, start_term):
-        def context():
-            return PruningContext(
-                catalog=catalog, goal=major_goal,
-                end_term=EVALUATION_END_TERM, config=paper_config,
-            )
-
         stacks = {
             "none": [],
-            "time only": [TimeBasedPruner(context())],
-            "availability only": [AvailabilityPruner(context())],
-            "time + availability (paper)": [
-                TimeBasedPruner(context()), AvailabilityPruner(context()),
-            ],
-            "availability + time (reversed)": [
-                AvailabilityPruner(context()), TimeBasedPruner(context()),
-            ],
+            "time only": [TimeBasedPruner],
+            "availability only": [AvailabilityPruner],
+            "time + availability (paper)": [TimeBasedPruner, AvailabilityPruner],
+            "availability + time (reversed)": [AvailabilityPruner, TimeBasedPruner],
         }
         results = {}
         for name, pruners in stacks.items():

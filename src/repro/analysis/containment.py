@@ -49,13 +49,13 @@ def is_generated_goal_path(
             )
         if status.term >= end_term:
             return False, f"step {index}: past the end semester {end_term}"
-        legal = dict(expander.successors(status))
-        if frozenset(selection) not in legal:
+        child = expander.successor(status, frozenset(selection))
+        if child is None:
             return False, (
                 f"step {index}: selection {sorted(selection)} is not a legal "
                 f"move at {term} (options {sorted(status.options)})"
             )
-        status = legal[frozenset(selection)]
+        status = child
 
     if not goal.is_satisfied(status.completed):
         return False, f"final status at {status.term} does not satisfy the goal"

@@ -28,13 +28,13 @@ from .constraints import (
 from .deadline import DeadlineResult, generate_deadline_driven
 from .goal_driven import GoalDrivenResult, generate_goal_driven
 from .pruning import (
+    DEFAULT_PRUNERS,
     AvailabilityPruner,
     PruneVerdict,
     Pruner,
-    PruningContext,
+    PrunerFactory,
     PruningStats,
     TimeBasedPruner,
-    default_pruners,
     examine_pruners,
     first_firing_pruner,
 )
@@ -66,12 +66,12 @@ __all__ = [
     "generate_ranked",
     "RankedResult",
     "Pruner",
+    "PrunerFactory",
     "PruneVerdict",
-    "PruningContext",
     "PruningStats",
     "TimeBasedPruner",
     "AvailabilityPruner",
-    "default_pruners",
+    "DEFAULT_PRUNERS",
     "examine_pruners",
     "first_firing_pruner",
     "RankingFunction",

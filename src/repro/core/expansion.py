@@ -24,7 +24,7 @@ from ..graph.status import EnrollmentStatus
 from ..semester import Term
 from .config import ExplorationConfig
 from .constraints import check_all
-from .options import has_relevant_future_offering, iter_selections
+from .options import iter_selections
 
 __all__ = ["Expander", "SELECTION_MEMO_SIZE"]
 
@@ -44,8 +44,8 @@ class Expander:
     catalog:
         The validated course catalog.
     end_term:
-        The exploration deadline ``d`` (used by the ``auto``
-        empty-selection policy to decide whether waiting can still pay off).
+        The exploration deadline ``d``: :meth:`offered_from` offers only
+        what can still complete by it.
     config:
         Student constraints and engine knobs.
 
@@ -75,6 +75,7 @@ class Expander:
             )
         self._selection_memo: Dict[Tuple[FrozenSet[str], int], Tuple[FrozenSet[str], ...]] = {}
         self._memo_held = 0
+        self._offered_from: Dict[Term, FrozenSet[str]] = {}
 
     @property
     def catalog(self) -> Catalog:
@@ -109,6 +110,28 @@ class Expander:
             exclude=self._config.avoid_courses,
             schedule=self._schedule,
         )
+
+    def offered_from(self, term: Term) -> FrozenSet[str]:
+        """Courses offered in some term of ``[term, d − 1]`` under the
+        effective schedule, minus the avoid-list (cached per term).
+
+        A course taken in ``t`` completes by ``t + 1``, so this is all a
+        student at ``term`` could still complete by ``d``: the
+        availability pruner's best case, and what the ``auto`` empty move
+        waits for.
+        """
+        offered = self._offered_from.get(term)
+        if offered is None:
+            last_useful = self._end_term - 1
+            if last_useful < term:
+                offered = frozenset()
+            else:
+                offered = (
+                    self._schedule.offered_between(term, last_useful)
+                    - self._config.avoid_courses
+                )
+            self._offered_from[term] = offered
+        return offered
 
     def initial_status(
         self, term: Term, completed: AbstractSet[str] = frozenset()
@@ -168,6 +191,16 @@ class Expander:
             if not constraints or check_all(constraints, _NO_SELECTION, term, status):
                 yield _NO_SELECTION, deferred(child_term, completed, self)
 
+    def successor(
+        self, status: EnrollmentStatus, selection: AbstractSet[str]
+    ) -> Optional[EnrollmentStatus]:
+        """The child ``selection`` leads to from ``status``, or ``None``
+        when :meth:`successors` offers no such move."""
+        for move, child in self.successors(status):
+            if move == selection:
+                return child
+        return None
+
     def _selections(
         self, options: FrozenSet[str], minimum: int
     ) -> Tuple[FrozenSet[str], ...]:
@@ -195,15 +228,9 @@ class Expander:
             return True
         # "auto" (paper-faithful): an empty transition exists only when no
         # course can actually be elected — an empty option set, or every
-        # selection blocked by constraints (a blackout term) — and waiting
-        # can still reach something.
+        # selection blocked by constraints (a blackout term) — and a course
+        # not yet completed is offered after this term in time to complete
+        # by d.  Fig. 3's n4 may wait (11A returns in Fall '12); n6 stops.
         if has_nonempty:
             return False
-        return has_relevant_future_offering(
-            self._catalog,
-            status.completed,
-            status.term,
-            self._end_term,
-            exclude=self._config.avoid_courses,
-            schedule=self._schedule,
-        )
+        return not self.offered_from(status.term + 1) <= status.completed

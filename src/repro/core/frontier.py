@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, List, Optional
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence
 
 from ..catalog import Catalog
 from ..obs.runtime import Observability
 from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
-from .pruning import Pruner, PruningStats
+from .pruning import PrunerFactory, PruningStats
 from .step import NodeStep
 
 __all__ = ["FrontierCount", "frontier_count_goal_paths", "frontier_count_deadline_paths"]
@@ -158,7 +158,7 @@ def frontier_count_goal_paths(
     end_term: Term,
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
-    pruners: Optional[List[Pruner]] = None,
+    pruners: Optional[Sequence[PrunerFactory]] = None,
     max_frontier: Optional[int] = None,
     obs: Optional[Observability] = None,
 ) -> FrontierCount:

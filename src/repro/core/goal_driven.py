@@ -22,7 +22,7 @@ column); pass a custom list to ablate strategies or reorder them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, List, Optional
+from typing import AbstractSet, Iterator, Optional, Sequence
 
 from ..catalog import Catalog
 from ..graph import LearningGraph, LearningPath
@@ -31,7 +31,7 @@ from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
 from .deadline import grow_tree
-from .pruning import Pruner, PruningStats
+from .pruning import PrunerFactory, PruningStats
 from .stats import ExplorationStats
 from .step import NodeStep
 
@@ -69,7 +69,7 @@ def generate_goal_driven(
     end_term: Term,
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
-    pruners: Optional[List[Pruner]] = None,
+    pruners: Optional[Sequence[PrunerFactory]] = None,
     obs: Optional[Observability] = None,
 ) -> GoalDrivenResult:
     """Generate every learning path that satisfies ``goal`` by ``end_term``.
@@ -81,11 +81,12 @@ def generate_goal_driven(
     goal:
         The goal requirement (degree rule, course set, boolean expression).
     pruners:
-        The pruning strategy stack.  ``None`` (default) uses the paper's
-        stack — time-based then availability; ``[]`` disables pruning
-        (the Table 1 baseline).  Custom pruners must be built against a
-        :class:`~repro.core.pruning.PruningContext` equivalent to this
-        call's arguments.
+        The pruning strategy stack, as factories the run builds with its
+        own goal and :class:`~repro.core.expansion.Expander` (a
+        :class:`~repro.core.pruning.Pruner` subclass, or any callable
+        ``(goal, expander) -> Pruner``).  ``None`` (default) uses the
+        paper's stack — time-based then availability; ``[]`` disables
+        pruning (the Table 1 baseline).
     obs:
         Optional :class:`~repro.obs.runtime.Observability` bundle; when
         timed, the run emits a ``run:goal_driven`` span with nested

@@ -15,17 +15,9 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import AbstractSet, FrozenSet, Iterator, Optional
+from typing import AbstractSet, FrozenSet, Iterator
 
-from ..catalog import Catalog
-from ..catalog.schedule import Schedule
-from ..semester import Term, term_range
-
-__all__ = [
-    "iter_selections",
-    "selection_count",
-    "has_relevant_future_offering",
-]
+__all__ = ["iter_selections", "selection_count"]
 
 
 def iter_selections(
@@ -52,31 +44,3 @@ def iter_selections(
 def selection_count(option_count: int, max_per_term: int) -> int:
     """The paper's per-node branching factor ``Σ_{i=1..m} C(|Y|, i)``."""
     return sum(comb(option_count, size) for size in range(1, max_per_term + 1))
-
-
-def has_relevant_future_offering(
-    catalog: Catalog,
-    completed: AbstractSet[str],
-    current_term: Term,
-    end_term: Term,
-    exclude: AbstractSet[str] = frozenset(),
-    schedule: Optional[Schedule] = None,
-) -> bool:
-    """Whether any not-completed, non-avoided course is offered *after*
-    ``current_term`` and strictly before ``end_term``.
-
-    This is the ``auto`` empty-selection test: skipping a semester is only
-    worth modelling when something could still be taken later (courses
-    taken in semester ``t`` complete by ``t+1``, so the last useful
-    offering term is ``end_term − 1``).  Fig. 3's ``n4`` passes this test
-    (11A returns in Fall '12); ``n6`` fails it and becomes a dead end.
-    """
-    schedule = schedule if schedule is not None else catalog.schedule
-    last_useful = end_term - 1
-    if last_useful <= current_term:
-        return False
-    for term in term_range(current_term + 1, last_useful):
-        for course_id in schedule.offered_in(term):
-            if course_id not in completed and course_id not in exclude:
-                return True
-    return False

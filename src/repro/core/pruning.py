@@ -29,23 +29,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..catalog import Catalog
-from ..catalog.schedule import Schedule
 from ..graph.status import EnrollmentStatus
 from ..requirements import Goal
-from ..semester import Term
-from .config import ExplorationConfig
+from .expansion import Expander
 
 __all__ = [
-    "PruningContext",
     "PruneVerdict",
     "Pruner",
+    "PrunerFactory",
     "TimeBasedPruner",
     "AvailabilityPruner",
     "PruningStats",
-    "default_pruners",
+    "DEFAULT_PRUNERS",
     "first_firing_pruner",
     "examine_pruners",
 ]
@@ -57,23 +54,6 @@ def _jsonable(value: float) -> Any:
     if isinstance(value, float) and math.isinf(value):
         return "inf"
     return value
-
-
-@dataclass(frozen=True)
-class PruningContext:
-    """Everything a pruning strategy may consult about the current run."""
-
-    catalog: Catalog
-    goal: Goal
-    end_term: Term
-    config: ExplorationConfig
-
-    @property
-    def schedule(self) -> Schedule:
-        """The active schedule (config override or catalog default)."""
-        if self.config.schedule is not None:
-            return self.config.schedule
-        return self.catalog.schedule
 
 
 @dataclass(frozen=True)
@@ -122,18 +102,19 @@ class Pruner:
     semester.  ``examine`` is the structured form of the same answer; the
     built-in strategies override it to expose the actual bound values,
     while ``should_prune`` remains the allocation-free hot path.
+
+    The run builds each strategy as ``cls(goal, expander)``: ``goal`` is
+    the goal the run queries (cached and timed like its own queries) and
+    ``expander`` its :class:`~repro.core.expansion.Expander` (catalog,
+    deadline ``d``, config, schedule and ``offered_from``).
     """
 
     #: Short identifier used in statistics (``"time"``, ``"availability"``).
     name: str = "pruner"
 
-    def __init__(self, context: PruningContext):
-        self._context = context
-
-    @property
-    def context(self) -> PruningContext:
-        """The run context this pruner was built for."""
-        return self._context
+    def __init__(self, goal: Goal, expander: Expander):
+        self.goal = goal
+        self.expander = expander
 
     def should_prune(self, status: EnrollmentStatus) -> bool:
         """Whether the subtree rooted at ``status`` is provably goalless."""
@@ -153,18 +134,18 @@ class TimeBasedPruner(Pruner):
 
     name = "time"
 
-    def __init__(self, context: PruningContext):
-        super().__init__(context)
+    def __init__(self, goal: Goal, expander: Expander):
+        super().__init__(goal, expander)
+        self._m = expander.config.max_courses_per_term
         # ``d − s_i − 1`` is taken on ordinals: a status's term is on the
         # run's calendar.
-        self._end_ordinal = context.end_term.ordinal
+        self._end_ordinal = expander.end_term.ordinal
 
     def _bound(self, status: EnrollmentStatus) -> Tuple[float, int, int, float]:
         """``(left_i, m, semesters after this one, min_i)`` at ``status``,
         with ``min_i = left_i − m·(d − s_i − 1)``."""
-        context = self._context
-        left = context.goal.remaining_courses(status.completed)
-        m = context.config.max_courses_per_term
+        left = self.goal.remaining_courses(status.completed)
+        m = self._m
         semesters_after = self._end_ordinal - status.term.ordinal - 1
         min_i = math.inf if math.isinf(left) else left - m * semesters_after
         return left, m, semesters_after, min_i
@@ -177,7 +158,7 @@ class TimeBasedPruner(Pruner):
         return self._bound(status)[3]
 
     def should_prune(self, status: EnrollmentStatus) -> bool:
-        return self.min_required_this_term(status) > self._context.config.max_courses_per_term
+        return self.min_required_this_term(status) > self._m
 
     def examine(self, status: EnrollmentStatus) -> PruneVerdict:
         left, m, semesters_after, min_i = self._bound(status)
@@ -206,38 +187,16 @@ class AvailabilityPruner(Pruner):
 
     name = "availability"
 
-    def __init__(self, context: PruningContext):
-        super().__init__(context)
-        self._offered_cache: Dict[Term, FrozenSet[str]] = {}
-
-    def _offered_from(self, term: Term) -> FrozenSet[str]:
-        """Courses offered in any remaining semester ``[term, d − 1]``,
-        minus the avoid-list (cached per term)."""
-        cached = self._offered_cache.get(term)
-        if cached is not None:
-            return cached
-        context = self._context
-        last_useful = context.end_term - 1
-        if last_useful < term:
-            offered = frozenset()
-        else:
-            offered = (
-                context.schedule.offered_between(term, last_useful)
-                - context.config.avoid_courses
-            )
-        self._offered_cache[term] = offered
-        return offered
-
     def should_prune(self, status: EnrollmentStatus) -> bool:
         # The optimistic end-semester completion set X_e: everything done
         # plus everything that could still be taken (ignoring prerequisites
         # and the per-term cap — both only shrink it, keeping this sound).
-        best_case = status.completed | self._offered_from(status.term)
-        return not self._context.goal.is_satisfied(best_case)
+        best_case = status.completed | self.expander.offered_from(status.term)
+        return not self.goal.is_satisfied(best_case)
 
     def examine(self, status: EnrollmentStatus) -> PruneVerdict:
-        goal = self._context.goal
-        offered = self._offered_from(status.term)
+        goal = self.goal
+        offered = self.expander.offered_from(status.term)
         best_case = status.completed | offered
         fired = not goal.is_satisfied(best_case)
         detail: Dict[str, Any] = {"offered_remaining": len(offered)}
@@ -289,10 +248,12 @@ class PruningStats:
         return dict(self.events)
 
 
-def default_pruners(context: PruningContext) -> List[Pruner]:
-    """The paper's strategy stack, in the paper's order: time-based first,
-    then course-availability."""
-    return [TimeBasedPruner(context), AvailabilityPruner(context)]
+#: Builds one run's strategy: ``factory(goal, expander) -> Pruner``.
+PrunerFactory = Callable[[Goal, Expander], Pruner]
+
+#: The paper's strategy stack, in the paper's order: time-based first,
+#: then course-availability.
+DEFAULT_PRUNERS: Tuple[PrunerFactory, ...] = (TimeBasedPruner, AvailabilityPruner)
 
 
 def first_firing_pruner(

@@ -18,7 +18,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
 from ..errors import ExplorationError
@@ -28,7 +28,7 @@ from ..obs.runtime import Observability
 from ..requirements import Goal
 from ..semester import Term
 from .config import ExplorationConfig
-from .pruning import Pruner, PruningStats
+from .pruning import PrunerFactory, PruningStats
 from .ranking import RankingFunction
 from .stats import ExplorationStats
 from .step import NodeStep
@@ -108,7 +108,7 @@ def generate_ranked(
     ranking: RankingFunction,
     completed: AbstractSet[str] = frozenset(),
     config: Optional[ExplorationConfig] = None,
-    pruners: Optional[List[Pruner]] = None,
+    pruners: Optional[Sequence[PrunerFactory]] = None,
     obs: Optional[Observability] = None,
 ) -> RankedResult:
     """The top-``k`` goal paths under ``ranking``, best first.

@@ -19,10 +19,11 @@ node: kinds are interned strings and the floor is an attribute.
 Whether a run is timed is one fact too, read once per run:
 :attr:`~repro.obs.runtime.Observability.timed`, true when a tracer or a
 metrics registry is attached.  A timed run wraps its goal before it
-builds the default pruners, so every goal query is charged to the
-``goal`` phase; an untimed run keeps the goal as given and enters no
-phase scope on the pruning path, whatever else (progress, decisions,
-memory capture) is attached.
+builds its pruners, so every goal query is charged to the ``goal``
+phase; an untimed run keeps the goal as given and enters no phase scope
+on the pruning path, whatever else (progress, decisions, memory capture)
+is attached.  Each ``pruners`` entry is a factory the kernel calls with
+that goal and the run's :class:`~repro.core.expansion.Expander`.
 
 A run stops early through one path, :meth:`NodeStep.exceeded`: the
 traversal's own size limits (``config.max_nodes``, ``max_frontier``) and
@@ -53,7 +54,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import AbstractSet, Any, Callable, List, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
 from ..errors import (
@@ -71,11 +72,10 @@ from .config import ExplorationConfig
 from .expansion import Expander
 from .options import selection_count
 from .pruning import (
-    Pruner,
-    PruningContext,
+    DEFAULT_PRUNERS,
+    PrunerFactory,
     PruningStats,
     TimeBasedPruner,
-    default_pruners,
     examine_pruners,
     first_firing_pruner,
 )
@@ -184,7 +184,8 @@ class NodeStep:
         The goal, or ``None`` for a deadline-driven run: no goal test, no
         pruning, and the deadline and dead-end terminals are the outputs.
     pruners, obs:
-        As in the generators; ``pruners=None`` is the paper's stack.
+        As in the generators: ``pruners`` are the factories the kernel
+        builds the run's strategies with, ``None`` the paper's stack.
 
     Raises :class:`~repro.errors.UnknownCourseError` up front when the
     schedule offers in ``[start_term, end_term]`` a course neither in the
@@ -208,7 +209,7 @@ class NodeStep:
         completed: AbstractSet[str],
         config: Optional[ExplorationConfig],
         goal: Optional[Goal] = None,
-        pruners: Optional[List[Pruner]] = None,
+        pruners: Optional[Sequence[PrunerFactory]] = None,
         obs: Optional[Observability] = None,
     ):
         config = config or ExplorationConfig()
@@ -233,10 +234,9 @@ class NodeStep:
             goal = _TimedGoal(goal, obs)
         if goal is None:
             pruners = []
-        elif pruners is None:
-            pruners = default_pruners(
-                PruningContext(catalog=catalog, goal=goal, end_term=end_term, config=config)
-            )
+        else:
+            factories = DEFAULT_PRUNERS if pruners is None else pruners
+            pruners = [make(goal, expander) for make in factories]
         time_pruner = next((p for p in pruners if isinstance(p, TimeBasedPruner)), None)
         self.name = run
         self.start_term = start_term

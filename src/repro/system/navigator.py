@@ -25,7 +25,7 @@ limits), passed through unchanged, and the navigator's one
 
 from __future__ import annotations
 
-from typing import AbstractSet, List, Optional, Tuple, Union
+from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 from ..catalog import Catalog, OfferingModel
 from ..core import (
@@ -43,7 +43,7 @@ from ..core import (
     generate_goal_driven,
     generate_ranked,
 )
-from ..core.pruning import Pruner
+from ..core.pruning import PrunerFactory
 from ..analysis import check_containment, ContainmentReport, is_generated_goal_path
 from ..cache import ExplorationCache
 from ..errors import ExplorationError
@@ -167,7 +167,7 @@ class CourseNavigator:
         end_term: Term,
         completed: AbstractSet[str] = frozenset(),
         config: Optional[ExplorationConfig] = None,
-        pruners: Optional[List[Pruner]] = None,
+        pruners: Optional[Sequence[PrunerFactory]] = None,
     ) -> GoalDrivenResult:
         """All paths meeting ``goal`` by ``end_term`` (goal-driven, §4.2)."""
         return generate_goal_driven(

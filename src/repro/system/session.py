@@ -24,7 +24,7 @@ cache and report into its observability bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Tuple
 
 from ..catalog import Catalog
 from ..core import ExplorationConfig, RankedResult
@@ -205,10 +205,7 @@ class PlanningSession:
     def _legal_child(self, selection: FrozenSet[str]) -> EnrollmentStatus:
         if self._status.term >= self._deadline:
             raise ExplorationError(f"the session has reached its deadline {self._deadline}")
-        legal: Dict[FrozenSet[str], EnrollmentStatus] = dict(
-            self._expander.successors(self._status)
-        )
-        child = legal.get(selection)
+        child = self._expander.successor(self._status, selection)
         if child is None:
             raise ExplorationError(
                 f"selection {sorted(selection)} is not a legal move at "

@@ -21,11 +21,11 @@ from repro.core import (
     generate_goal_driven,
     generate_ranked,
 )
+from repro.core.expansion import Expander
 from repro.core.frontier import frontier_count_goal_paths
 from repro.core.pruning import (
     AvailabilityPruner,
     PruneVerdict,
-    PruningContext,
     TimeBasedPruner,
     examine_pruners,
 )
@@ -103,16 +103,12 @@ class TestDecisionEvent:
 
 class TestPruneVerdict:
     @pytest.fixture
-    def context(self, fig3_catalog):
-        return PruningContext(
-            catalog=fig3_catalog,
-            goal=GOAL,
-            end_term=F12,
-            config=ExplorationConfig(max_courses_per_term=1),
-        )
+    def run(self, fig3_catalog):
+        """The goal and expander a run builds its pruners from."""
+        return GOAL, Expander(fig3_catalog, F12, ExplorationConfig(max_courses_per_term=1))
 
-    def test_time_examine_matches_should_prune(self, context):
-        pruner = TimeBasedPruner(context)
+    def test_time_examine_matches_should_prune(self, run):
+        pruner = TimeBasedPruner(*run)
         status = EnrollmentStatus(F11, frozenset())
         verdict = pruner.examine(status)
         assert verdict.fired == pruner.should_prune(status)
@@ -124,8 +120,8 @@ class TestPruneVerdict:
         assert verdict.detail["slack"] == 1
         assert verdict.detail["required_m"] == 2
 
-    def test_availability_examine_names_shortfall(self, context):
-        pruner = AvailabilityPruner(context)
+    def test_availability_examine_names_shortfall(self, run):
+        pruner = AvailabilityPruner(*run)
         verdict = pruner.examine(EnrollmentStatus(S12, {"29A"}))
         assert verdict.fired
         assert verdict.detail["shortfall"] >= 1
@@ -139,8 +135,8 @@ class TestPruneVerdict:
         assert data["detail"]["slack"] == "inf"
         assert PruneVerdict.from_dict(data).detail["slack"] == math.inf
 
-    def test_examine_pruners_first_fires_wins(self, context):
-        pruners = [TimeBasedPruner(context), AvailabilityPruner(context)]
+    def test_examine_pruners_first_fires_wins(self, run):
+        pruners = [TimeBasedPruner(*run), AvailabilityPruner(*run)]
         firing, verdicts = examine_pruners(
             pruners, EnrollmentStatus(F11, frozenset())
         )
@@ -149,8 +145,8 @@ class TestPruneVerdict:
         assert [v.strategy for v in verdicts] == ["time"]
         assert verdicts[-1].fired
 
-    def test_describe_verdict_names_bound_values(self, context):
-        verdict = TimeBasedPruner(context).examine(EnrollmentStatus(F11, frozenset()))
+    def test_describe_verdict_names_bound_values(self, run):
+        verdict = TimeBasedPruner(*run).examine(EnrollmentStatus(F11, frozenset()))
         text = describe_verdict(verdict.as_dict())
         assert "left_i=3" in text
         assert "min_i=2" in text

@@ -4,12 +4,8 @@ the paper's §4.2.3 worked example."""
 import pytest
 
 from repro.core import ExplorationConfig, generate_goal_driven
-from repro.core.pruning import (
-    AvailabilityPruner,
-    PruningContext,
-    TimeBasedPruner,
-    default_pruners,
-)
+from repro.core.expansion import Expander
+from repro.core.pruning import DEFAULT_PRUNERS, AvailabilityPruner, TimeBasedPruner
 from repro.errors import BudgetExceededError, ExplorationError
 from repro.graph import EnrollmentStatus
 from repro.requirements import CourseSetGoal
@@ -18,6 +14,15 @@ from repro.semester import Term
 from .conftest import F11, F12, S12, S13
 
 GOAL = CourseSetGoal({"11A", "29A", "21A"})
+
+
+def _run(catalog, goal, end_term, config):
+    """What a run builds its pruners from: its goal and its expander."""
+    return goal, Expander(catalog, end_term, config)
+
+
+def _default_stack(run):
+    return [make(*run) for make in DEFAULT_PRUNERS]
 
 
 class TestPaperWorkedExample:
@@ -117,28 +122,21 @@ class TestGoalSemantics:
 
 class TestTimeBasedPruner:
     @pytest.fixture
-    def context(self, fig3_catalog):
-        return PruningContext(
-            catalog=fig3_catalog,
-            goal=GOAL,
-            end_term=F12,
-            config=ExplorationConfig(max_courses_per_term=1),
-        )
+    def run(self, fig3_catalog):
+        return _run(fig3_catalog, GOAL, F12, ExplorationConfig(max_courses_per_term=1))
 
-    def test_min_required_formula(self, context):
+    def test_min_required_formula(self, run):
         # m=1, d=Fall'12. At Fall '11 with nothing done: left=3,
         # semesters after this = 1, min_i = 3 - 1 = 2 > m -> prune.
-        pruner = TimeBasedPruner(context)
+        pruner = TimeBasedPruner(*run)
         status = EnrollmentStatus(F11, frozenset())
         assert pruner.min_required_this_term(status) == 2
         assert pruner.should_prune(status)
 
     def test_not_pruned_when_feasible(self, fig3_catalog):
-        context = PruningContext(
-            catalog=fig3_catalog, goal=GOAL, end_term=F12,
-            config=ExplorationConfig(max_courses_per_term=3),
+        pruner = TimeBasedPruner(
+            *_run(fig3_catalog, GOAL, F12, ExplorationConfig(max_courses_per_term=3))
         )
-        pruner = TimeBasedPruner(context)
         status = EnrollmentStatus(F11, frozenset())
         # left=3, after-this=1 -> min_i = 0 <= 3.
         assert pruner.min_required_this_term(status) == 0
@@ -153,48 +151,42 @@ class TestTimeBasedPruner:
                 RequirementGroup("g2", {"11A"}, 1),
             )
         )
-        context = PruningContext(
-            catalog=fig3_catalog, goal=impossible, end_term=S13,
-            config=ExplorationConfig(),
-        )
-        pruner = TimeBasedPruner(context)
+        pruner = TimeBasedPruner(*_run(fig3_catalog, impossible, S13, ExplorationConfig()))
         assert pruner.should_prune(EnrollmentStatus(F11, frozenset()))
 
 
 class TestAvailabilityPruner:
     @pytest.fixture
-    def context(self, fig3_catalog):
-        return PruningContext(
-            catalog=fig3_catalog, goal=GOAL, end_term=F12,
-            config=ExplorationConfig(),
-        )
+    def run(self, fig3_catalog):
+        return _run(fig3_catalog, GOAL, F12, ExplorationConfig())
 
-    def test_paper_n4_pruned(self, context):
+    def test_paper_n4_pruned(self, run):
         # n4: X={29A} at Spring '12; only 21A is offered before Fall '12,
         # so 11A can never complete -> prune.
-        pruner = AvailabilityPruner(context)
+        pruner = AvailabilityPruner(*run)
         assert pruner.should_prune(EnrollmentStatus(S12, {"29A"}))
 
-    def test_paper_n3_not_pruned(self, context):
-        pruner = AvailabilityPruner(context)
+    def test_paper_n3_not_pruned(self, run):
+        pruner = AvailabilityPruner(*run)
         assert not pruner.should_prune(EnrollmentStatus(S12, {"11A", "29A"}))
 
-    def test_cache_is_consistent(self, context):
-        pruner = AvailabilityPruner(context)
+    def test_cache_is_consistent(self, run):
+        pruner = AvailabilityPruner(*run)
         status = EnrollmentStatus(S12, {"29A"})
         assert pruner.should_prune(status) == pruner.should_prune(status)
 
     def test_avoided_courses_not_assumed_taken(self, fig3_catalog):
-        context = PruningContext(
-            catalog=fig3_catalog, goal=GOAL, end_term=S13,
-            config=ExplorationConfig(avoid_courses=frozenset({"21A"})),
+        pruner = AvailabilityPruner(
+            *_run(
+                fig3_catalog, GOAL, S13,
+                ExplorationConfig(avoid_courses=frozenset({"21A"})),
+            )
         )
-        pruner = AvailabilityPruner(context)
         # 21A is avoided, so the goal can never complete.
         assert pruner.should_prune(EnrollmentStatus(F11, frozenset()))
 
-    def test_default_pruners_order(self, context):
-        pruners = default_pruners(context)
+    def test_default_pruners_order(self, run):
+        pruners = _default_stack(run)
         assert [p.name for p in pruners] == ["time", "availability"]
 
 
@@ -223,58 +215,59 @@ class TestFirstStrategyWinsAttribution:
         )
 
     @pytest.fixture
-    def context(self, both_fire_catalog):
-        return PruningContext(
-            catalog=both_fire_catalog,
-            goal=CourseSetGoal({"A1", "A2", "A3", "A4"}),
-            end_term=F12,
-            config=ExplorationConfig(max_courses_per_term=1),
+    def run(self, both_fire_catalog):
+        return _run(
+            both_fire_catalog,
+            CourseSetGoal({"A1", "A2", "A3", "A4"}),
+            F12,
+            ExplorationConfig(max_courses_per_term=1),
         )
 
-    def test_both_strategies_fire_independently(self, context):
+    def test_both_strategies_fire_independently(self, run):
         status = EnrollmentStatus(S12, frozenset())
-        assert TimeBasedPruner(context).should_prune(status)
-        assert AvailabilityPruner(context).should_prune(status)
+        assert TimeBasedPruner(*run).should_prune(status)
+        assert AvailabilityPruner(*run).should_prune(status)
 
-    def test_first_firing_pruner_picks_time(self, context):
+    def test_first_firing_pruner_picks_time(self, run):
         from repro.core.pruning import first_firing_pruner
 
         status = EnrollmentStatus(S12, frozenset())
-        firing = first_firing_pruner(default_pruners(context), status)
+        firing = first_firing_pruner(_default_stack(run), status)
         assert firing is not None
         assert firing.name == "time"
 
-    def test_examine_stops_at_first_firing(self, context):
+    def test_examine_stops_at_first_firing(self, run):
         from repro.core.pruning import examine_pruners
 
         status = EnrollmentStatus(S12, frozenset())
-        firing, verdicts = examine_pruners(default_pruners(context), status)
+        firing, verdicts = examine_pruners(_default_stack(run), status)
         assert firing.name == "time"
         # availability was never consulted: first-fires-wins
         assert [v.strategy for v in verdicts] == ["time"]
 
-    def test_run_attributes_cut_to_time(self, both_fire_catalog, context):
+    def test_run_attributes_cut_to_time(self, both_fire_catalog, run):
+        goal, expander = run
         result = generate_goal_driven(
             both_fire_catalog,
             S12,
-            context.goal,
+            goal,
             F12,
-            config=context.config,
+            config=expander.config,
         )
         assert result.path_count == 0
         stats = result.pruning_stats.as_dict()
         assert stats.get("time", 0) >= 1
         assert stats.get("availability", 0) == 0
 
-    def test_reversed_stack_attributes_to_availability(self, both_fire_catalog, context):
-        pruners = list(reversed(default_pruners(context)))
+    def test_reversed_stack_attributes_to_availability(self, both_fire_catalog, run):
+        goal, expander = run
         result = generate_goal_driven(
             both_fire_catalog,
             S12,
-            context.goal,
+            goal,
             F12,
-            config=context.config,
-            pruners=pruners,
+            config=expander.config,
+            pruners=list(reversed(DEFAULT_PRUNERS)),
         )
         assert result.path_count == 0
         stats = result.pruning_stats.as_dict()

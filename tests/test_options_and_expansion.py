@@ -1,6 +1,7 @@
 """Tests for selection enumeration and the shared Expander."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Schedule
 from repro.core import (
@@ -20,16 +21,20 @@ from repro.core.constraints import (
     check_all,
 )
 from repro.core.expansion import Expander
-from repro.core.options import (
-    has_relevant_future_offering,
-    iter_selections,
-    selection_count,
+from repro.core.options import iter_selections, selection_count
+from repro.data import (
+    GeneratorSettings,
+    brandeis_catalog,
+    brandeis_major_goal,
+    lakeside_catalog,
+    random_catalog,
+    start_term_for_semesters,
 )
-from repro.data import brandeis_catalog, brandeis_major_goal, start_term_for_semesters
 from repro.data.brandeis import EVALUATION_END_TERM
+from repro.data.trimester import LAKESIDE_FIRST_TERM, LAKESIDE_LAST_TERM
 from repro.errors import InvalidConfigError, UnknownCourseError
 from repro.obs import InMemorySink, MetricsRegistry, Observability, Tracer
-from repro.semester import Term
+from repro.semester import SPRING_SUMMER_FALL, Term
 
 from .conftest import F11, F12, S12, S13
 
@@ -70,30 +75,100 @@ class TestIterSelections:
         assert selection_count(6, 3) == 6 + 15 + 20
 
 
+def _relevant_future_offering(schedule, completed, term, end_term, avoid):
+    """The ``auto`` empty move's condition, from its definition: some
+    course neither completed nor avoided is offered in a term strictly
+    after ``term`` and strictly before ``end_term``."""
+    later = term + 1
+    while later < end_term:
+        for course_id in schedule.offered_in(later):
+            if course_id not in completed and course_id not in avoid:
+                return True
+        later = later + 1
+    return False
+
+
 class TestFutureOffering:
+    """``Expander.offered_from(s_i + 1)`` holds what waiting at ``s_i`` can
+    still reach: everything offered in ``[s_i + 1, d − 1]``, not avoided."""
+
+    @staticmethod
+    def _waiting_pays_off(catalog, completed, term, end_term, exclude=frozenset()):
+        expander = Expander(catalog, end_term, ExplorationConfig(avoid_courses=exclude))
+        return not expander.offered_from(term + 1) <= frozenset(completed)
+
     def test_detects_relevant_future(self, fig3_catalog):
         # Fig. 3 node n4: X={29A} at Spring '12 — 11A returns in Fall '12.
-        assert has_relevant_future_offering(
+        assert self._waiting_pays_off(
             fig3_catalog, {"29A"}, S12, S13
         )
 
     def test_everything_completed_means_none(self, fig3_catalog):
         # Fig. 3 node n6: all courses done.
-        assert not has_relevant_future_offering(
+        assert not self._waiting_pays_off(
             fig3_catalog, {"11A", "29A", "21A"}, F12, S13
         )
 
     def test_window_excludes_end_term(self, fig3_catalog):
         # Courses taken in t complete by t+1, so an offering *at* the end
         # term is useless.
-        assert not has_relevant_future_offering(
+        assert not self._waiting_pays_off(
             fig3_catalog, frozenset(), F12, S13
         )
 
     def test_exclusions_respected(self, fig3_catalog):
-        assert not has_relevant_future_offering(
+        assert not self._waiting_pays_off(
             fig3_catalog, {"29A"}, S12, S13, exclude={"11A", "21A"}
         )
+
+    def test_offered_from_is_the_schedule_window_minus_avoided(self, fig3_catalog):
+        config = ExplorationConfig(avoid_courses=frozenset({"29A"}))
+        expander = Expander(fig3_catalog, S13, config)
+        assert expander.offered_from(F11) == {"11A", "21A"}
+        assert expander.offered_from(S12) == {"11A", "21A"}
+        assert expander.offered_from(F12) == {"11A"}
+        assert expander.offered_from(S13) == frozenset()
+        assert expander.offered_from(F12) is expander.offered_from(F12)
+
+
+@st.composite
+def _empty_move_cases(draw):
+    """A random two- or three-season catalog (or the trimester dataset), an
+    avoid-list, and one status before a deadline on its calendar."""
+    kind = draw(st.sampled_from(["two-season", "three-season", "lakeside"]))
+    if kind == "lakeside":
+        catalog = lakeside_catalog()
+        first, last = LAKESIDE_FIRST_TERM, LAKESIDE_LAST_TERM
+    else:
+        start = Term(2020, "Spring", SPRING_SUMMER_FALL) if kind == "three-season" else F11
+        settings_ = GeneratorSettings(
+            n_courses=draw(st.integers(2, 7)),
+            n_terms=draw(st.integers(1, 6)),
+            start_term=start,
+            prereq_probability=draw(st.sampled_from([0.6, 0.9])),
+            offer_probability=draw(st.sampled_from([0.1, 0.3, 0.6])),
+        )
+        catalog = random_catalog(draw(st.integers(0, 10_000)), settings_)
+        first, last = start, start + (settings_.n_terms - 1)
+    ids = sorted(catalog)
+    avoid = draw(st.frozensets(st.sampled_from(ids), max_size=3))
+    # Few completed courses leave prerequisites unmet: courses offered now
+    # that cannot be elected, which waiting must not count.
+    completed = draw(st.frozensets(st.sampled_from(ids), max_size=3))
+    span = last - first
+    term = first + draw(st.integers(-1, span + 1))
+    end_term = term + draw(st.integers(1, span + 3))
+    return catalog, avoid, completed, term, end_term
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_empty_move_cases())
+def test_auto_empty_move_iff_a_course_is_still_offered_in_time(case):
+    catalog, avoid, completed, term, end_term = case
+    expander = Expander(catalog, end_term, ExplorationConfig(avoid_courses=avoid))
+    moves = dict(expander.successors(expander.initial_status(term, completed)))
+    waits = _relevant_future_offering(catalog.schedule, completed, term, end_term, avoid)
+    assert (frozenset() in moves) == (set(moves) <= {frozenset()} and waits)
 
 
 class TestExplorationConfig:
@@ -160,6 +235,13 @@ class TestExpander:
         n6 = expander.initial_status(F12, {"11A", "29A", "21A"})
         assert list(expander.successors(n6)) == []
 
+    def test_empty_move_auto_ignores_what_is_offered_now(self, fig3_catalog):
+        # n4 with the deadline at Fall '12: 21A is offered in Spring '12 but
+        # blocked by 11A, and 11A returns only at the deadline — no wait.
+        expander = Expander(fig3_catalog, F12, ExplorationConfig())
+        n4 = expander.initial_status(S12, {"29A"})
+        assert list(expander.successors(n4)) == []
+
     def test_empty_move_never_policy(self, fig3_catalog):
         expander = Expander(
             fig3_catalog, S13, ExplorationConfig(empty_selection="never")
@@ -218,13 +300,12 @@ def _reference_successors(expander, status, floor):
         allowed = policy == "always" or (
             policy == "auto"
             and not moves
-            and has_relevant_future_offering(
-                expander.catalog,
+            and _relevant_future_offering(
+                expander.schedule,
                 status.completed,
                 status.term,
                 expander.end_term,
-                exclude=config.avoid_courses,
-                schedule=expander.schedule,
+                config.avoid_courses,
             )
         )
         if allowed and check_all(config.constraints, frozenset(), status.term, status):

@@ -36,7 +36,7 @@ from repro.core import (
     generate_ranked,
 )
 from repro.core.expansion import Expander
-from repro.core.pruning import AvailabilityPruner, PruningContext, TimeBasedPruner
+from repro.core.pruning import AvailabilityPruner, TimeBasedPruner
 from repro.cache import ExplorationCache
 from repro.data import GeneratorSettings, random_catalog, random_course_set_goal
 from repro.obs import DecisionRecorder, MetricsRegistry, Observability
@@ -331,22 +331,24 @@ def test_pruners_and_rankings_may_read_options(case):
     """Extensions that read ``Y`` see the right set in every engine and
     leave every output unchanged."""
     catalog, config, goal, end = case
-    context = PruningContext(catalog=catalog, goal=goal, end_term=end, config=config)
 
-    def pruners():
-        return [
-            _reading(_TimePrunerReadingOptions, catalog, config, context),
-            _reading(_AvailabilityPrunerReadingOptions, catalog, config, context),
-        ]
+    pruners = [
+        lambda goal, expander: _reading(
+            _TimePrunerReadingOptions, catalog, config, goal, expander
+        ),
+        lambda goal, expander: _reading(
+            _AvailabilityPrunerReadingOptions, catalog, config, goal, expander
+        ),
+    ]
 
     tree = generate_goal_driven(catalog, START, goal, end, config=config)
-    reading = generate_goal_driven(catalog, START, goal, end, config=config, pruners=pruners())
+    reading = generate_goal_driven(catalog, START, goal, end, config=config, pruners=pruners)
     assert _selection_set(reading) == _selection_set(tree)
     assert reading.stats.terminals == tree.stats.terminals
 
     frontier = frontier_count_goal_paths(catalog, START, goal, end, config=config)
     reading = frontier_count_goal_paths(
-        catalog, START, goal, end, config=config, pruners=pruners()
+        catalog, START, goal, end, config=config, pruners=pruners
     )
     assert reading.terminal_path_counts == frontier.terminal_path_counts
 
@@ -354,7 +356,7 @@ def test_pruners_and_rankings_may_read_options(case):
     reading = generate_ranked(
         catalog, START, goal, end, 5,
         _reading(_TimeRankingReadingOptions, catalog, config),
-        config=config, pruners=pruners(),
+        config=config, pruners=pruners,
     )
     assert reading.costs == ranked.costs
     assert reading.paths == ranked.paths
