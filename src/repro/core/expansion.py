@@ -143,10 +143,7 @@ class Expander:
     # -- the expansion step ----------------------------------------------------
 
     def successors(
-        self,
-        status: EnrollmentStatus,
-        required_minimum: int = 0,
-        canonical: Optional[Dict[FrozenSet[str], FrozenSet[str]]] = None,
+        self, status: EnrollmentStatus, required_minimum: int = 0
     ) -> Iterator[Tuple[FrozenSet[str], EnrollmentStatus]]:
         """Yield ``(selection, child status)`` for every legal move.
 
@@ -156,16 +153,12 @@ class Expander:
         suppressed whenever it is positive (an empty move under a positive
         floor provably leads to a child the time pruner rejects).
 
-        ``canonical`` is a run's table of completed sets: given one, each
-        child's ``X ∪ W`` is replaced by the table's set of equal value
-        (added when new), so every child with one ``X`` shares one
-        frozenset.  Transposed paths (``A`` then ``B``, ``B`` then ``A``)
-        build equal sets, so the out-tree, which keeps every node, passes
-        one and stores about a third of the sets it builds (21,741 distinct
-        of 60,448 for Table 1 at 5 semesters).  The frontier drops each
-        finished layer, so a run-long table would only keep them alive,
-        and best-first search builds few duplicates; they pass none.
-        Statuses compare ``X`` by value, so the table changes no output.
+        Each call builds fresh children: a new ``X ∪ W`` and a new status.
+        The moves are a function of ``status``'s ``(term, X)`` alone, so
+        the out-tree asks once per distinct state and shares the children's
+        sets and statuses itself (:func:`~repro.core.deadline.grow_tree`);
+        the frontier merges equal states per layer, and best-first search
+        builds few duplicates, so neither keeps a run-long table.
 
         Does **not** check the deadline — callers decide which nodes are
         terminal before asking for successors.
@@ -183,10 +176,7 @@ class Expander:
                 if constraints and not check_all(constraints, selection, term, status):
                     continue
                 emitted_any = True
-                child = completed | selection
-                if canonical is not None:
-                    child = canonical.setdefault(child, child)
-                yield selection, deferred(child_term, child, self)
+                yield selection, deferred(child_term, completed | selection, self)
         if floor == 0 and self._empty_move_allowed(status, emitted_any):
             if not constraints or check_all(constraints, _NO_SELECTION, term, status):
                 yield _NO_SELECTION, deferred(child_term, completed, self)

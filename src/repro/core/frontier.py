@@ -102,13 +102,14 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
                 # One node per decided state, so node budgets count states.
                 stats.record_node()
                 status = expander.initial_status(term, state)
-                kind = step.decide(status, multiplicity, multiplicity)
+                decision = step.decide(status, multiplicity, multiplicity)
+                kind = decision.kind
                 if kind is None:
                     with obs.phase("expand"):
                         children = [
                             child.completed
                             for _selection, child in expander.successors(
-                                status, required_minimum=step.floor
+                                status, required_minimum=decision.floor
                             )
                         ]
                     with obs.phase("merge"):

@@ -181,7 +181,8 @@ def generate_ranked(
         while frontier and len(paths) < k:
             node = heapq.heappop(frontier)[3]
             status = node.status
-            kind = step.decide(status, node)
+            decision = step.decide(status, node)
+            kind = decision.kind
             if kind == "goal":
                 paths.append(node.materialize())
                 costs.append(node.cost)
@@ -190,7 +191,7 @@ def generate_ranked(
             children = 0
             with obs.phase("expand"):
                 for selection, child_status in expander.successors(
-                    status, required_minimum=step.floor
+                    status, required_minimum=decision.floor
                 ):
                     if timed:
                         with obs.phase("rank"):

@@ -11,10 +11,19 @@ only their traversal order: DFS tree (:mod:`~repro.core.deadline`),
 best-first (:mod:`~repro.core.ranked`) and layer-merged
 (:mod:`~repro.core.frontier`).
 
+A decision is a value, :class:`Decision`: the terminal kind or "expand",
+the firing strategy, the floor and the selections it suppresses.  Every
+answer behind it is a function of the node's ``(term, X)``, so the tree,
+which meets one state at many nodes, decides each state once and hands
+the stored decision to :meth:`NodeStep.replay` for the others: the same
+stats, progress and decision events, without the goal, pruner or
+option-set work.
+
 The run's mode is one fact: with a goal, the ``goal`` terminals are the
 output paths; without one, every maximal path (``deadline`` and
 ``dead_end``) is.  With observability off the kernel allocates nothing per
-node: kinds are interned strings and the floor is an attribute.
+node: terminal and plain expand decisions are shared constants, and a
+floored expand is built once per ``(floor, suppressed)`` pair.
 
 Whether a run is timed is one fact too, read once per run:
 :attr:`~repro.obs.runtime.Observability.timed`, true when a tracer or a
@@ -81,7 +90,7 @@ from .pruning import (
 )
 from .stats import ExplorationStats
 
-__all__ = ["NodeStep", "MEMORY_PROBE_INTERVAL"]
+__all__ = ["NodeStep", "Decision", "MEMORY_PROBE_INTERVAL"]
 
 #: Decided nodes between two probes of ``config.max_memory_bytes`` (a
 #: probe is a system call; the wall-time check is one clock read).
@@ -166,6 +175,40 @@ class _TimedGoal(Goal):
         return self._inner.to_dict()
 
 
+class Decision:
+    """One node's decision, as a value a later node in the same state reuses.
+
+    ``kind`` is the terminal kind (``goal``, ``deadline``, ``pruned``), or
+    ``None`` to expand; a node expanded into no children becomes a
+    ``dead_end`` when it is closed.  ``strategy`` names the pruner that
+    fired; ``floor`` is the strategic-selection floor ``min_i`` to expand
+    with and ``suppressed`` the selections below it, credited to ``time``.
+    ``verdicts`` are the pruner verdicts, kept only while recording.
+    """
+
+    __slots__ = ("kind", "strategy", "floor", "suppressed", "verdicts")
+
+    def __init__(
+        self,
+        kind: Optional[str],
+        strategy: Optional[str] = None,
+        floor: int = 0,
+        suppressed: int = 0,
+        verdicts: Tuple[Any, ...] = (),
+    ):
+        self.kind = kind
+        self.strategy = strategy
+        self.floor = floor
+        self.suppressed = suppressed
+        self.verdicts = verdicts
+
+
+_GOAL = Decision("goal")
+_DEADLINE = Decision("deadline")
+#: Expand decisions without suppressed selections, by floor (0 or 1).
+_EXPAND = (Decision(None), Decision(None, floor=1))
+
+
 #: ``describe(ref, kind) -> (node_id, parent_id, selection, extra_detail)``.
 Describe = Callable[[Any, str], Optional[Tuple[int, Optional[int], Tuple[str, ...], Any]]]
 
@@ -195,9 +238,9 @@ class NodeStep:
     __slots__ = (
         "name", "start_term", "end_term", "completed", "config", "goal",
         "pruners", "obs", "stats", "pruning_stats", "expander",
-        "outputs", "floor", "_time_pruner", "_describe", "_recorder",
+        "outputs", "_time_pruner", "_describe", "_recorder",
         "_progress", "_checks", "_started_at", "_decided", "_timed",
-        "_start_ordinal", "_end_ordinal",
+        "_start_ordinal", "_end_ordinal", "_prunes", "_floored",
     )
 
     def __init__(
@@ -253,7 +296,10 @@ class NodeStep:
         self._timed = timed
         #: The terminal kinds that are the run's output paths.
         self.outputs = ("goal",) if goal is not None else ("deadline", "dead_end")
-        self.floor = 0
+        # Untracked prune decisions, one per strategy name, and floored
+        # expand decisions, one per ``(floor, suppressed)``.
+        self._prunes = {pruner.name: Decision("pruned", pruner.name) for pruner in pruners}
+        self._floored = {}
         self._time_pruner = time_pruner if config.enforce_min_selection else None
         self._describe: Optional[Describe] = None
         self._recorder = None
@@ -329,50 +375,72 @@ class NodeStep:
 
     def decide(
         self, status: EnrollmentStatus, ref: Any, multiplicity: int = 1
-    ) -> Optional[str]:
-        """Decide one node: its terminal kind, or ``None`` to expand it.
+    ) -> Decision:
+        """Decide one node; ``kind`` ``None`` means expand it.
 
-        On ``None`` the traversal expands ``status`` with
-        ``required_minimum=`` :attr:`floor`, then calls :meth:`close`.
-        ``multiplicity`` is how many tree nodes the node stands for (a
-        merged frontier state); it weights the emitted output paths.
+        To expand, the traversal enumerates ``status``'s successors with
+        ``required_minimum=`` the decision's ``floor``, then calls
+        :meth:`close`.  ``multiplicity`` is how many tree nodes the node
+        stands for (a merged frontier state); it weights the emitted
+        output paths.
         """
         if self._checks:
             self._check_limits()
         goal = self.goal
         if goal is not None and goal.is_satisfied(status.completed):
-            return self._terminal("goal", status, ref, multiplicity)
+            self._terminal("goal", status, ref, multiplicity)
+            return _GOAL
         if status.term.ordinal >= self._end_ordinal:
-            return self._terminal("deadline", status, ref, multiplicity)
-        if goal is not None and self._pruned(status, ref):
-            return "pruned"
+            self._terminal("deadline", status, ref, multiplicity)
+            return _DEADLINE
+        if goal is not None:
+            pruned = self._pruned(status, ref)
+            if pruned is not None:
+                return pruned
 
         time_pruner = self._time_pruner
         if time_pruner is None:
-            self.floor = 0
-            return None
+            return _EXPAND[0]
         minimum = time_pruner.min_required_this_term(status)
         if math.isinf(minimum):
             # The pruner stack should have cut this node already; stay safe.
             floor = self.config.max_courses_per_term + 1
         else:
             floor = max(0, int(math.ceil(minimum)))
-        self.floor = floor
         if floor <= 1:
-            return None
+            return _EXPAND[floor]
         # Every selection smaller than the floor is a subtree the time bound
         # cut; crediting them to ``time`` keeps §5.2's pruning shares honest.
         suppressed = selection_count(len(status.options), floor - 1)
+        key = (floor, suppressed)
+        decision = self._floored.get(key)
+        if decision is None:
+            decision = self._floored[key] = Decision(None, floor=floor, suppressed=suppressed)
         if suppressed:
-            self.stats.record_prune("time", suppressed)
-            if self._recorder is not None:
-                detail = {
-                    "suppressed": suppressed,
-                    "floor": floor,
-                    "option_count": len(status.options),
-                }
-                self._record(ref, status, "suppressed", "time", None, detail)
-        return None
+            self._suppress(decision, status, ref)
+        return decision
+
+    def replay(self, decision: Decision, status: EnrollmentStatus, ref: Any) -> Optional[str]:
+        """Apply ``decision``, made at another node in ``status``'s state,
+        to the node ``ref``; returns its ``kind``.
+
+        The side effects are those :meth:`decide` had there, in its order:
+        the limit and cancel checks, then the terminal or prune tallies (or
+        the ``time`` credit for suppressed selections), progress and the
+        decision event, naming ``ref``.  The goal and the pruners are not
+        asked again.  An expand is then closed like a decided one.
+        """
+        if self._checks:
+            self._check_limits()
+        kind = decision.kind
+        if kind is None:
+            if decision.suppressed:
+                self._suppress(decision, status, ref)
+        elif kind == "pruned":
+            self._prune(decision, status, ref)
+        else:
+            self._terminal(kind, status, ref, 1)
+        return kind
 
     def close(
         self,
@@ -420,9 +488,8 @@ class NodeStep:
 
     # -- recording -----------------------------------------------------------------
 
-    def _pruned(self, status: EnrollmentStatus, ref: Any) -> bool:
+    def _pruned(self, status: EnrollmentStatus, ref: Any) -> Optional[Decision]:
         recorder = self._recorder
-        verdicts = None
         if recorder is None and not self._timed:
             firing = first_firing_pruner(self.pruners, status)
         else:
@@ -432,17 +499,35 @@ class NodeStep:
                     firing = first_firing_pruner(self.pruners, status, obs)
                 else:
                     firing, found = examine_pruners(self.pruners, status, obs)
-                    verdicts = tuple(verdict.as_dict() for verdict in found)
         if firing is None:
-            return False
-        name = firing.name
+            return None
+        if recorder is None:
+            decision = self._prunes[firing.name]
+        else:
+            verdicts = tuple(verdict.as_dict() for verdict in found)
+            decision = Decision("pruned", firing.name, verdicts=verdicts)
+        self._prune(decision, status, ref)
+        return decision
+
+    def _prune(self, decision: Decision, status: EnrollmentStatus, ref: Any) -> None:
+        name = decision.strategy
         self.stats.record_terminal("pruned")
         self.stats.record_prune(name)
         if self._progress is not None:
             self._progress.record_pruned(status.term.ordinal - self._start_ordinal)
-        if recorder is not None:
-            self._record(ref, status, "prune", name, verdicts, None)
-        return True
+        if self._recorder is not None:
+            self._record(ref, status, "prune", name, decision.verdicts, None)
+
+    def _suppress(self, decision: Decision, status: EnrollmentStatus, ref: Any) -> None:
+        suppressed = decision.suppressed
+        self.stats.record_prune("time", suppressed)
+        if self._recorder is not None:
+            detail = {
+                "suppressed": suppressed,
+                "floor": decision.floor,
+                "option_count": len(status.options),
+            }
+            self._record(ref, status, "suppressed", "time", None, detail)
 
     def _terminal(
         self, kind: str, status: EnrollmentStatus, ref: Any, multiplicity: int

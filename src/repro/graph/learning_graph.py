@@ -24,12 +24,14 @@ per node.
 
 The tree representation is deliberately faithful to the paper: one node
 per expansion, so its size grows exponentially in the horizon.  It does
-not keep one completed set per node, though: transposed paths (``A`` then
-``B``, ``B`` then ``A``) reach equal ``X``, and the tree engine hands
-every node with one ``X`` the same frozenset (Table 1 at 5 semesters:
-60,448 nodes, 21,741 distinct sets), which cuts its peak memory by about
-a third.  Use the frontier DP (:mod:`repro.core.frontier`) when you only
-need path counts at large horizons.
+not keep one status per node, though: transposed paths (``A`` then
+``B``, ``B`` then ``A``) reach equal states, and the tree engine hands
+every node in one ``(term, X)`` the same status, and every node with one
+``X`` the same frozenset (Table 1 at 5 semesters: 60,448 nodes, 21,763
+distinct states, 21,741 distinct sets).  The tree engine adds a node's
+children together, so they have consecutive ids; :meth:`edges_into`
+reads such a range back.  Use the frontier DP (:mod:`repro.core.frontier`)
+when you only need path counts at large horizons.
 """
 
 from __future__ import annotations
@@ -128,6 +130,19 @@ class LearningGraph:
         (empty for the root)."""
         self._check_id(node_id)
         return self._selections[node_id]
+
+    def edges_into(
+        self, node_ids: range
+    ) -> Iterator[Tuple[FrozenSet[str], EnrollmentStatus]]:
+        """``(selection into the node, its status)`` for each node of
+        ``node_ids``, a step-1 range of ids, in order."""
+        if node_ids.step != 1:
+            raise ValueError(f"node_ids must be a step-1 range, got {node_ids!r}")
+        if node_ids:
+            self._check_id(node_ids.start)
+            self._check_id(node_ids.stop - 1)
+        first, stop = node_ids.start, node_ids.stop
+        return zip(self._selections[first:stop], self._statuses[first:stop])
 
     def children(self, node_id: int) -> Tuple[int, ...]:
         """Ids of the node's children, in creation order."""

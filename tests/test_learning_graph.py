@@ -43,6 +43,20 @@ class TestLearningGraphStructure:
         assert graph.out_degree(0) == 1
         assert graph.depth(1) == 1
 
+    def test_edges_into_reads_a_range_of_nodes(self):
+        graph = LearningGraph(_root())
+        a, b = EnrollmentStatus(S12, {"A"}), EnrollmentStatus(S12, {"B"})
+        graph.add_child(0, frozenset({"A"}), a)
+        graph.add_child(0, frozenset({"B"}), b)
+        assert list(graph.edges_into(range(1, 3))) == [
+            (frozenset({"A"}), a), (frozenset({"B"}), b)
+        ]
+        assert list(graph.edges_into(range(0))) == []
+        with pytest.raises(IndexError):
+            graph.edges_into(range(2, 4))
+        with pytest.raises(ValueError):
+            graph.edges_into(range(0, 3, 2))
+
     def test_bad_node_id(self):
         graph = LearningGraph(_root())
         with pytest.raises(IndexError):

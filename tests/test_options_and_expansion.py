@@ -410,36 +410,35 @@ class TestSelectionMemo:
 
 
 class TestCanonicalCompletedSets:
-    """The out-tree keeps one frozenset per distinct completed set ``X``;
-    the frontier and ranked engines pass no table."""
+    """The out-tree keeps one status per distinct ``(term, X)`` and one
+    frozenset per distinct ``X``; the expander, and so the frontier and
+    ranked engines, keep no run-long table."""
 
-    @staticmethod
-    def _statuses():
-        return TestSelectionMemo._statuses(ExplorationConfig())
-
-    def test_table_changes_no_move_and_shares_equal_sets(self):
-        catalog, statuses = self._statuses()
-        expander = Expander(catalog, EVALUATION_END_TERM, ExplorationConfig())
-        table = {}
-        built = []
-        for status in statuses:
-            for floor in (0, 2):
-                plain = list(expander.successors(status, required_minimum=floor))
-                shared = list(
-                    expander.successors(status, required_minimum=floor, canonical=table)
-                )
-                assert [(s, c.term, c.completed) for s, c in shared] == [
-                    (s, c.term, c.completed) for s, c in plain
-                ]
-                assert all(a is b for (a, _), (b, _) in zip(plain, shared))
-                for selection, child in shared:
-                    # An empty move keeps its parent's set.
-                    expected = table[child.completed] if selection else status.completed
-                    assert child.completed is expected
-                built.extend(child.completed for selection, child in shared if selection)
-        assert len(set(built)) < len(built)  # transposed moves rebuild sets
-        assert len(table) == len(set(built))
-        assert all(table[value] is value for value in table)
+    @pytest.mark.parametrize(
+        "run, semesters", [("goal_tree", 4), ("deadline_tree", 3)]
+    )
+    def test_tree_nodes_in_one_state_share_status_kind_and_moves(self, run, semesters):
+        catalog = brandeis_catalog()
+        start = start_term_for_semesters(semesters)
+        if run == "goal_tree":
+            graph = generate_goal_driven(
+                catalog, start, brandeis_major_goal(), EVALUATION_END_TERM
+            ).graph
+        else:
+            graph = generate_deadline_driven(catalog, start, EVALUATION_END_TERM).graph
+        by_state = {}
+        outcome = {}
+        for node_id in graph.node_ids():
+            status = graph.status(node_id)
+            assert by_state.setdefault((status.term, status.completed), status) is status
+            children = graph.children(node_id)
+            moves = (
+                graph.terminal_kind(node_id),
+                [graph.selection_into(child) for child in children],
+                [id(graph.status(child)) for child in children],
+            )
+            assert outcome.setdefault(id(status), moves) == moves
+        assert len(by_state) < graph.num_nodes  # transposed paths meet
 
     @pytest.mark.parametrize(
         "run, semesters", [("goal_tree", 4), ("deadline_tree", 3)]
@@ -461,24 +460,26 @@ class TestCanonicalCompletedSets:
     @pytest.mark.parametrize(
         "run", ["goal_tree", "deadline_tree", "ranked", "frontier_goal", "frontier_deadline"]
     )
-    def test_only_the_tree_passes_a_table(self, monkeypatch, run):
+    def test_expander_keeps_no_table(self, monkeypatch, run):
         # Goal runs need 4 semesters to expand at all; deadline runs
-        # expand plenty in 3.
+        # expand plenty in 3.  Every call builds new sets, equal values
+        # included: only the tree shares them, after the call.
         successors = Expander.successors
-        calls = {"with": 0, "without": 0}
+        built = []
 
-        def counting(self, status, required_minimum=0, canonical=None):
-            calls["with" if canonical is not None else "without"] += 1
-            return successors(self, status, required_minimum, canonical=canonical)
+        def recording(self, status, required_minimum=0):
+            for selection, child in successors(self, status, required_minimum):
+                if selection:  # an empty move keeps its parent's set
+                    built.append(child.completed)
+                yield selection, child
 
-        monkeypatch.setattr(Expander, "successors", counting)
+        monkeypatch.setattr(Expander, "successors", recording)
         catalog = brandeis_catalog()
         start = start_term_for_semesters(3 if "deadline" in run else 4)
         TestOptionsOnFirstRead.RUNS[run](catalog, start, ExplorationConfig(), None)
-        if run.endswith("_tree"):
-            assert calls["with"] > 0 and calls["without"] == 0
-        else:
-            assert calls["without"] > 0 and calls["with"] == 0
+        assert len({id(completed) for completed in built}) == len(built)
+        if "deadline" in run:
+            assert len(set(built)) < len(built)  # equal values, built twice
 
 
 class TestOptionsOnFirstRead:

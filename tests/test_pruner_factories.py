@@ -63,7 +63,7 @@ def test_explicit_stack_is_timed_like_the_default(catalog, engine):
     default = _goal_phase_entries(engine, catalog, None)
     assert _goal_phase_entries(engine, catalog, EXPLICIT) == default
     if engine == "tree":
-        assert default == (905, 8293)
+        assert default == (905, 7282)
 
 
 def _cache_lookups(catalog, pruners):
@@ -79,5 +79,5 @@ def _cache_lookups(catalog, pruners):
 def test_explicit_stack_goes_through_the_navigator_cache(catalog):
     default = _cache_lookups(catalog, None)
     assert _cache_lookups(catalog, EXPLICIT) == default
-    assert default == (905, 8293)
+    assert default == (905, 7282)
 
