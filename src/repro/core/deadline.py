@@ -114,13 +114,14 @@ class _State:
         self.other: Optional["_State"] = None
 
 
-def _join(state: _State, status: EnrollmentStatus, expander) -> _State:
-    """The state of ``status``, given ``state``, the first state with its
-    ``X``; a term not on the chain yet is added to it."""
-    ordinal = status.term.ordinal
+def _join(state: _State, term: Term, expander) -> _State:
+    """The state at ``term`` with ``state``'s ``X``, given ``state``, the
+    first state with that ``X``; a term not on the chain yet is added to
+    it, with the one status it gets."""
+    ordinal = term.ordinal
     while state.status.term.ordinal != ordinal:
         if state.other is None:
-            state.other = _State(expander.initial_status(status.term, state.status.completed))
+            state.other = _State(expander.initial_status(term, state.status.completed))
             return state.other
         state = state.other
     return state
@@ -195,16 +196,19 @@ def grow_tree(step: NodeStep) -> LearningGraph:
             first = graph.num_nodes
             with obs.phase("expand"):
                 if fresh:
-                    for selection, child in expander.successors(
+                    child_term = status.term + 1
+                    for selection, completed in expander.successors(
                         status, required_minimum=decision.floor
                     ):
                         if max_nodes is not None and graph.num_nodes >= max_nodes:
                             raise refuse(first)
-                        child_state = states.get(child.completed)
+                        child_state = states.get(completed)
                         if child_state is None:
-                            child_state = states[child.completed] = _State(child)
+                            child_state = states[completed] = _State(
+                                expander.initial_status(child_term, completed)
+                            )
                         else:
-                            child_state = _join(child_state, child, expander)
+                            child_state = _join(child_state, child_term, expander)
                         stack.append(graph.add_child(node_id, selection, child_state.status))
                         pending.append(child_state)
                     state.children = range(first, graph.num_nodes)

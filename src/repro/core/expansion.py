@@ -1,12 +1,13 @@
 """Shared status-expansion machinery.
 
 All three generators perform the same elementary step: given an enrollment
-status, enumerate the legal selections ``W`` and produce the successor
-statuses ``(s+1, X ∪ W, Y')``.  :class:`Expander` centralizes that step —
-option-set computation, the per-term cap, avoid-lists, the empty-selection
-policy, and the schedule override — so the algorithms differ only in
-*which* nodes they expand and when they stop.  Its statuses derive ``Y``
-on first read, so only expanded nodes pay for their option set.
+status, enumerate the legal selections ``W`` and the successor states
+``(s+1, X ∪ W)``.  :class:`Expander` centralizes that step — option-set
+computation, the per-term cap, avoid-lists, the empty-selection policy,
+and the schedule override — so the algorithms differ only in *which*
+nodes they decide and when they stop.  An engine builds a node's status
+only where it decides that node, and the status derives ``Y`` on first
+read, so only expanded nodes pay for their option set.
 
 Many nodes of one run share an option set (Table 1 at 5 semesters
 expands 1,507 nodes with 57 distinct ``Y``), so each expander keeps the
@@ -144,8 +145,8 @@ class Expander:
 
     def successors(
         self, status: EnrollmentStatus, required_minimum: int = 0
-    ) -> Iterator[Tuple[FrozenSet[str], EnrollmentStatus]]:
-        """Yield ``(selection, child status)`` for every legal move.
+    ) -> Iterator[Tuple[FrozenSet[str], FrozenSet[str]]]:
+        """Yield ``(selection, X ∪ W)`` for every legal move.
 
         ``required_minimum`` is the strategic-selection floor ``min_i``
         derived by time-based pruning (0 when unconstrained): non-empty
@@ -153,12 +154,15 @@ class Expander:
         suppressed whenever it is positive (an empty move under a positive
         floor provably leads to a child the time pruner rejects).
 
-        Each call builds fresh children: a new ``X ∪ W`` and a new status.
-        The moves are a function of ``status``'s ``(term, X)`` alone, so
-        the out-tree asks once per distinct state and shares the children's
-        sets and statuses itself (:func:`~repro.core.deadline.grow_tree`);
-        the frontier merges equal states per layer, and best-first search
-        builds few duplicates, so neither keeps a run-long table.
+        No child status is built: the child of a move is the state
+        ``(status.term + 1, X ∪ W)``, and a caller builds its status with
+        :meth:`initial_status` only where it decides that node.  Each call
+        builds a fresh ``X ∪ W`` (an empty move yields ``X`` itself).  The
+        moves are a function of ``status``'s ``(term, X)`` alone, so the
+        out-tree asks once per distinct state and shares the sets and
+        statuses itself (:func:`~repro.core.deadline.grow_tree`); the
+        frontier merges equal sets per layer, and best-first search keeps
+        a pushed move's cost and bound, not its set.
 
         Does **not** check the deadline — callers decide which nodes are
         terminal before asking for successors.
@@ -167,8 +171,6 @@ class Expander:
         floor = required_minimum if required_minimum > 0 else 0
         term = status.term
         completed = status.completed
-        child_term = term + 1
-        deferred = EnrollmentStatus.deferred
         emitted_any = False
         options = status.options
         if options:
@@ -176,19 +178,19 @@ class Expander:
                 if constraints and not check_all(constraints, selection, term, status):
                     continue
                 emitted_any = True
-                yield selection, deferred(child_term, completed | selection, self)
+                yield selection, completed | selection
         if floor == 0 and self._empty_move_allowed(status, emitted_any):
             if not constraints or check_all(constraints, _NO_SELECTION, term, status):
-                yield _NO_SELECTION, deferred(child_term, completed, self)
+                yield _NO_SELECTION, completed
 
     def successor(
         self, status: EnrollmentStatus, selection: AbstractSet[str]
     ) -> Optional[EnrollmentStatus]:
-        """The child ``selection`` leads to from ``status``, or ``None``
-        when :meth:`successors` offers no such move."""
-        for move, child in self.successors(status):
+        """The child status ``selection`` leads to from ``status``, or
+        ``None`` when :meth:`successors` offers no such move."""
+        for move, completed in self.successors(status):
             if move == selection:
-                return child
+                return self.initial_status(status.term + 1, completed)
         return None
 
     def _selections(

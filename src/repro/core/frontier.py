@@ -107,8 +107,8 @@ def _run_frontier(step: NodeStep, max_frontier: Optional[int]) -> FrontierCount:
                 if kind is None:
                     with obs.phase("expand"):
                         children = [
-                            child.completed
-                            for _selection, child in expander.successors(
+                            completed
+                            for _selection, completed in expander.successors(
                                 status, required_minimum=decision.floor
                             )
                         ]

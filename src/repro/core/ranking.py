@@ -27,14 +27,13 @@ generator is agnostic to the specific function, exactly as §4.3 promises.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, AbstractSet
+from typing import TYPE_CHECKING, AbstractSet, FrozenSet
 
 from ..catalog import Catalog, OfferingModel
 from ..graph.path import LearningPath
 from ..semester import Term
 
 if TYPE_CHECKING:  # avoid an import cycle; used in type hints only
-    from ..graph.status import EnrollmentStatus
     from ..requirements import Goal
     from .config import ExplorationConfig
 
@@ -63,12 +62,17 @@ class RankingFunction:
 
     def remaining_cost_bound(
         self,
-        status: "EnrollmentStatus",
+        completed: FrozenSet[str],
         goal: "Goal",
         config: "ExplorationConfig",
     ) -> float:
         """An *admissible* lower bound on the cost still needed to reach a
-        goal node from ``status`` (never over-estimates).
+        goal node from a status whose completed set is ``completed``
+        (never over-estimates).
+
+        Best-first search asks once per generated node, before it builds
+        the node's status, so the bound sees ``X`` alone: not the term
+        and not the option set ``Y``.
 
         Best-first search adds this to the accumulated path cost (A*):
         with unit edge costs, pure best-first degenerates into
@@ -95,14 +99,14 @@ class TimeRanking(RankingFunction):
     def edge_cost(self, selection: AbstractSet[str], term: Term) -> float:
         return 1.0
 
-    def remaining_cost_bound(self, status, goal, config) -> float:
+    def remaining_cost_bound(self, completed, goal, config) -> float:
         """At least ``⌈left_i / m⌉`` more semesters are needed.
 
         Consistent: one transition completes at most ``m`` courses, so the
         bound drops by at most 1 (= the edge cost) per edge — A* with this
         bound emits goal paths in exact cost order.
         """
-        left = goal.remaining_courses(status.completed)
+        left = goal.remaining_courses(completed)
         if math.isinf(left):
             return math.inf
         m = config.max_courses_per_term
@@ -121,11 +125,11 @@ class WorkloadRanking(RankingFunction):
     def edge_cost(self, selection: AbstractSet[str], term: Term) -> float:
         return sum(self._catalog[course_id].workload_hours for course_id in selection)
 
-    def remaining_cost_bound(self, status, goal, config) -> float:
+    def remaining_cost_bound(self, completed, goal, config) -> float:
         """At least ``left_i`` more goal courses must be taken; whatever
         they are, they cost at least the sum of the ``left_i`` *lightest*
         not-yet-completed goal courses (a greedy, admissible bound)."""
-        left = goal.remaining_courses(status.completed)
+        left = goal.remaining_courses(completed)
         if math.isinf(left):
             return math.inf
         left = int(left)
@@ -133,7 +137,7 @@ class WorkloadRanking(RankingFunction):
             return 0.0
         pending = sorted(
             self._catalog[cid].workload_hours
-            for cid in goal.courses() - status.completed
+            for cid in goal.courses() - completed
             if cid in self._catalog
         )
         return sum(pending[:left])

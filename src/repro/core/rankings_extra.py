@@ -53,9 +53,9 @@ class CompositeRanking(RankingFunction):
             for weight, ranking in self._components
         )
 
-    def remaining_cost_bound(self, status, goal, config) -> float:
+    def remaining_cost_bound(self, completed, goal, config) -> float:
         return sum(
-            weight * ranking.remaining_cost_bound(status, goal, config)
+            weight * ranking.remaining_cost_bound(completed, goal, config)
             for weight, ranking in self._components
         )
 
@@ -73,8 +73,8 @@ class CourseCountRanking(RankingFunction):
     def edge_cost(self, selection: AbstractSet[str], term: Term) -> float:
         return float(len(selection))
 
-    def remaining_cost_bound(self, status, goal, config) -> float:
-        left = goal.remaining_courses(status.completed)
+    def remaining_cost_bound(self, completed, goal, config) -> float:
+        left = goal.remaining_courses(completed)
         return left if not math.isinf(left) else math.inf
 
 

@@ -1,8 +1,9 @@
 """Exploration run statistics.
 
-Every generator fills an :class:`ExplorationStats` while it runs: node and
-edge counts, terminal-kind tallies, per-strategy prune events, elapsed
-time.  The evaluation section's tables are assembled from these counters
+Every generator fills an :class:`ExplorationStats` while it runs: counts
+of the nodes and edges it generated (a ranked run counts every node it
+pushes, built or not), terminal-kind tallies, per-strategy prune events,
+elapsed time.  The evaluation section's tables are assembled from these counters
 (Table 1's pruned-path percentages, §5.2's 82%/18% time-vs-availability
 split), so they are part of the public result API rather than debug-only
 instrumentation.

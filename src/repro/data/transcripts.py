@@ -87,7 +87,7 @@ def _simulate_one(
             selection = frozenset()
             if selection not in legal:
                 return None
-        status = legal[selection]
+        status = expander.initial_status(status.term + 1, legal[selection])
         statuses.append(status)
         selections.append(selection)
     return LearningPath(statuses, selections)

@@ -223,10 +223,10 @@ class Observability:
             "repro_runs_total", "exploration runs observed", labels={"kind": kind}
         ).inc()
         registry.counter(
-            "repro_nodes_created_total", "statuses materialized by the generators"
+            "repro_nodes_created_total", "nodes generated by the engines"
         ).inc(stats.nodes_created)
         registry.counter(
-            "repro_edges_created_total", "selection edges materialized"
+            "repro_edges_created_total", "selection edges generated"
         ).inc(stats.edges_created)
         registry.counter("repro_merged_hits_total", "DAG/frontier status merges").inc(
             stats.merged_hits

@@ -133,7 +133,7 @@ class PlanningSession:
 
     def legal_selections(self) -> List[FrozenSet[str]]:
         """Every selection the generators would consider from here."""
-        return [selection for selection, _child in self._expander.successors(self._status)]
+        return [selection for selection, _completed in self._expander.successors(self._status)]
 
     def audit(self) -> GoalProgress:
         """Degree-audit view of the current standing."""

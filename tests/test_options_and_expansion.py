@@ -22,6 +22,7 @@ from repro.core.constraints import (
 )
 from repro.core.expansion import Expander
 from repro.core.options import iter_selections, selection_count
+from repro.core.step import NodeStep
 from repro.data import (
     GeneratorSettings,
     brandeis_catalog,
@@ -33,6 +34,7 @@ from repro.data import (
 from repro.data.brandeis import EVALUATION_END_TERM
 from repro.data.trimester import LAKESIDE_FIRST_TERM, LAKESIDE_LAST_TERM
 from repro.errors import InvalidConfigError, UnknownCourseError
+from repro.graph import EnrollmentStatus
 from repro.obs import InMemorySink, MetricsRegistry, Observability, Tracer
 from repro.semester import SPRING_SUMMER_FALL, Term
 
@@ -213,7 +215,8 @@ class TestExpander:
             frozenset({"29A"}),
             frozenset({"11A", "29A"}),
         }
-        child = successors[frozenset({"11A", "29A"})]
+        assert successors[frozenset({"11A", "29A"})] == {"11A", "29A"}
+        child = expander.successor(root, {"11A", "29A"})
         assert child.term == S12
         assert child.completed == {"11A", "29A"}
         assert child.options == {"21A"}  # Fig. 3 node n3
@@ -224,8 +227,8 @@ class TestExpander:
         expander = Expander(fig3_catalog, S13, ExplorationConfig())
         n4 = expander.initial_status(S12, {"29A"})
         successors = dict(expander.successors(n4))
-        assert set(successors) == {frozenset()}
-        child = successors[frozenset()]
+        assert successors == {frozenset(): n4.completed}
+        child = expander.successor(n4, frozenset())
         assert child.term == F12
         assert child.options == {"11A"}  # Fig. 3 node n7
 
@@ -285,8 +288,8 @@ class TestExpander:
 
 
 def _reference_successors(expander, status, floor):
-    """``(selection, child term, child completed)`` for every legal move,
-    enumerated afresh: the behaviour the selection memo must keep."""
+    """``(selection, X ∪ W)`` for every legal move, enumerated afresh:
+    the behaviour the selection memo must keep."""
     config = expander.config
     moves = []
     if status.options:
@@ -310,14 +313,11 @@ def _reference_successors(expander, status, floor):
         )
         if allowed and check_all(config.constraints, frozenset(), status.term, status):
             moves.append(frozenset())
-    return [(move, status.term + 1, status.completed | move) for move in moves]
+    return [(move, status.completed | move) for move in moves]
 
 
 def _moves(expander, status, floor):
-    return [
-        (selection, child.term, child.completed)
-        for selection, child in expander.successors(status, required_minimum=floor)
-    ]
+    return list(expander.successors(status, required_minimum=floor))
 
 
 def _memo_configs():
@@ -468,10 +468,10 @@ class TestCanonicalCompletedSets:
         built = []
 
         def recording(self, status, required_minimum=0):
-            for selection, child in successors(self, status, required_minimum):
+            for selection, completed in successors(self, status, required_minimum):
                 if selection:  # an empty move keeps its parent's set
-                    built.append(child.completed)
-                yield selection, child
+                    built.append(completed)
+                yield selection, completed
 
         monkeypatch.setattr(Expander, "successors", recording)
         catalog = brandeis_catalog()
@@ -480,6 +480,75 @@ class TestCanonicalCompletedSets:
         assert len({id(completed) for completed in built}) == len(built)
         if "deadline" in run:
             assert len(set(built)) < len(built)  # equal values, built twice
+
+
+class TestStatusesBuiltWhereDecided:
+    """A status is built only for a node an engine decides: best-first
+    search builds one per popped node, the frontier one per decided state
+    and the tree one per distinct ``(term, X)``, however many moves the
+    expansions yield."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        built, decided = [], []
+        deferred = EnrollmentStatus.deferred.__func__
+        decide = NodeStep.decide
+
+        def counting_deferred(cls, term, completed, expander):
+            built.append((term, completed))
+            return deferred(cls, term, completed, expander)
+
+        def counting_decide(self, status, ref, multiplicity=1):
+            decided.append((status.term, status.completed))
+            return decide(self, status, ref, multiplicity)
+
+        monkeypatch.setattr(EnrollmentStatus, "deferred", classmethod(counting_deferred))
+        monkeypatch.setattr(NodeStep, "decide", counting_decide)
+        return built, decided
+
+    def test_ranked_builds_one_status_per_popped_node(self, counts):
+        built, decided = counts
+        result = generate_ranked(
+            brandeis_catalog(), start_term_for_semesters(5), brandeis_major_goal(),
+            EVALUATION_END_TERM, 10, TimeRanking(),
+        )
+        assert len(result) == 10
+        assert len(built) <= len(decided) + 1
+        assert result.stats.nodes_created > 2 * len(decided)  # most are never popped
+
+    @pytest.mark.parametrize("with_goal", [True, False])
+    def test_frontier_builds_one_status_per_decided_state(self, counts, with_goal):
+        built, decided = counts
+        catalog = brandeis_catalog()
+        if with_goal:
+            result = frontier_count_goal_paths(
+                catalog, start_term_for_semesters(4), brandeis_major_goal(),
+                EVALUATION_END_TERM,
+            )
+        else:
+            result = frontier_count_deadline_paths(
+                catalog, start_term_for_semesters(3), EVALUATION_END_TERM
+            )
+        assert built == decided
+        assert len(built) == result.total_states
+
+    @pytest.mark.parametrize(
+        "run, semesters", [("goal_tree", 4), ("deadline_tree", 3)]
+    )
+    def test_tree_builds_one_status_per_distinct_state(self, counts, run, semesters):
+        built, _decided = counts
+        start = start_term_for_semesters(semesters)
+        catalog = brandeis_catalog()
+        if run == "goal_tree":
+            graph = generate_goal_driven(
+                catalog, start, brandeis_major_goal(), EVALUATION_END_TERM
+            ).graph
+        else:
+            graph = generate_deadline_driven(catalog, start, EVALUATION_END_TERM).graph
+        statuses = [graph.status(node_id) for node_id in graph.node_ids()]
+        states = {(status.term, status.completed) for status in statuses}
+        assert sorted(built, key=repr) == sorted(states, key=repr)
+        assert len(states) < graph.num_nodes
 
 
 class TestOptionsOnFirstRead:
@@ -495,7 +564,7 @@ class TestOptionsOnFirstRead:
         assert derived.value == 0
         children = dict(expander.successors(root))
         assert derived.value == 1  # the root's, read to enumerate selections
-        child = children[frozenset({"11A", "29A"})]
+        child = expander.initial_status(S12, children[frozenset({"11A", "29A"})])
         assert child.options == {"21A"}
         assert child.options == {"21A"}
         assert derived.value == 2

@@ -279,8 +279,8 @@ def _option_cases(draw):
 
 
 class _ReadsOptions:
-    """Mixin for a pruner or ranking that reads ``status.options`` (and
-    checks it against the definition) before deciding like the built-in."""
+    """Mixin for a pruner that reads ``status.options`` (and checks it
+    against the definition) before deciding like the built-in."""
 
     def _read(self, status):
         assert status.options == _paper_options(self.catalog, self.config, status)
@@ -296,12 +296,6 @@ class _AvailabilityPrunerReadingOptions(_ReadsOptions, AvailabilityPruner):
     def should_prune(self, status):
         self._read(status)
         return super().should_prune(status)
-
-
-class _TimeRankingReadingOptions(_ReadsOptions, TimeRanking):
-    def remaining_cost_bound(self, status, goal, config):
-        self._read(status)
-        return super().remaining_cost_bound(status, goal, config)
 
 
 def _reading(cls, catalog, config, *args):
@@ -328,8 +322,9 @@ def test_every_status_derives_the_papers_options(case):
 @settings(max_examples=50, deadline=None)
 @given(case=_option_cases())
 def test_pruners_and_rankings_may_read_options(case):
-    """Extensions that read ``Y`` see the right set in every engine and
-    leave every output unchanged."""
+    """Pruners that read ``Y`` see the right set in every engine and
+    leave every output unchanged.  A ranking's bound sees ``X`` alone; the
+    ranked run's pruners read ``Y`` at every node it pops and expands."""
     catalog, config, goal, end = case
 
     pruners = [
@@ -354,9 +349,7 @@ def test_pruners_and_rankings_may_read_options(case):
 
     ranked = generate_ranked(catalog, START, goal, end, 5, TimeRanking(), config=config)
     reading = generate_ranked(
-        catalog, START, goal, end, 5,
-        _reading(_TimeRankingReadingOptions, catalog, config),
-        config=config, pruners=pruners,
+        catalog, START, goal, end, 5, TimeRanking(), config=config, pruners=pruners
     )
     assert reading.costs == ranked.costs
     assert reading.paths == ranked.paths

@@ -13,7 +13,6 @@ from repro.core import (
     generate_ranked,
 )
 from repro.errors import ExplorationError
-from repro.graph import EnrollmentStatus
 from repro.requirements import CourseSetGoal, DegreeGoal, RequirementGroup
 
 from .conftest import F11, F12, S12, S13
@@ -33,12 +32,11 @@ class TestCompositeRanking:
         ranking = CompositeRanking(
             [(1.0, TimeRanking()), (1.0, WorkloadRanking(fig3_catalog))]
         )
-        status = EnrollmentStatus(F11, frozenset())
         config = ExplorationConfig()
-        bound = ranking.remaining_cost_bound(status, GOAL, config)
-        time_bound = TimeRanking().remaining_cost_bound(status, GOAL, config)
+        bound = ranking.remaining_cost_bound(frozenset(), GOAL, config)
+        time_bound = TimeRanking().remaining_cost_bound(frozenset(), GOAL, config)
         workload_bound = WorkloadRanking(fig3_catalog).remaining_cost_bound(
-            status, GOAL, config
+            frozenset(), GOAL, config
         )
         assert bound == pytest.approx(time_bound + workload_bound)
 
@@ -88,9 +86,8 @@ class TestCourseCountRanking:
         assert result.costs[0] == 2.0  # exactly two courses, no waste
 
     def test_bound_equals_left(self, fig3_catalog):
-        status = EnrollmentStatus(F11, frozenset({"11A"}))
         bound = CourseCountRanking().remaining_cost_bound(
-            status, GOAL, ExplorationConfig()
+            frozenset({"11A"}), GOAL, ExplorationConfig()
         )
         assert bound == 2  # 29A and 21A still needed
 

@@ -208,7 +208,8 @@ def _plain_tree(step: NodeStep):
                 kinds[node_id] = decision.kind
                 continue
             children = 0
-            for selection, child in expander.successors(status, decision.floor):
+            for selection, completed in expander.successors(status, decision.floor):
+                child = expander.initial_status(status.term + 1, completed)
                 nodes.append((node_id, selection, child))
                 stack.append(len(nodes) - 1)
                 step.stats.record_node()
